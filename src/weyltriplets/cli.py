@@ -345,16 +345,23 @@ def _build_jc(cfg, task):
         beta=cfg.float("jc.beta"),
         gamma=complex(cfg.float("jc.gamma_re", 0.0), cfg.float("jc.gamma_im", 0.0)),
     )
+    v_l = cfg.float("jc.v_l", 0.0)
+    v_r = cfg.float("jc.v_r", 0.0)
+    tau = cfg.float("jc.tau")
+    N = cfg.int("jc.N")
     try:
         return jd.JCModel(
-            v_l=cfg.float("jc.v_l", 0.0),
-            v_r=cfg.float("jc.v_r", 0.0),
-            dot=dot,
-            tau=cfg.float("jc.tau"),
-            fock=jd.FockTruncation(cfg.int("jc.N")),
+            v_l=v_l, v_r=v_r, dot=dot, tau=tau, fock=jd.FockTruncation(N)
         )
     except ValueError as exc:
         raise ConfigError("%s: %s" % (cfg.path, exc))
+
+
+def _grid_count(cfg, key):
+    n = cfg.int(key)
+    if n < 1:
+        raise ConfigError("%s: %s must be >= 1" % (cfg._where(key), key))
+    return n
 
 
 def _z_grid(cfg, task):
@@ -374,9 +381,9 @@ def _z_grid(cfg, task):
         for key in rect_keys:
             cfg.require(key, task)
         res = np.linspace(cfg.float("grid.re_min"), cfg.float("grid.re_max"),
-                          cfg.int("grid.re_n"))
+                          _grid_count(cfg, "grid.re_n"))
         ims = np.linspace(cfg.float("grid.im_min"), cfg.float("grid.im_max"),
-                          cfg.int("grid.im_n"))
+                          _grid_count(cfg, "grid.im_n"))
         return [complex(re, im) for re in res for im in ims]
     raise ConfigError(
         "%s: task %r needs grid.z_list or the grid rectangle keys"
@@ -392,9 +399,7 @@ def _x_grid(cfg, task, default=None):
         raise ConfigError("%s: task %r needs grid.x_min/x_max/x_n" % (cfg.path, task))
     for key in keys:
         cfg.require(key, task)
-    n = cfg.int("grid.x_n")
-    if n < 1:
-        raise ConfigError("%s: grid.x_n must be >= 1" % cfg._where("grid.x_n"))
+    n = _grid_count(cfg, "grid.x_n")
     return np.linspace(cfg.float("grid.x_min"), cfg.float("grid.x_max"), n)
 
 

@@ -25,7 +25,6 @@ two-point kernel.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from ._linalg import (
     NotPositiveDefiniteError,
@@ -216,6 +215,10 @@ class AnalyticKernel:
 
     def gram(self, other):
         """Adaptive-quadrature Gram matrix gamma(self)* gamma(other)."""
+        # imported here: scipy.integrate is costly to import and only the
+        # Gram matrix needs it
+        from scipy.integrate import quad_vec
+
         if not isinstance(other, AnalyticKernel):
             raise RepresentationError(
                 "cannot form Gram of AnalyticKernel with %r" % other
@@ -374,6 +377,15 @@ class KreinCorrection:
 
         Returns shape (len xs, len ys) for scalar kernels and
         (len xs, len ys, v, v) for value_dim = v > 1.
+
+        The contraction runs through U W first: with U = gamma(z) samples
+        (nx, v, d), V = gamma(conj z) samples (ny, v, d) and W the d x d
+        weight, it forms U W in O(nx v d^2) and then contracts it with
+        conj V in O(nx ny v^2 d).  For the JC dot (v = N+1, d = 2(N+1))
+        that is O(N^3) instead of the O(N^4) of summing over both weight
+        indices for every output entry.  Both steps are plain einsum
+        loops, not BLAS products: BLAS rounds differently and would change
+        the last digits of the 17-digit CLI output.
         """
         if not (
             callable(getattr(self.left, "values", None))
@@ -382,8 +394,9 @@ class KreinCorrection:
             raise RepresentationError("kernel() needs samplable gamma images")
         U = self.left.values(xs)  # (nx, v, d)
         V = self.right.values(ys)  # (ny, v, d)
-        # K(x,y)[s,t] = sum_{jk} U[x,s,j] W[j,k] conj(V[y,t,k])
-        K = np.einsum("xsj,jk,ytk->xyst", U, self.weight, V.conj())
+        # K(x,y)[s,t] = sum_k (U W)[x,s,k] conj(V[y,t,k])
+        UW = np.einsum("xsj,jk->xsk", U, self.weight)
+        K = np.einsum("xsk,ytk->xyst", UW, V.conj())
         if K.shape[2] == 1 and K.shape[3] == 1:
             return K[:, :, 0, 0]
         return K

@@ -127,6 +127,23 @@ def test_krein_kernel_closed_form_value(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(np.exp(-1.0), abs=1e-15)
 
 
+def test_krein_kernel_two_sided_frozen_row(tmp_path, capsys):
+    # full-line contact (d = 2) with a non-diagonal boundary operator:
+    # the cross-side row is pinned to its 17-digit bytes
+    cfg = write(tmp_path, "kk2.cfg", (
+        "model.family = full-line-contact\n"
+        "model.v_l = 1\nmodel.v_r = 0.5\n"
+        "krein.z = -1+0.5j\nkrein.variant = operator\n"
+        "krein.entries = 1.5, 0.25+0.5j, 0.25-0.5j, -1\n"
+        "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 2\n"
+    ))
+    rc, out, _ = run(capsys, ["krein-kernel", "--config", cfg])
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[2] == "-1,1,0.04412622819993247,-0.030328376526034647"
+
+
 def test_gamma_sample_two_sided(tmp_path, capsys):
     cfg = write(tmp_path, "gs.cfg", (
         "model.family = full-line-contact\n"
@@ -172,6 +189,29 @@ def test_grid_keys_mutually_exclusive(tmp_path, capsys):
     rc, _, err = run(capsys, ["weyl-sample", "--config", cfg])
     assert rc == 2
     assert "mutually exclusive" in err
+
+
+def test_jc_config_error_names_the_file_once(tmp_path, capsys):
+    cfg = write(tmp_path, "fN.cfg",
+                "jc.alpha = 0.1\njc.beta = 0.9\njc.tau = 0.7\njc.N = 2.5\n")
+    rc, _, err = run(capsys, ["jc-run", "--config", cfg])
+    assert rc == 2
+    assert err.count(cfg) == 1
+    assert "%s:4: key 'jc.N'" % cfg in err
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+@pytest.mark.parametrize("key, line", [("grid.re_n", 4), ("grid.im_n", 7)])
+def test_grid_counts_below_one_rejected(tmp_path, capsys, key, line, value):
+    text = (
+        "model.family = schrodinger-right\n"
+        "grid.re_min = -1\ngrid.re_max = 1\ngrid.re_n = 2\n"
+        "grid.im_min = 0.5\ngrid.im_max = 1\ngrid.im_n = 2\n"
+    ).replace("%s = 2" % key, "%s = %d" % (key, value))
+    cfg = write(tmp_path, "n.cfg", text)
+    rc, out, err = run(capsys, ["weyl-sample", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert "%s:%d: %s must be >= 1" % (cfg, line, key) in err
 
 
 def test_missing_required_key(tmp_path, capsys):

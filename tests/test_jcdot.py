@@ -110,6 +110,27 @@ def test_permutation_layouts():
     assert fb == [2, 2, 2, 2]
 
 
+def test_beyond_band_max_matches_blockwise_loop():
+    # reference: the largest entry over every pair of blocks that are
+    # more than one block apart, with blocks of unequal size; entries
+    # decay away from the diagonal, so the maximum sits two blocks out
+    rng = np.random.default_rng(5)
+    blocks = [1, 2, 3, 2, 1, 2]
+    n = sum(blocks)
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    A = np.exp(-dist + 2j * np.pi * rng.random((n, n)))
+    edges = np.cumsum([0] + blocks)
+    worst = 0.0
+    for bi in range(len(blocks)):
+        for bj in range(len(blocks)):
+            if abs(bi - bj) > 1:
+                sub = A[edges[bi]:edges[bi + 1], edges[bj]:edges[bj + 1]]
+                worst = max(worst, float(np.abs(sub).max()))
+    assert worst > 0.0
+    assert jd._beyond_band_max(A, blocks) == worst
+    assert jd._beyond_band_max(A, [4, n - 4]) == 0.0
+
+
 def test_weyl_S_values(models):
     m13 = models["(1,3)"]
     assert np.abs(jd.weyl_S(m13, 1j) - 1j * np.eye(42)).max() == 0.0
@@ -191,6 +212,29 @@ def test_fockless_limit_reduces_to_scalar_krein_formula():
         tt0.assembled, BoundaryCondition.operator(Ct0), z
     ).kernel(xs, xs)
     assert np.abs(K0 - np.asarray(K0b).reshape(K0.shape)).max() < 1e-14
+
+
+def test_correction_matches_per_pair_products():
+    # independent oracle: one small matrix product U(x) W V(y)* per
+    # (x, y) pair, on both leads and with different x- and y-grids; the
+    # complex dot coupling makes the weight non-symmetric
+    m = jd.JCModel(0.5, 0.2, jd.TwoLevelDot(0.1, 0.9, 0.2 + 0.3j), 0.7,
+                   jd.FockTruncation(8))
+    z = -1.0 + 0.5j
+    xs = np.array([-1.3, -0.4, 0.2, 0.9])
+    ys = np.array([-0.8, 0.5, 1.7])
+    K = jd.dot_resolvent_correction(m, z, xs, ys)
+    corr = krein_correction(
+        jd._normalized_lead_triplet(m).assembled,
+        BoundaryCondition.operator(jd.build_tilde_CJC(m)),
+        z,
+    )
+    U = corr.left.values(xs)
+    V = corr.right.values(ys)
+    oracle = np.array([[U[i] @ corr.weight @ V[j].conj().T
+                        for j in range(len(ys))] for i in range(len(xs))])
+    assert K.shape == oracle.shape == (4, 3, 9, 9)
+    assert np.abs(K - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_correction_truncation_cauchy_decay():
