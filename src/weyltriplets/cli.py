@@ -79,13 +79,14 @@ from .spectral import (
     truncation_plan,
 )
 from .tensor import (
-    GapViolationError,
     friedrichs_krein_tensor_check,
     tensor_normalized,
     weight_growth_certificates,
 )
 from .triplets import (
     BoundaryCondition,
+    DomainError,
+    GapViolationError,
     QuadratureError,
     herglotz_identity_residual,
     krein_correction,
@@ -228,6 +229,13 @@ class Config:
 
     # -- typed getters ------------------------------------------------
 
+    def _finite(self, key, val, raw):
+        if not np.isfinite(val):
+            raise ConfigError(
+                "%s: key %r: non-finite value %r" % (self._where(key), key, raw)
+            )
+        return val
+
     def _where(self, key):
         line = self.lines.get(key, 0)
         return "%s:%d" % (self.path, line) if line else self.path
@@ -258,12 +266,13 @@ class Config:
                 raise ConfigError("%s: missing key %r" % (self.path, key))
             return float(default)
         try:
-            return float(self.values[key])
+            val = float(self.values[key])
         except ValueError:
             raise ConfigError(
                 "%s: key %r: invalid real number %r"
                 % (self._where(key), key, self.values[key])
             )
+        return self._finite(key, val, self.values[key])
 
     def int(self, key, default=None):
         if key not in self.values:
@@ -285,12 +294,13 @@ class Config:
             return complex(default)
         raw = self.values[key].replace(" ", "")
         try:
-            return complex(raw)
+            val = complex(raw)
         except ValueError:
             raise ConfigError(
                 "%s: key %r: invalid complex literal %r"
                 % (self._where(key), key, self.values[key])
             )
+        return self._finite(key, val, self.values[key])
 
     def complex_list(self, key):
         raw = self.values.get(key, "")
@@ -300,12 +310,13 @@ class Config:
             if not part:
                 continue
             try:
-                out.append(complex(part))
+                val = complex(part)
             except ValueError:
                 raise ConfigError(
                     "%s: key %r: invalid complex literal %r"
                     % (self._where(key), key, part)
                 )
+            out.append(self._finite(key, val, part))
         if not out:
             raise ConfigError(
                 "%s: key %r: expected a comma-separated list" % (self._where(key), key)
@@ -334,7 +345,10 @@ def _build_model(cfg, task):
     elif family == "full-line-contact":
         kwargs["v_l"] = cfg.float("model.v_l", 0.0)
         kwargs["v_r"] = cfg.float("model.v_r", 0.0)
-    return ModelSpec(family=family, **kwargs)
+    try:
+        return ModelSpec(family=family, **kwargs)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (cfg.path, exc))
 
 
 def _build_jc(cfg, task):
@@ -403,6 +417,15 @@ def _x_grid(cfg, task, default=None):
     return np.linspace(cfg.float("grid.x_min"), cfg.float("grid.x_max"), n)
 
 
+def _sample_x_grid(cfg, xs, sample):
+    """Run ``sample()``; an x-grid point outside the kernel domain is a config error."""
+    try:
+        return sample()
+    except DomainError as exc:
+        key = "grid.x_min" if exc.x == xs[0] else "grid.x_max"
+        raise ConfigError("%s: key %r: %s" % (cfg._where(key), key, exc))
+
+
 def _fan_out(fn, items, jobs):
     if jobs <= 1:
         return [fn(item) for item in items]
@@ -427,7 +450,7 @@ def _task_weyl_sample(cfg, args):
         dim = weyl.dim
     else:
         model = _build_jc(cfg, "weyl-sample")
-        evaluate = lambda z: jd.weyl_S(model, z)
+        evaluate = jd.lead_weyl(model)
         dim = model.boundary_dim
     zs = _z_grid(cfg, "weyl-sample")
     mats = _fan_out(evaluate, zs, args.jobs)
@@ -461,10 +484,10 @@ def _task_gamma_sample(cfg, args):
         columns = {"g": xi}
     else:
         columns = {"g%d" % j: np.eye(d)[:, j] for j in range(d)}
-    samples = {
+    samples = _sample_x_grid(cfg, xs, lambda: {
         name: np.atleast_2d(eval_gamma_on_grid(triplet, z, xi, xs).T).T
         for name, xi in columns.items()
-    }
+    })
     header = ["x"]
     for name, vals in samples.items():
         comps = vals.shape[1]
@@ -538,7 +561,8 @@ def _task_krein_kernel(cfg, args):
             raise ConfigError("%s: krein.entries: %s" % (cfg.path, exc))
     else:
         bc = BoundaryCondition(variant)
-    K = krein_correction(triplet, bc, z).kernel(xs, xs)
+    corr = krein_correction(triplet, bc, z)
+    K = _sample_x_grid(cfg, xs, lambda: corr.kernel(xs, xs))
     K = np.asarray(K).reshape(len(xs), len(xs))
     header = ["x", "y", "re_K", "im_K"]
     rows = [
@@ -830,17 +854,17 @@ def _validate_checks(seed):
     return checks
 
 
-def _validate_table(checks):
+def _validate_text(checks, fmt):
+    """Render the checks as csv or as an aligned table; returns (text, n_fail)."""
+    rows = [("check", "residual", "tolerance", "status")] + [
+        (name, _fmt(residual), _fmt(tol), "ok" if residual <= tol else "FAIL")
+        for name, residual, tol in checks
+    ]
+    n_fail = sum(row[3] == "FAIL" for row in rows)
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in rows) + "\n", n_fail
     width = max(len(name) for name, _, _ in checks) + 2
-    lines = ["%-*s %-26s %-26s %s" % (width, "check", "residual", "tolerance", "status")]
-    n_fail = 0
-    for name, residual, tol in checks:
-        ok = residual <= tol
-        n_fail += 0 if ok else 1
-        lines.append(
-            "%-*s %-26s %-26s %s"
-            % (width, name, _fmt(residual), _fmt(tol), "ok" if ok else "FAIL")
-        )
+    lines = ["%-*s %-26s %-26s %s" % (width, *row) for row in rows]
     lines.append("%d checks, %d passed, %d failed"
                  % (len(checks), len(checks) - n_fail, n_fail))
     return "\n".join(lines) + "\n", n_fail
@@ -946,20 +970,7 @@ def main(argv=None):
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         if args.task == "validate":
-            if args.format == "csv":
-                checks = _validate_checks(args.seed)
-                header = ["check", "residual", "tolerance", "status"]
-                rows_text = [",".join(header)]
-                n_fail = 0
-                for name, residual, tol in checks:
-                    ok = residual <= tol
-                    n_fail += 0 if ok else 1
-                    rows_text.append("%s,%s,%s,%s"
-                                     % (name, _fmt(residual), _fmt(tol),
-                                        "ok" if ok else "FAIL"))
-                text = "\n".join(rows_text) + "\n"
-            else:
-                text, n_fail = _validate_table(_validate_checks(args.seed))
+            text, n_fail = _validate_text(_validate_checks(args.seed), args.format)
             _write_out(text, args.out)
             return EXIT_OK if n_fail == 0 else EXIT_VALIDATION
         if args.task == "jc-run":

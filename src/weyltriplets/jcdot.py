@@ -40,7 +40,7 @@ from . import herglotz as hg
 from ._linalg import solve_guarded
 from .models1d import build_triplet, full_line_contact
 from .spectral import SpectralMeasurePP
-from .tensor import tensor_normalized
+from .tensor import tensor_normalized, tensor_quasi_scalar
 from .triplets import BoundaryCondition, krein_correction
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "build_R_Q",
     "build_tilde_CJC",
     "jacobi_reorder",
+    "lead_weyl",
     "weyl_S",
     "dot_resolvent_correction",
     "spectrum_tilde_CJC",
@@ -334,23 +335,25 @@ def jacobi_reorder(matrix, model):
     }
 
 
-def weyl_S(model, z):
+def lead_weyl(model):
     """Normalized Weyl function of the tensored two-lead triplet.
 
     diag over (side, Fock level) of the scalar normalizations
-    (m(z - k; v) - Re m(i - k; v)) / Im m(i - k; v); identically iI at
-    z = i.
+    (m(z - k; v) - Re m(i - k; v)) / Im m(i - k; v), built once per model
+    by ``tensor_quasi_scalar``; identically iI at z = i.  This scalar
+    route rounds differently from the matrix route W (M - S) W of
+    ``tensor_normalized``, which the Krein correction uses with its gamma
+    weights; the two agree to ~1e-13.
     """
-    z = complex(z)
-    n = model.fock.dim
-    if z == 1j:
-        return 1j * np.eye(2 * n, dtype=complex)
-    diag = np.empty(2 * n, dtype=complex)
-    for s, v in enumerate((model.v_l, model.v_r)):
-        for k in range(n):
-            mi = hg.m_schrodinger_halfline(1j - k, v)
-            diag[s * n + k] = (hg.m_schrodinger_halfline(z - k, v) - mi.real) / mi.imag
-    return np.diag(diag)
+    return tensor_quasi_scalar(
+        [lambda z, v=v: hg.m_schrodinger_halfline(z, v) for v in (model.v_l, model.v_r)],
+        SpectralMeasurePP.from_levels(range(model.fock.dim)),
+    )
+
+
+def weyl_S(model, z):
+    """lead_weyl(model) at one point z."""
+    return lead_weyl(model)(z)
 
 
 def _normalized_lead_triplet(model):

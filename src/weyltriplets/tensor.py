@@ -7,31 +7,34 @@ matrices over those atoms.  Raw ("bounded") objects shift the base data,
     M^S(z) = sum_k M^A(z - lambda_k) (x) P_k,
     gamma^S(z) = sum_k gamma^A(z - lambda_k) (x) P_k,
 
-and the normalized/regularized constructions rescale each block with
-the square-root weights taken from the base Weyl function at i - lambda
-(or at a real point a - lambda below the spectrum), so that the
-assembled triplet satisfies M(i) = iI (resp. M(a) = 0) exactly.
+and the normalized/regularized constructions rescale each atom block
+with ``triplets.LKernel``, anchored at i - lambda (or at a real point
+a - lambda below the spectrum), so that the assembled triplet satisfies
+M(i) = iI (resp. M(a) = 0) exactly.  The weights (W, S, C) of every atom
+are computed once and give both the gamma-field weight W and the
+boundary-map transforms G0 = C^{1/2}, G1 = W, G2 = W S.
+``tensor_quasi_scalar`` is the same normalization for a diagonal base
+of scalar entries, done entrywise in scalar arithmetic.
 
 Kronecker ordering is boundary-index outer, atom-slot inner; this is
 part of the public contract (note it differs from the atom-outer
 block-diagonal ordering used by the spectral-integral assembler).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import herm_inv_sqrt, herm_part, herm_sqrt, imag_part
+from ._linalg import herm_sqrt
 from .spectral import SpectralMeasurePP
 from .triplets import (
     BoundaryTriplet,
     GammaField,
-    GapViolationError,
+    LKernel,
     RepresentationError,
     WeylFunction,
     friedrichs_probe,
     lsb_uniform_probe,
-    weyl_derivative,
 )
 
 __all__ = [
@@ -74,55 +77,6 @@ def _assemble(blocks, slots, d, total):
         for s in sl:
             out[s::total, s::total] = B
     return out
-
-
-@dataclass(frozen=True)
-class LKernel:
-    """Normalized difference kernel of a base Weyl function.
-
-    ``at(z, lam)`` evaluates, depending on mode,
-
-        imag:  W (M(z - lam) - Re M(i - lam)) W,   W = (Im M(i - lam))^{-1/2}
-        real:  W (M(z - lam) - M(a - lam)) W,      W = (M'(a - lam))^{-1/2}
-
-    with the defining exact values L = iI at z = i (imag mode) and
-    L = 0 at z = a (real mode).  Weights are cached per atom shift.
-    """
-
-    weyl: WeylFunction
-    mode: str  # "imag" | "real"
-    anchor: complex = 1j
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.mode not in ("imag", "real"):
-            raise ValueError("mode must be 'imag' or 'real'")
-        if self.mode == "real" and complex(self.anchor).imag != 0:
-            raise ValueError("real-point mode needs a real anchor")
-
-    def weights(self, lam):
-        """(W, S) with W the inverse square-root weight, S the subtrahend."""
-        lam = float(lam)
-        if lam not in self._cache:
-            w = self.anchor - lam
-            if self.mode == "imag":
-                M = self.weyl(w)
-                W = herm_inv_sqrt(imag_part(M), what="Im M(i - lambda)")
-                S = herm_part(M)
-            else:
-                Ma = herm_part(self.weyl(w))
-                D = herm_part(weyl_derivative(self.weyl, w))
-                W = herm_inv_sqrt(D, what="M'(a - lambda)")
-                S = Ma
-            self._cache[lam] = (W, S)
-        return self._cache[lam]
-
-    def at(self, z, lam):
-        d = self.weyl.dim
-        if complex(z) == complex(self.anchor):
-            return 1j * np.eye(d) if self.mode == "imag" else np.zeros((d, d))
-        W, S = self.weights(lam)
-        return W @ (self.weyl(complex(z) - float(lam)) - S) @ W
 
 
 @dataclass(frozen=True)
@@ -245,28 +199,43 @@ def tensor_gamma_bounded(base_gamma, measure):
     return GammaField(d * measure.total_dim, ev)
 
 
-def _assembled_triplet(base, measure, lk, weights, label, normalized):
+def _rescaled_tensor(base, measure, lk, mode, label):
+    """Assemble the atom blocks lk.at(z, lam) and their boundary transforms.
+
+    Each atom's (W, S, C) comes from ``lk.weights`` once: the gamma-field
+    is postmultiplied by W, and G0 = C^{1/2}, G1 = W, G2 = W S.
+    """
     d = base.dim
     total = measure.total_dim
     slots = _atom_slots(measure)
-    lams = measure.lambdas
+    lams = [lam for lam, _ in measure.atoms]
+    weights = [lk.weights(lam) for lam in lams]
 
     def weyl_ev(z):
-        blocks = [lk.at(z, lam) for lam in lams]
-        return _assemble(blocks, slots, d, total)
+        return _assemble([lk.at(z, lam) for lam in lams], slots, d, total)
 
     def gamma_ev(z):
         imgs = tuple(
             base.gamma(complex(z) - lam).postmultiply(W)
-            for lam, W in zip(lams, weights)
+            for lam, (W, _, _) in zip(lams, weights)
         )
         return TensorKernelImage(measure, imgs, d)
 
-    return BoundaryTriplet(
+    assembled = BoundaryTriplet(
         weyl=WeylFunction(d * total, weyl_ev),
         gamma=GammaField(d * total, gamma_ev),
         label=label,
-        normalized=normalized,
+        normalized=mode == MODE_NORMALIZED,
+    )
+    return TensorTriplet(
+        base=base,
+        measure=measure,
+        mode=mode,
+        anchor=lk.anchor,
+        assembled=assembled,
+        G0=_assemble([herm_sqrt(C) for _, _, C in weights], slots, d, total),
+        G1=_assemble([W for W, _, _ in weights], slots, d, total),
+        G2=_assemble([W @ S for W, S, _ in weights], slots, d, total),
     )
 
 
@@ -279,37 +248,13 @@ def tensor_normalized(base, measure):
     block-diagonally.
     """
     _require_window(measure, "normalized tensor construction")
-    d = base.dim
-    total = measure.total_dim
-    slots = _atom_slots(measure)
-    lk = LKernel(base.weyl, "imag")
-    c_half, w_blocks, wq_blocks, weights = [], [], [], []
-    for lam in measure.lambdas:
-        M = base.weyl(1j - lam)
-        C = imag_part(M)
-        W = herm_inv_sqrt(C, what="Im M(i - %g)" % lam)
-        c_half.append(herm_sqrt(C, what="Im M(i - %g)" % lam))
-        w_blocks.append(W)
-        wq_blocks.append(W @ herm_part(M))
-        weights.append(W)
-    assembled = _assembled_triplet(
+    return _rescaled_tensor(
         base,
         measure,
-        lk,
-        weights,
+        LKernel(base.weyl, "imag"),
+        MODE_NORMALIZED,
         label="normalized tensor sum over %d atoms [%s]"
         % (len(measure.atoms), base.label),
-        normalized=True,
-    )
-    return TensorTriplet(
-        base=base,
-        measure=measure,
-        mode=MODE_NORMALIZED,
-        anchor=1j,
-        assembled=assembled,
-        G0=_assemble(c_half, slots, d, total),
-        G1=_assemble(w_blocks, slots, d, total),
-        G2=_assemble(wq_blocks, slots, d, total),
     )
 
 
@@ -326,43 +271,13 @@ def tensor_positive(base, measure, a):
     if measure.lambdas.min() < 0:
         raise ValueError("tensor_positive expects non-negative atoms")
     _require_window(measure, "real-point tensor construction")
-    d = base.dim
-    total = measure.total_dim
-    slots = _atom_slots(measure)
-    lk = LKernel(base.weyl, "real", anchor=a)
-    r_blocks, rinv_blocks, rinv_ma, weights = [], [], [], []
-    for lam in measure.lambdas:
-        Ma = base.weyl(a - lam)
-        scale = max(1.0, np.abs(Ma).max())
-        if np.abs(imag_part(Ma)).max() > 1e-8 * scale:
-            raise GapViolationError(
-                "M(a - %g) is not real; a = %g does not sit in a spectral gap"
-                % (lam, a)
-            )
-        D = herm_part(weyl_derivative(base.weyl, a - lam))
-        r_blocks.append(herm_sqrt(D, what="M'(a - %g)" % lam))
-        W = herm_inv_sqrt(D, what="M'(a - %g)" % lam)
-        rinv_blocks.append(W)
-        rinv_ma.append(W @ herm_part(Ma))
-        weights.append(W)
-    assembled = _assembled_triplet(
+    return _rescaled_tensor(
         base,
         measure,
-        lk,
-        weights,
+        LKernel(base.weyl, "real", anchor=a),
+        MODE_REGULARIZED,
         label="real-point tensor sum at a=%g over %d atoms [%s]"
         % (a, len(measure.atoms), base.label),
-        normalized=False,
-    )
-    return TensorTriplet(
-        base=base,
-        measure=measure,
-        mode=MODE_REGULARIZED,
-        anchor=a,
-        assembled=assembled,
-        G0=_assemble(r_blocks, slots, d, total),
-        G1=_assemble(rinv_blocks, slots, d, total),
-        G2=_assemble(rinv_ma, slots, d, total),
     )
 
 
@@ -374,32 +289,27 @@ def tensor_quasi_scalar(base_ms, measure):
     iI exactly.
     """
     _require_window(measure, "quasi-scalar tensor Weyl function")
-    J = len(base_ms)
-    total = measure.total_dim
-    slots = _atom_slots(measure)
-    lams = measure.lambdas
+    n = len(base_ms) * measure.total_dim
+    lams = [lam for lam, _ in measure.atoms]
+    reps = [dk for _, dk in measure.atoms] * len(base_ms)
     anchors = [[complex(m(1j - lam)) for lam in lams] for m in base_ms]
     for j, row in enumerate(anchors):
-        for k, val in enumerate(row):
+        for lam, val in zip(lams, row):
             if val.imag <= 0:
-                raise ValueError(
-                    "entry %d has non-positive Im m(i - %g)" % (j, lams[k])
-                )
+                raise ValueError("entry %d has non-positive Im m(i - %g)" % (j, lam))
 
     def ev(z):
         z = complex(z)
         if z == 1j:
-            return 1j * np.eye(J * total, dtype=complex)
-        diag = np.empty(J * total, dtype=complex)
-        for j, m in enumerate(base_ms):
-            for k, lam in enumerate(lams):
-                w = anchors[j][k]
-                val = (m(z - lam) - w.real) / w.imag
-                for s in slots[k]:
-                    diag[j * total + s] = val
-        return np.diag(diag)
+            return 1j * np.eye(n, dtype=complex)
+        vals = [
+            (m(z - lam) - w.real) / w.imag
+            for m, row in zip(base_ms, anchors)
+            for lam, w in zip(lams, row)
+        ]
+        return np.diag(np.repeat(np.array(vals, dtype=complex), reps))
 
-    return WeylFunction(J * total, ev, resolvent_set_hint="entrywise scalar shifts")
+    return WeylFunction(n, ev, resolvent_set_hint="entrywise scalar shifts")
 
 
 def friedrichs_krein_tensor_check(

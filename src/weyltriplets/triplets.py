@@ -22,9 +22,10 @@ as a correction object that can be materialized densely or sampled as a
 two-point kernel.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from ._linalg import (
     NotPositiveDefiniteError,
@@ -46,6 +47,7 @@ __all__ = [
     "BoundaryTriplet",
     "KreinCorrection",
     "krein_correction",
+    "LKernel",
     "normalize",
     "direct_sum_normalized",
     "direct_sum_plain",
@@ -57,6 +59,7 @@ __all__ = [
     "normalize_boundary_maps",
     "QuadratureError",
     "GapViolationError",
+    "DomainError",
     "RepresentationError",
     "DiagnosticTripletError",
     "NotPositiveDefiniteError",
@@ -73,6 +76,16 @@ class QuadratureError(RuntimeError):
 
 class GapViolationError(ValueError):
     """A real point claimed to be in a resolvent gap is not."""
+
+
+class DomainError(ValueError):
+    """A kernel was sampled outside its domain; ``x`` is the first such point."""
+
+    def __init__(self, x, domain):
+        super().__init__(
+            "x = %.17g lies outside the kernel domain [%g, %g]" % (x, *domain)
+        )
+        self.x = x
 
 
 class RepresentationError(TypeError):
@@ -171,8 +184,15 @@ class AnalyticKernel:
         return 0.0
 
     def values(self, x, xi=None):
-        """Kernel values on grid x; contracted with boundary vector xi if given."""
-        vals = self.columns(np.asarray(x, dtype=float))
+        """Kernel values on grid x; contracted with boundary vector xi if given.
+
+        Every x must lie in ``domain`` (endpoints included), else DomainError.
+        """
+        x = np.asarray(x, dtype=float)
+        outside = ~((x >= self.domain[0]) & (x <= self.domain[1]))
+        if outside.any():
+            raise DomainError(float(x[outside].flat[0]), self.domain)
+        vals = self.columns(x)
         if xi is None:
             return vals
         return vals @ np.asarray(xi, dtype=complex)
@@ -429,9 +449,119 @@ def krein_correction(triplet, bc, z):
     return KreinCorrection(z, weight, left, right)
 
 
-def _postmultiplied_gamma(gamma, C):
-    C = np.asarray(C, dtype=complex)
-    return GammaField(gamma.dim, lambda z, _g=gamma, _C=C: _g(z).postmultiply(_C))
+def weyl_derivative(weyl, a, step_scale=1e-6):
+    """M'(a): analytic when the model provides it, else central difference."""
+    if weyl.derivative is not None:
+        return np.atleast_2d(np.asarray(weyl.derivative(a), dtype=complex))
+    h = step_scale * (1.0 + abs(a))
+    return (weyl(a + h) - weyl(a - h)) / (2.0 * h)
+
+
+@dataclass(frozen=True)
+class LKernel:
+    """Rescaled difference kernel of a Weyl function, shifted by an atom lam.
+
+    ``at(z, lam)`` evaluates, depending on mode,
+
+        imag:  W (M(z - lam) - Re M(i - lam)) W,   W = (Im M(i - lam))^{-1/2}
+        real:  W (M(z - lam) - M(a - lam)) W,      W = (M'(a - lam))^{-1/2}
+
+    with the defining exact values L = iI at z = i (imag mode) and
+    L = 0 at z = a (real mode).  This is the one rescaling behind
+    ``normalize``, the direct sums and every tensor construction; lam = 0
+    rescales a single triplet.  Weights are cached per atom shift.
+    """
+
+    weyl: WeylFunction
+    mode: str  # "imag" | "real"
+    anchor: complex = 1j
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mode not in ("imag", "real"):
+            raise ValueError("mode must be 'imag' or 'real'")
+        if self.mode == "real" and complex(self.anchor).imag != 0:
+            raise ValueError("real-point mode needs a real anchor")
+
+    def weights(self, lam):
+        """(W, S, C): C = Im M or M' at the anchor, W = C^{-1/2}, S the subtrahend.
+
+        Real mode needs the anchor in a real resolvent gap: M(a - lam)
+        must be evaluable and Hermitian, else GapViolationError.
+        """
+        lam = float(lam)
+        if lam not in self._cache:
+            w = self.anchor - lam
+            if self.mode == "imag":
+                M = self.weyl(w)
+                C = imag_part(M)
+                what = "Im M(i - %g)" % lam
+            else:
+                try:
+                    M = self.weyl(w)
+                except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                    raise GapViolationError(
+                        "cannot evaluate M at a - %g = %g (%s)" % (lam, w, exc)
+                    ) from exc
+                if np.abs(imag_part(M)).max() > 1e-8 * max(1.0, np.abs(M).max()):
+                    raise GapViolationError(
+                        "M(a - %g) is not Hermitian at a = %g; "
+                        "a is not in a real resolvent gap" % (lam, self.anchor)
+                    )
+                C = herm_part(weyl_derivative(self.weyl, w))
+                what = "M'(a - %g)" % lam
+            self._cache[lam] = (herm_inv_sqrt(C, what=what), herm_part(M), C)
+        return self._cache[lam]
+
+    def at(self, z, lam):
+        d = self.weyl.dim
+        if complex(z) == complex(self.anchor):
+            return 1j * np.eye(d) if self.mode == "imag" else np.zeros((d, d))
+        W, S, _ = self.weights(lam)
+        return W @ (self.weyl(complex(z) - float(lam)) - S) @ W
+
+
+def _rescaled(triplet, mode, anchor):
+    """The triplet rescaled by its own LKernel (lam = 0): W (M - S) W, gamma W."""
+    lk = LKernel(triplet.weyl, mode, anchor)
+    W, _, _ = lk.weights(0.0)
+    return BoundaryTriplet(
+        weyl=WeylFunction(
+            triplet.dim,
+            lambda z: lk.at(z, 0.0),
+            resolvent_set_hint=triplet.weyl.resolvent_set_hint,
+        ),
+        gamma=GammaField(triplet.dim, lambda z: triplet.gamma(z).postmultiply(W)),
+        label=triplet.label,
+        normalized=mode == "imag",
+        s0=triplet.s0,
+    )
+
+
+def _rescaled_blocks(triplets, mode, anchor):
+    """Rescale every summand, naming the block whose weights fail."""
+    out = []
+    for n, t in enumerate(triplets):
+        try:
+            out.append(_rescaled(t, mode, anchor))
+        except (NotPositiveDefiniteError, GapViolationError) as exc:
+            raise type(exc)("block %d: %s" % (n, exc)) from exc
+    return out
+
+
+def _direct_sum(blocks, label, **flags):
+    """Block-diagonal Weyl function and s0, BlockDiagImage gamma-field."""
+    total = sum(t.dim for t in blocks)
+    s0 = [t.s0 for t in blocks]
+    return BoundaryTriplet(
+        weyl=WeylFunction(total, lambda z: block_diag(*[t.weyl(z) for t in blocks])),
+        gamma=GammaField(
+            total, lambda z: BlockDiagImage(tuple(t.gamma(z) for t in blocks))
+        ),
+        label=label,
+        s0=block_diag(*s0) if all(m is not None for m in s0) else None,
+        **flags,
+    )
 
 
 def normalize(triplet):
@@ -442,65 +572,14 @@ def normalize(triplet):
         M~(z) = R^{-1} (M(z) - Q) R^{-1},     gamma~(z) = gamma(z) R^{-1}
 
     is again a boundary triplet for the same reference extension (ker
-    Gamma0 unchanged).  Triplets already normalized at z = i are
-    returned unchanged (up to the flag).  Fails when Im M(i) is not
-    positive definite.
+    Gamma0 unchanged); M~(i) = iI exactly.  Triplets already normalized
+    at z = i are returned unchanged (up to the flag).  Fails when Im M(i)
+    is not positive definite.
     """
-    Mi = triplet.weyl(1j)
     d = triplet.dim
-    if np.linalg.norm(Mi - 1j * np.eye(d), 2) < 1e-12:
+    if np.linalg.norm(triplet.weyl(1j) - 1j * np.eye(d), 2) < 1e-12:
         return replace(triplet, normalized=True)
-    C = imag_part(Mi)
-    Q = herm_part(Mi)
-    Rinv = herm_inv_sqrt(C)
-    weyl = WeylFunction(
-        d,
-        lambda z, _e=triplet.weyl, _Q=Q, _W=Rinv: _W @ (_e(z) - _Q) @ _W,
-        derivative=(
-            None
-            if triplet.weyl.derivative is None
-            else lambda z, _dm=triplet.weyl.derivative, _W=Rinv: _W
-            @ np.atleast_2d(np.asarray(_dm(z), dtype=complex))
-            @ _W
-        ),
-        resolvent_set_hint=triplet.weyl.resolvent_set_hint,
-    )
-    return BoundaryTriplet(
-        weyl=weyl,
-        gamma=_postmultiplied_gamma(triplet.gamma, Rinv),
-        label=triplet.label,
-        normalized=True,
-        s0=triplet.s0,
-    )
-
-
-def _block_transforms_at_i(triplets):
-    """Per-block (Rinv, Q) for normalization, naming the offending block."""
-    out = []
-    for n, t in enumerate(triplets):
-        Mi = t.weyl(1j)
-        try:
-            Rinv = herm_inv_sqrt(imag_part(Mi))
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(
-                "block %d: %s" % (n, exc)
-            ) from exc
-        out.append((Rinv, herm_part(Mi)))
-    return out
-
-
-def _blockdiag_eval(evals, dims):
-    total = sum(dims)
-
-    def call(z):
-        out = np.zeros((total, total), dtype=complex)
-        off = 0
-        for e, d in zip(evals, dims):
-            out[off : off + d, off : off + d] = e(z)
-            off += d
-        return out
-
-    return call
+    return _rescaled(triplet, "imag", 1j)
 
 
 def direct_sum_normalized(triplets):
@@ -511,31 +590,10 @@ def direct_sum_normalized(triplets):
     finitely truncated) summands.
     """
     triplets = list(triplets)
-    tf = _block_transforms_at_i(triplets)
-    dims = [t.dim for t in triplets]
-    evals = [
-        (lambda z, _t=t, _W=W, _Q=Q: _W @ (_t.weyl(z) - _Q) @ _W)
-        for t, (W, Q) in zip(triplets, tf)
-    ]
-    weyl = WeylFunction(sum(dims), _blockdiag_eval(evals, dims))
-    gammas = [
-        _postmultiplied_gamma(t.gamma, W) for t, (W, _) in zip(triplets, tf)
-    ]
-    gamma = GammaField(
-        sum(dims),
-        lambda z, _gs=gammas: BlockDiagImage(tuple(g(z) for g in _gs)),
-    )
-    s0 = None
-    if all(t.s0 is not None for t in triplets):
-        from scipy.linalg import block_diag
-
-        s0 = block_diag(*[t.s0 for t in triplets])
-    return BoundaryTriplet(
-        weyl=weyl,
-        gamma=gamma,
+    return _direct_sum(
+        _rescaled_blocks(triplets, "imag", 1j),
         label=" (+) ".join(t.label for t in triplets),
         normalized=True,
-        s0=s0,
     )
 
 
@@ -548,28 +606,11 @@ def direct_sum_plain(triplets):
     that failure mode numerically and refuses Krein computations.
     """
     triplets = list(triplets)
-    dims = [t.dim for t in triplets]
-    weyl = WeylFunction(
-        sum(dims), _blockdiag_eval([t.weyl for t in triplets], dims)
-    )
-    gamma = GammaField(
-        sum(dims),
-        lambda z, _ts=triplets: BlockDiagImage(tuple(t.gamma(z) for t in _ts)),
-    )
-    return BoundaryTriplet(
-        weyl=weyl,
-        gamma=gamma,
+    return _direct_sum(
+        triplets,
         label="plain sum: " + " (+) ".join(t.label for t in triplets),
         diagnostic_only=True,
     )
-
-
-def weyl_derivative(weyl, a, step_scale=1e-6):
-    """M'(a): analytic when the model provides it, else central difference."""
-    if weyl.derivative is not None:
-        return np.atleast_2d(np.asarray(weyl.derivative(a), dtype=complex))
-    h = step_scale * (1.0 + abs(a))
-    return (weyl(a + h) - weyl(a - h)) / (2.0 * h)
 
 
 def regularize_at_real_point(triplets, a):
@@ -583,43 +624,9 @@ def regularize_at_real_point(triplets, a):
     """
     a = float(a)
     triplets = list(triplets)
-    tf = []
-    for n, t in enumerate(triplets):
-        try:
-            Ma = t.weyl(a)
-        except Exception as exc:
-            raise GapViolationError(
-                "block %d: cannot evaluate M at a = %g (%s)" % (n, a, exc)
-            ) from exc
-        if np.abs(imag_part(Ma)).max() > 1e-8 * max(1.0, np.abs(Ma).max()):
-            raise GapViolationError(
-                "block %d: M(a) is not Hermitian at a = %g; "
-                "a is not in a real resolvent gap" % (n, a)
-            )
-        Mpa = herm_part(weyl_derivative(t.weyl, a))
-        try:
-            Rinv = herm_inv_sqrt(Mpa)
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError("block %d: %s" % (n, exc)) from exc
-        tf.append((Rinv, herm_part(Ma)))
-    dims = [t.dim for t in triplets]
-    evals = [
-        (lambda z, _t=t, _W=W, _Ma=Ma: _W @ (_t.weyl(z) - _Ma) @ _W)
-        for t, (W, Ma) in zip(triplets, tf)
-    ]
-    weyl = WeylFunction(sum(dims), _blockdiag_eval(evals, dims))
-    gammas = [
-        _postmultiplied_gamma(t.gamma, W) for t, (W, _) in zip(triplets, tf)
-    ]
-    gamma = GammaField(
-        sum(dims),
-        lambda z, _gs=gammas: BlockDiagImage(tuple(g(z) for g in _gs)),
-    )
-    return BoundaryTriplet(
-        weyl=weyl,
-        gamma=gamma,
-        label="regularized at a=%g: " % a
-        + " (+) ".join(t.label for t in triplets),
+    return _direct_sum(
+        _rescaled_blocks(triplets, "real", a),
+        label="regularized at a=%g: " % a + " (+) ".join(t.label for t in triplets),
         normalized=False,
     )
 

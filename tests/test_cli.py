@@ -214,6 +214,75 @@ def test_grid_counts_below_one_rejected(tmp_path, capsys, key, line, value):
     assert "%s:%d: %s must be >= 1" % (cfg, line, key) in err
 
 
+@pytest.mark.parametrize("task, text, key, line", [
+    ("weyl-sample", "model.family = schrodinger-right\nmodel.v = nan\n"
+     "grid.z_list = 1j\n", "model.v", 2),
+    ("weyl-sample", "model.family = schrodinger-right\nmodel.v = inf\n"
+     "grid.z_list = 1j\n", "model.v", 2),
+    ("krein-kernel", "model.family = schrodinger-right\nkrein.z = nan+1j\n"
+     "krein.variant = theta1\ngrid.x_min = 0\ngrid.x_max = 1\ngrid.x_n = 2\n",
+     "krein.z", 2),
+], ids=["nan", "inf", "complex-nan"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, task, text, key, line):
+    cfg = write(tmp_path, "nf.cfg", text)
+    rc, out, err = run(capsys, [task, "--config", cfg])
+    assert rc == 2 and out == ""
+    assert "%s:%d: key %r" % (cfg, line, key) in err
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("model.family = schrodinger-interval\nmodel.a = 1\nmodel.b = 1\n",
+     "a < b"),
+    ("model.family = dirac-right\nmodel.c = -1\n", "positive"),
+], ids=["empty-interval", "negative-c"])
+def test_invalid_model_spec_is_config_error(tmp_path, capsys, text, msg):
+    cfg = write(tmp_path, "ms.cfg", text + "grid.z_list = 1j\n")
+    rc, out, err = run(capsys, ["weyl-sample", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert cfg in err and msg in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("task, extra", [
+    ("gamma-sample", "gamma.z = -1\n"),
+    ("krein-kernel", "krein.z = -1\nkrein.variant = theta1\n"),
+])
+@pytest.mark.parametrize("x_min, x_max, key, line", [
+    (-40, 1, "grid.x_min", 2), (0, -40, "grid.x_max", 3),
+])
+def test_x_grid_outside_kernel_domain(tmp_path, capsys, task, extra,
+                                      x_min, x_max, key, line):
+    # the right half line lives on x >= 0
+    cfg = write(tmp_path, "dom.cfg", (
+        "model.family = schrodinger-right\n"
+        "grid.x_min = %s\ngrid.x_max = %s\ngrid.x_n = 3\n" % (x_min, x_max)
+        + extra
+    ))
+    rc, out, err = run(capsys, [task, "--config", cfg])
+    assert rc == 2 and out == ""
+    assert "%s:%d: key %r" % (cfg, line, key) in err
+    assert "outside the kernel domain" in err
+
+
+def test_jc_weyl_sample_frozen_rows(tmp_path, capsys):
+    # the scalar lead-normalization route, pinned to its 17-digit bytes
+    cfg = write(tmp_path, "jcws.cfg", (
+        "jc.alpha = 0.1\njc.beta = 0.9\njc.tau = 0.7\njc.N = 1\njc.v_l = 0.5\n"
+        "grid.z_list = 1j, -1+0.5j\n"
+    ))
+    rc, out, _ = run(capsys, ["weyl-sample", "--config", cfg])
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and len(lines[0].split(",")) == 2 + 2 * 16
+    zero8 = ",0,0,0,0,0,0,0,0,"
+    assert lines[1] == "0,1,0,1" + zero8 + "0,1" + zero8 + "0,1" + zero8 + "0,1"
+    assert lines[2] == (
+        "-1,0.5,-0.61476411030279554,0.36233325114267589" + zero8
+        + "-0.78102134635489007,0.40437559097596465" + zero8
+        + "-0.45534669022535496,0.34356074972251255" + zero8
+        + "-0.71715289414036654,0.38548882666724676"
+    )
+
+
 def test_missing_required_key(tmp_path, capsys):
     cfg = write(tmp_path, "empty.cfg", "grid.z_list = 1j\n")
     rc, _, err = run(capsys, ["weyl-sample", "--config", cfg])

@@ -194,6 +194,48 @@ def test_regularize_rejects_point_outside_gap():
         tr.regularize_at_real_point([t], 2.0)  # inside the essential spectrum
 
 
+def _scalar_triplet(m, label):
+    return tr.BoundaryTriplet(
+        weyl=tr.WeylFunction(1, lambda z: np.array([[m(z)]])),
+        gamma=tr.GammaField(1, lambda z: tr.DenseMatrix(np.ones((1, 1)))),
+        label=label,
+    )
+
+
+def test_direct_sum_normalized_names_failing_block():
+    # Im M(i) = 0 in the second summand: no normalization weight exists
+    blocks = [build_triplet(schrodinger_right()), _scalar_triplet(lambda z: 1.0, "real")]
+    with pytest.raises(tr.NotPositiveDefiniteError, match="block 1"):
+        tr.direct_sum_normalized(blocks)
+
+
+def test_regularize_names_failing_block():
+    # M(a) = i is not Hermitian: a is in no real gap of the second summand
+    right = build_triplet(schrodinger_right())
+    blocks = [right, _scalar_triplet(lambda z: 1j, "constant-i")]
+    with pytest.raises(tr.GapViolationError, match="block 1"):
+        tr.regularize_at_real_point(blocks, -1.0)
+    # a = 2 lies on the half line's cut: M cannot be evaluated there
+    blocks = [_scalar_triplet(lambda z: z, "identity"), right]
+    with pytest.raises(tr.GapViolationError, match="block 1: cannot evaluate"):
+        tr.regularize_at_real_point(blocks, 2.0)
+
+
+def test_kernel_values_check_domain():
+    half = build_triplet(schrodinger_right()).gamma(-1.0)
+    assert half.values(np.array([0.0, 1.0])).shape == (2, 1, 1)
+    with pytest.raises(ValueError, match="outside the kernel domain"):
+        half.values(np.array([1.0, -40.0]))
+    with pytest.raises(tr.DomainError) as info:
+        half.values(np.array([-1e-12]))
+    assert info.value.x == -1e-12
+    # interval endpoints are inside the domain; anything beyond is not
+    box = build_triplet(schrodinger_interval()).gamma(2 + 1j)
+    assert np.isfinite(box.values(np.array([-1.0, 0.0, 1.0]))).all()
+    with pytest.raises(tr.DomainError):
+        box.values(np.array([1.0 + 1e-12]))
+
+
 def test_friedrichs_and_lsb_probes():
     # scalar half line: m(x) = -sqrt(-x) below the spectrum
     t = build_triplet(schrodinger_right())
