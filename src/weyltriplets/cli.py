@@ -35,9 +35,11 @@ jc-run          jc.*;  optional jc.z;  optional grid.x_min/x_max/x_n
 
 Every numeric is emitted with 17 significant digits so that a written
 value round-trips to the same double.  Outputs are byte-identical for
-identical config and seed; ``--jobs`` only fans independent grid points
-over a thread pool (results keep input order).  Exit codes: 0 ok,
-1 validation failure, 2 config error, 3 numeric failure.
+the same config, seed, BLAS build and BLAS thread count (the thread
+count can change the rounding of dense solves and SVDs); ``--jobs``
+only fans independent grid points over a thread pool (results keep
+input order).  Exit codes: 0 ok, 1 validation failure, 2 config error,
+3 numeric failure.
 """
 
 import argparse
@@ -194,8 +196,16 @@ class Config:
 
     @classmethod
     def _from_json(cls, text, path):
+        def unique(pairs):
+            obj = {}
+            for key, val in pairs:
+                if key in obj:
+                    raise ConfigError("%s: duplicate key %r in one JSON object" % (path, key))
+                obj[key] = val
+            return obj
+
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 "%s:%d:%d: invalid JSON: %s" % (path, exc.lineno, exc.colno, exc.msg)
@@ -212,6 +222,10 @@ class Config:
                     continue
                 if full not in _KNOWN_KEYS:
                     raise ConfigError("%s: unknown key %r" % (path, full))
+                if full in values:
+                    raise ConfigError(
+                        "%s: duplicate key %r (set both nested and dotted)" % (path, full)
+                    )
                 if isinstance(val, list):
                     if len(val) == 2 and all(
                         isinstance(x, (int, float)) for x in val
@@ -903,11 +917,7 @@ def _render_json(obj, indent=0):
 
 def _table_text(header, rows, fmt):
     if fmt == "json":
-        doc = {
-            "columns": list(header),
-            "rows": [[cell for cell in row] for row in rows],
-        }
-        return _render_json(_json_cast(doc)) + "\n"
+        return _render_json({"columns": list(header), "rows": rows}) + "\n"
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
@@ -915,20 +925,6 @@ def _table_text(header, rows, fmt):
             for cell in row
         ))
     return "\n".join(lines) + "\n"
-
-
-def _json_cast(obj):
-    if isinstance(obj, dict):
-        return {k: _json_cast(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_cast(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
 
 
 def _write_out(text, out_path):
@@ -977,7 +973,7 @@ def main(argv=None):
             if args.format == "csv":
                 raise ConfigError("jc-run emits a JSON document; csv is not available")
             doc = _task_jc_run(cfg, args)
-            _write_out(_render_json(_json_cast(doc)) + "\n", args.out)
+            _write_out(_render_json(doc) + "\n", args.out)
             return EXIT_OK
         task_fn = {
             "weyl-sample": _task_weyl_sample,

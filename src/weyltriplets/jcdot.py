@@ -32,6 +32,7 @@ convention only and deliberately not enforced (nothing below needs it).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import null_space, subspace_angles
@@ -84,11 +85,7 @@ class FockTruncation:
     @property
     def b(self):
         """Lowering matrix, b e_k = sqrt(k) e_{k-1}."""
-        n = self.dim
-        out = np.zeros((n, n))
-        for k in range(1, n):
-            out[k - 1, k] = np.sqrt(k)
-        return out
+        return np.diag(np.sqrt(np.arange(1, self.dim)), 1)
 
     @property
     def bdag(self):
@@ -157,7 +154,15 @@ class TwoLevelDot:
 
 @dataclass(frozen=True)
 class JCModel:
-    """Two leads (v_l, v_r >= 0), a two-level dot, JC coupling tau."""
+    """Two leads (v_l, v_r >= 0), a two-level dot, JC coupling tau.
+
+    The model owns its derived matrices, each built on first use and
+    cached (``functools.cached_property``) for every function below:
+    ``CJC``, ``site_CJC``, ``rq``, ``Rinv``, ``tilde_CJC``, ``lead_weyl``
+    and ``normalized_leads``.  Cached arrays are read-only.  An exception
+    is never cached, so ``Rinv`` and ``tilde_CJC`` raise on every access
+    while the closed-form R, Q is inconsistent.
+    """
 
     v_l: float
     v_r: float
@@ -173,98 +178,121 @@ class JCModel:
     def boundary_dim(self):
         return 2 * self.fock.dim
 
+    @cached_property
+    def CJC(self):
+        """C_JC in the dot-eigenbasis-outer, Fock-inner ordering."""
+        lam0, lam1, _ = self.dot.eigen()
+        f, d = self.fock, self.dot
+        ladder = np.kron(d.sigma_plus, f.b) + np.kron(d.sigma_minus, f.bdag)
+        return _read_only(np.kron(np.diag([lam0, lam1]), np.eye(f.dim))
+                          + np.kron(np.eye(2), f.T) + self.tau * ladder)
+
+    @cached_property
+    def site_CJC(self):
+        """C_JC expressed in the site (lead) basis of the dot."""
+        _, _, U = self.dot.eigen()
+        W = np.kron(U, np.eye(self.fock.dim))
+        return _read_only(W @ self.CJC @ W.conj().T)
+
+    @cached_property
+    def rq(self):
+        """(r, q, deviation): the closed-form diagonals of R and Q over
+        (side, Fock level), and their worst entrywise deviation from the
+        generic path sqrt(Im m(i - k; v)), Re m(i - k; v)."""
+        sides, k = (self.v_l, self.v_r), np.arange(self.fock.dim)
+        Z = np.concatenate([z_value(v, k) for v in sides])
+        r = 2.0 ** (-0.25) / np.sqrt(Z)
+        q = -(2.0 ** (-0.5)) * Z
+        m = np.array([hg.m_schrodinger_halfline(1j - kk, v)
+                      for v in sides for kk in range(self.fock.dim)])
+        dev = np.concatenate([np.abs(np.sqrt(m.imag) - r), np.abs(m.real - q)])
+        # fmax skips NaN like a running Python max seeded with 0.0
+        return _read_only(r), _read_only(q), float(np.fmax.reduce(dev, initial=0.0))
+
+    @cached_property
+    def Rinv(self):
+        """Dense R^{-1}; raises if ``rq`` deviates above 1e-10."""
+        r, _, worst = self.rq
+        if worst > 1e-10:
+            raise ArithmeticError(
+                "closed-form R/Q deviate from the generic normalization path "
+                "by %.3g (branch inconsistency)" % worst
+            )
+        return _read_only(np.diag(1.0 / r))
+
+    @cached_property
+    def tilde_CJC(self):
+        """C~_JC = R^{-1}(C_JC - Q)R^{-1} in the site basis."""
+        Rinv, Q = self.Rinv, np.diag(self.rq[1])
+        return _read_only(Rinv @ (self.site_CJC - Q) @ Rinv)
+
+    @cached_property
+    def lead_weyl(self):
+        """Normalized Weyl function of the tensored two-lead triplet.
+
+        diag over (side, Fock level) of (m(z - k; v) - Re m(i - k; v)) /
+        Im m(i - k; v), identically iI at z = i.  This scalar route agrees
+        to ~1e-13 with the matrix route W (M - S) W of ``normalized_leads``,
+        which carries the gamma weights the Krein correction needs.
+        """
+        return tensor_quasi_scalar(
+            [lambda z, v=v: hg.m_schrodinger_halfline(z, v) for v in (self.v_l, self.v_r)],
+            SpectralMeasurePP.from_levels(range(self.fock.dim)),
+        )
+
+    @cached_property
+    def normalized_leads(self):
+        """The assembled normalized two-lead triplet on the Fock ladder."""
+        return _normalized_lead_triplet(self).assembled
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
 
 def z_value(v, k):
-    """Z(v, k) = sqrt(sqrt(1 + (k+v)^2) + k + v)."""
-    t = float(k) + float(v)
+    """Z(v, k) = sqrt(sqrt(1 + (k+v)^2) + k + v), elementwise in k."""
+    t = np.asarray(k, dtype=float) + float(v)
     return np.sqrt(np.sqrt(1.0 + t * t) + t)
 
 
 def build_Z(v, fock):
     """Positive diagonal matrix diag_k Z(v, k), k = 0..N."""
-    return np.diag([z_value(v, k) for k in range(fock.dim)])
+    return np.diag(z_value(v, np.arange(fock.dim)))
 
 
 def build_CJC(model):
-    """C_JC in the dot-eigenbasis-outer, Fock-inner ordering."""
-    lam0, lam1, _ = model.dot.eigen()
-    f = model.fock
-    eye = np.eye(f.dim)
-    C = (
-        np.kron(np.diag([lam0, lam1]), eye)
-        + np.kron(np.eye(2), f.T)
-        + model.tau
-        * (
-            np.kron(model.dot.sigma_plus, f.b)
-            + np.kron(model.dot.sigma_minus, f.bdag)
-        )
-    )
-    return C
+    """C_JC in the dot-eigenbasis-outer, Fock-inner ordering (cached)."""
+    return model.CJC
 
 
 def site_CJC(model):
-    """C_JC expressed in the site (lead) basis of the dot."""
-    _, _, U = model.dot.eigen()
-    W = np.kron(U, np.eye(model.fock.dim))
-    return W @ build_CJC(model) @ W.conj().T
-
-
-def _closed_form_rq_diagonals(model):
-    f = model.fock
-    Zl = build_Z(model.v_l, f)
-    Zr = build_Z(model.v_r, f)
-    quarter = 2.0 ** (-0.25)
-    half = 2.0 ** (-0.5)
-    r_diag = np.concatenate(
-        [quarter / np.sqrt(np.diag(Zl)), quarter / np.sqrt(np.diag(Zr))]
-    )
-    q_diag = np.concatenate([-half * np.diag(Zl), -half * np.diag(Zr)])
-    return r_diag, q_diag
+    """C_JC expressed in the site (lead) basis of the dot (cached)."""
+    return model.site_CJC
 
 
 def rq_consistency(model):
-    """Worst entrywise deviation of the closed-form R, Q from the
-    generic path sqrt(Im m(i - k; v)), Re m(i - k; v)."""
-    r_diag, q_diag = _closed_form_rq_diagonals(model)
-    n = model.fock.dim
-    worst = 0.0
-    for s, v in enumerate((model.v_l, model.v_r)):
-        for k in range(n):
-            m = hg.m_schrodinger_halfline(1j - k, v)
-            worst = max(worst, abs(np.sqrt(m.imag) - r_diag[s * n + k]))
-            worst = max(worst, abs(m.real - q_diag[s * n + k]))
-    return worst
+    """Worst deviation of the closed-form R, Q from the generic path (cached)."""
+    return model.rq[2]
 
 
 def build_R_Q(model):
-    """The closed-form normalization pair (R, Q), generic-checked.
-
-    R = 2^{-1/4} diag(Z_l^{-1/2}, Z_r^{-1/2}) must equal
-    sqrt(Im m(i - k; v)) entrywise and Q = -2^{-1/2} diag(Z_l, Z_r)
-    must equal Re m(i - k; v); a deviation above 1e-10 means the two
-    square-root branches have drifted apart and raises.
-    """
-    worst = rq_consistency(model)
-    if worst > 1e-10:
-        raise ArithmeticError(
-            "closed-form R/Q deviate from the generic normalization path "
-            "by %.3g (branch inconsistency)" % worst
-        )
-    r_diag, q_diag = _closed_form_rq_diagonals(model)
-    return np.diag(r_diag), np.diag(q_diag)
+    """The closed-form pair (R, Q); ``ArithmeticError`` if it
+    deviates from sqrt(Im m(i - k; v)), Re m(i - k; v) by more than 1e-10."""
+    model.Rinv  # the generic-path check
+    r, q, _ = model.rq
+    return np.diag(r), np.diag(q)
 
 
 def build_tilde_CJC(model):
-    """C~_JC = R^{-1}(C_JC - Q)R^{-1} in the site basis."""
-    R, Q = build_R_Q(model)
-    Rinv = np.diag(1.0 / np.diag(R))
-    return Rinv @ (site_CJC(model) - Q) @ Rinv
+    """C~_JC = R^{-1}(C_JC - Q)R^{-1} in the site basis (cached)."""
+    return model.tilde_CJC
 
 
 def tilde_T_part(model):
     """The boson part of C~_JC: R^{-1}(I (x) T - Q)R^{-1} = diag(sqrt2 T Z + Z^2)."""
-    R, Q = build_R_Q(model)
-    Rinv = np.diag(1.0 / np.diag(R))
+    Rinv, Q = model.Rinv, np.diag(model.rq[1])
     return Rinv @ (np.kron(np.eye(2), model.fock.T) - Q) @ Rinv
 
 
@@ -285,19 +313,10 @@ def _fock_permutation(N):
     return np.array(perm), [2] * (N + 1)
 
 
-def _off_blockdiag_max(A, blocks):
-    mask = np.ones(A.shape, dtype=bool)
-    off = 0
-    for bsize in blocks:
-        mask[off : off + bsize, off : off + bsize] = False
-        off += bsize
-    return float(np.abs(A[mask]).max()) if mask.any() else 0.0
-
-
-def _beyond_band_max(A, blocks):
-    """Max entry beyond the first off-block-diagonal."""
+def _beyond_band_max(A, blocks, width=1):
+    """Max entry more than ``width`` blocks off the block diagonal."""
     block_of = np.repeat(np.arange(len(blocks)), blocks)
-    far = np.abs(np.subtract.outer(block_of, block_of)) > 1
+    far = np.abs(np.subtract.outer(block_of, block_of)) > width
     return float(np.abs(A[far]).max()) if far.any() else 0.0
 
 
@@ -319,7 +338,7 @@ def jacobi_reorder(matrix, model):
     fp, fblocks = _fock_permutation(N)
     A_chain = A[np.ix_(cp, cp)]
     A_fock = A[np.ix_(fp, fp)]
-    off_chain = _off_blockdiag_max(A_chain, cblocks)
+    off_chain = _beyond_band_max(A_chain, cblocks, width=0)
     fock_beyond = _beyond_band_max(A_fock, fblocks)
     return {
         "chain_permutation": cp,
@@ -336,30 +355,18 @@ def jacobi_reorder(matrix, model):
 
 
 def lead_weyl(model):
-    """Normalized Weyl function of the tensored two-lead triplet.
-
-    diag over (side, Fock level) of the scalar normalizations
-    (m(z - k; v) - Re m(i - k; v)) / Im m(i - k; v), built once per model
-    by ``tensor_quasi_scalar``; identically iI at z = i.  This scalar
-    route rounds differently from the matrix route W (M - S) W of
-    ``tensor_normalized``, which the Krein correction uses with its gamma
-    weights; the two agree to ~1e-13.
-    """
-    return tensor_quasi_scalar(
-        [lambda z, v=v: hg.m_schrodinger_halfline(z, v) for v in (model.v_l, model.v_r)],
-        SpectralMeasurePP.from_levels(range(model.fock.dim)),
-    )
+    """The model's cached ``lead_weyl``."""
+    return model.lead_weyl
 
 
 def weyl_S(model, z):
     """lead_weyl(model) at one point z."""
-    return lead_weyl(model)(z)
+    return model.lead_weyl(z)
 
 
 def _normalized_lead_triplet(model):
     base = build_triplet(full_line_contact(model.v_l, model.v_r))
-    measure = SpectralMeasurePP.from_levels(range(model.fock.dim))
-    return tensor_normalized(base, measure)
+    return tensor_normalized(base, SpectralMeasurePP.from_levels(range(model.fock.dim)))
 
 
 def dot_resolvent_correction(model, z, xs, ys=None):
@@ -372,9 +379,8 @@ def dot_resolvent_correction(model, z, xs, ys=None):
     z = complex(z)
     xs = np.asarray(xs, dtype=float)
     ys = xs if ys is None else np.asarray(ys, dtype=float)
-    tt = _normalized_lead_triplet(model)
-    bc = BoundaryCondition.operator(build_tilde_CJC(model))
-    corr = krein_correction(tt.assembled, bc, z)
+    bc = BoundaryCondition.operator(model.tilde_CJC)
+    corr = krein_correction(model.normalized_leads, bc, z)
     n = model.fock.dim
     # undo the scalar squeeze at N = 0 so the shape contract is uniform
     return np.asarray(corr.kernel(xs, ys)).reshape(len(xs), len(ys), n, n)
@@ -399,7 +405,7 @@ def spectrum_report(matrix, cluster_tol=1e-8):
 
 
 def spectrum_tilde_CJC(model, cluster_tol=1e-8):
-    return spectrum_report(build_tilde_CJC(model), cluster_tol)
+    return spectrum_report(model.tilde_CJC, cluster_tol)
 
 
 def kernel_equivalence(model):
@@ -412,15 +418,12 @@ def kernel_equivalence(model):
     null spaces and the residual of the exact-transform identity.
     """
     m = model.boundary_dim
-    site = site_CJC(model)
     R, Q = build_R_Q(model)
-    Rinv = np.diag(1.0 / np.diag(R))
-    Ct = build_tilde_CJC(model)
-    M1 = np.hstack([-site, np.eye(m)])
+    Rinv, Ct = model.Rinv, model.tilde_CJC
+    M1 = np.hstack([-model.site_CJC, np.eye(m)])
     M2 = np.hstack([-(Rinv @ Q + Ct @ R), Rinv])
     K1 = null_space(M1)
-    K2 = null_space(M2)
-    angles = subspace_angles(K1, K2)
+    angles = subspace_angles(K1, null_space(M2))
     return {
         "max_principal_angle": float(angles.max()) if angles.size else 0.0,
         "transform_residual": float(np.abs(M2 - Rinv @ M1).max()),
@@ -437,18 +440,14 @@ def decoupling_report(model, z=None):
     distance exactly 1).
     """
     n = model.fock.dim
-    Ct = build_tilde_CJC(model)
+    Ct = model.tilde_CJC
     cross = Ct[:n, n:]
     ladder = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
     report = {
         "cross_block_max": float(np.abs(cross).max()),
-        "cross_off_ladder_max": float(np.abs(cross[~ladder]).max())
-        if (~ladder).any()
-        else 0.0,
+        "cross_off_ladder_max": float(np.abs(cross[~ladder]).max()),
     }
     if z is not None:
-        W = solve_guarded(
-            Ct - weyl_S(model, z), np.eye(2 * n), context="C~ - M^S(z)"
-        )
+        W = solve_guarded(Ct - weyl_S(model, z), np.eye(2 * n), context="C~ - M^S(z)")
         report["weight_cross_max"] = float(np.abs(W[:n, n:]).max())
     return report

@@ -1,5 +1,6 @@
 """Command-line interface: configs, schemas, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -179,6 +180,19 @@ def test_duplicate_key_reports_both_lines(tmp_path, capsys):
     assert "dup.cfg:2" in err and "first set on line 1" in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"model": {"family": "schrodinger-right", "v": 0.5, "v": 2.0}, '
+     '"grid": {"z_list": ["1j"]}}', "'v'"),
+    ('{"model": {"family": "schrodinger-right", "v": 0.5}, "model.v": 2.0, '
+     '"grid": {"z_list": ["1j"]}}', "'model.v'"),
+], ids=["in-one-object", "nested-vs-dotted"])
+def test_json_duplicate_keys_rejected(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, "dup.json", text)
+    rc, out, err = run(capsys, ["weyl-sample", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert "dup.json" in err and "duplicate key " + key in err
+
+
 def test_grid_keys_mutually_exclusive(tmp_path, capsys):
     cfg = write(tmp_path, "both.cfg", (
         "model.family = schrodinger-right\n"
@@ -354,6 +368,20 @@ def test_jc_run_rejects_csv_and_is_deterministic(tmp_path, capsys):
         assert key in doc
     assert doc["jacobi"]["chain_block_diagonal"] is True
     assert doc["jacobi"]["fock_block_tridiagonal"] is True
+
+
+def test_jc_run_frozen_bytes(tmp_path, capsys):
+    # sha256 of the full jc-run document at N = 2; the same at 1 and 2
+    # BLAS threads
+    cfg = write(tmp_path, "jc2.cfg", (
+        "jc.alpha = 0.1\njc.beta = 0.9\njc.gamma_re = 0.2\njc.gamma_im = -0.15\n"
+        "jc.tau = 0.7\njc.N = 2\njc.v_l = 0.5\njc.v_r = 0.25\njc.z = -1+0.5j\n"
+        "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n"
+    ))
+    rc, out, _ = run(capsys, ["jc-run", "--config", cfg])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2339d52b8e4191b839e9065febb75c36e7f5253ff033972b11f037f19c39944a")
 
 
 def test_validate_all_checks_pass(tmp_path, capsys):

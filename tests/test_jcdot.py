@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weyltriplets import herglotz as hg
 from weyltriplets import jcdot as jd
 from weyltriplets.models1d import (
     build_triplet,
@@ -71,6 +72,45 @@ def test_rq_closed_form_matches_generic(models):
         assert np.abs(Q - np.diag(np.diag(Q))).max() == 0.0
 
 
+def test_boundary_matrices_cached_read_only(models):
+    m = models["(1,3)"]
+    for build in (jd.build_CJC, jd.site_CJC, jd.build_tilde_CJC):
+        A = build(m)
+        assert build(m) is A
+        with pytest.raises(ValueError):
+            A[0, 0] = 0.0
+    assert jd.lead_weyl(m) is jd.lead_weyl(m)
+
+
+def test_rq_deviation_raises_on_every_call(monkeypatch):
+    m_true = hg.m_schrodinger_halfline
+    monkeypatch.setattr(hg, "m_schrodinger_halfline",
+                        lambda z, v=0.0: m_true(z, v) + 1e-6)
+    m = jd.JCModel(1.0, 3.0, jd.TwoLevelDot(0.2, 1.4, 0.1j), 1.2,
+                   jd.FockTruncation(4))
+    assert jd.rq_consistency(m) > 1e-10
+    for build in (jd.build_R_Q, jd.build_tilde_CJC):
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="branch inconsistency"):
+                build(m)
+
+
+def test_rq_matches_scalar_loop(models):
+    # reference: the per-(side, level) scalar derivation, compared exactly
+    for m in models.values():
+        r, q, worst = m.rq
+        n, ref = m.fock.dim, 0.0
+        for s, v in enumerate((m.v_l, m.v_r)):
+            for k in range(n):
+                Z = jd.z_value(v, k)
+                assert r[s * n + k] == 2.0 ** (-0.25) / np.sqrt(Z)
+                assert q[s * n + k] == -(2.0 ** (-0.5)) * Z
+                mk = hg.m_schrodinger_halfline(1j - k, v)
+                ref = max(ref, abs(np.sqrt(mk.imag) - r[s * n + k]))
+                ref = max(ref, abs(mk.real - q[s * n + k]))
+        assert worst == ref
+
+
 def test_tilde_matrix_hermitian_and_floored(models):
     for m in models.values():
         site = jd.site_CJC(m)
@@ -99,6 +139,17 @@ def test_jacobi_reorder(models):
         e0 = np.linalg.eigvalsh(Ct)
         for key in ("chain_matrix", "fock_matrix"):
             assert np.abs(np.linalg.eigvalsh(rep_f[key]) - e0).max() < 1e-12
+
+
+def test_off_block_diagonal_max_matches_mask_loop():
+    # reference: a mask cleared block by block along the diagonal
+    rng = np.random.default_rng(6)
+    blocks = [1, 2, 2, 3, 1]
+    A = rng.random((9, 9)) + 1j * rng.random((9, 9))
+    mask = np.ones(A.shape, dtype=bool)
+    for lo, size in zip(np.cumsum([0] + blocks[:-1]), blocks):
+        mask[lo : lo + size, lo : lo + size] = False
+    assert jd._beyond_band_max(A, blocks, width=0) == np.abs(A[mask]).max()
 
 
 def test_permutation_layouts():
