@@ -3,7 +3,7 @@
 Usage::
 
     weyl-triplets <task> --config <path> [--out <path>] [--format csv|json]
-                  [--seed <int>] [--jobs <n>]
+                  [--seed <int>]
 
 with task one of ``weyl-sample``, ``gamma-sample``, ``spectrum``,
 ``krein-kernel``, ``validate``, ``jc-run``.
@@ -36,16 +36,16 @@ jc-run          jc.*;  optional jc.z;  optional grid.x_min/x_max/x_n
 Every numeric is emitted with 17 significant digits so that a written
 value round-trips to the same double.  Outputs are byte-identical for
 the same config, seed, BLAS build and BLAS thread count (the thread
-count can change the rounding of dense solves and SVDs); ``--jobs``
-only fans independent grid points over a thread pool (results keep
-input order).  Exit codes: 0 ok, 1 validation failure, 2 config error,
-3 numeric failure.
+count can change the rounding of dense solves and SVDs).  Exit codes:
+0 ok, 1 validation failure, 2 config error, 3 numeric failure (including
+a non-finite number in the output of a data task).
 """
 
 import argparse
+import inspect
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from math import isfinite
 
 import numpy as np
 
@@ -57,16 +57,14 @@ from ._linalg import (
     hermitian_funcm,
 )
 from .models1d import (
+    FACTORIES,
     FAMILIES,
-    ModelSpec,
     build_triplet,
-    dirac_interval,
     dirac_right,
     eval_gamma_on_grid,
     full_line_contact,
     gamma_boundary_data,
     schrodinger_interval,
-    schrodinger_left,
     schrodinger_right,
     verify_defect_equation,
 )
@@ -130,9 +128,9 @@ class ConfigError(ValueError):
 
 
 _KNOWN_KEYS = frozenset(
-    [
-        "model.family", "model.v", "model.c", "model.a", "model.b",
-        "model.v_l", "model.v_r",
+    ["model." + p for factory in FACTORIES.values() for p in inspect.signature(factory).parameters]
+    + [
+        "model.family",
         "jc.alpha", "jc.beta", "jc.gamma_re", "jc.gamma_im", "jc.tau",
         "jc.N", "jc.v_l", "jc.v_r", "jc.z",
         "grid.z_list", "grid.re_min", "grid.re_max", "grid.re_n",
@@ -146,8 +144,11 @@ _KNOWN_KEYS = frozenset(
 
 
 def _fmt(x):
-    """Round-trip-safe decimal rendering (17 significant digits)."""
-    return format(float(x), ".17g")
+    """Round-trip-safe decimal rendering (17 significant digits) of a finite number."""
+    x = float(x)
+    if not isfinite(x):
+        raise ArithmeticError("non-finite result %r" % x)
+    return format(x, ".17g")
 
 
 class Config:
@@ -228,13 +229,11 @@ class Config:
                     )
                 if isinstance(val, list):
                     if len(val) == 2 and all(
-                        isinstance(x, (int, float)) for x in val
+                        isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
                     ):
                         values[full] = repr(complex(val[0], val[1]))
                     else:
                         values[full] = ",".join(str(x) for x in val)
-                elif isinstance(val, bool):
-                    values[full] = "1" if val else "0"
                 else:
                     values[full] = str(val)
 
@@ -242,13 +241,6 @@ class Config:
         return cls(values, {k: 0 for k in values}, path)
 
     # -- typed getters ------------------------------------------------
-
-    def _finite(self, key, val, raw):
-        if not np.isfinite(val):
-            raise ConfigError(
-                "%s: key %r: non-finite value %r" % (self._where(key), key, raw)
-            )
-        return val
 
     def _where(self, key):
         line = self.lines.get(key, 0)
@@ -274,63 +266,41 @@ class Config:
             )
         return val
 
-    def float(self, key, default=None):
-        if key not in self.values:
-            if default is None:
-                raise ConfigError("%s: missing key %r" % (self.path, key))
-            return float(default)
+    def _parse(self, key, raw, kind, convert):
+        """``convert(raw)``; a ConfigError naming the key if it fails or is not finite."""
         try:
-            val = float(self.values[key])
+            val = convert(raw)
         except ValueError:
             raise ConfigError(
-                "%s: key %r: invalid real number %r"
-                % (self._where(key), key, self.values[key])
+                "%s: key %r: invalid %s %r" % (self._where(key), key, kind, raw)
             )
-        return self._finite(key, val, self.values[key])
+        # an int is always finite, and np.isfinite rejects one beyond int64
+        if not isinstance(val, int) and not np.isfinite(val):
+            raise ConfigError(
+                "%s: key %r: non-finite value %r" % (self._where(key), key, raw)
+            )
+        return val
+
+    def _get(self, key, default, kind, convert):
+        if key in self.values:
+            return self._parse(key, self.values[key], kind, convert)
+        if default is None:
+            raise ConfigError("%s: missing key %r" % (self.path, key))
+        return default
+
+    def float(self, key, default=None):
+        return self._get(key, default, "real number", float)
 
     def int(self, key, default=None):
-        if key not in self.values:
-            if default is None:
-                raise ConfigError("%s: missing key %r" % (self.path, key))
-            return int(default)
-        try:
-            return int(self.values[key])
-        except ValueError:
-            raise ConfigError(
-                "%s: key %r: invalid integer %r"
-                % (self._where(key), key, self.values[key])
-            )
+        return self._get(key, default, "integer", int)
 
     def complex(self, key, default=None):
-        if key not in self.values:
-            if default is None:
-                raise ConfigError("%s: missing key %r" % (self.path, key))
-            return complex(default)
-        raw = self.values[key].replace(" ", "")
-        try:
-            val = complex(raw)
-        except ValueError:
-            raise ConfigError(
-                "%s: key %r: invalid complex literal %r"
-                % (self._where(key), key, self.values[key])
-            )
-        return self._finite(key, val, self.values[key])
+        return self._get(key, default, "complex literal",
+                         lambda raw: complex(raw.replace(" ", "")))
 
     def complex_list(self, key):
-        raw = self.values.get(key, "")
-        out = []
-        for part in raw.split(","):
-            part = part.strip().replace(" ", "")
-            if not part:
-                continue
-            try:
-                val = complex(part)
-            except ValueError:
-                raise ConfigError(
-                    "%s: key %r: invalid complex literal %r"
-                    % (self._where(key), key, part)
-                )
-            out.append(self._finite(key, val, part))
+        parts = [part.strip().replace(" ", "") for part in self.values.get(key, "").split(",")]
+        out = [self._parse(key, part, "complex literal", complex) for part in parts if part]
         if not out:
             raise ConfigError(
                 "%s: key %r: expected a comma-separated list" % (self._where(key), key)
@@ -343,24 +313,13 @@ class Config:
 
 def _build_model(cfg, task):
     cfg.require("model.family", task)
-    family = cfg.str("model.family", choices=FAMILIES)
-    kwargs = {}
-    if family.startswith("schrodinger"):
-        kwargs["v"] = cfg.float("model.v", 0.0)
-    if family.startswith("dirac"):
-        kwargs["c"] = cfg.float("model.c", 1.0)
-    if family.endswith("interval"):
-        kwargs["a"] = cfg.float("model.a", -1.0)
-        kwargs["b"] = cfg.float("model.b", 1.0)
-    elif family.endswith("right"):
-        kwargs["b"] = cfg.float("model.b", 0.0)
-    elif family.endswith("left"):
-        kwargs["a"] = cfg.float("model.a", 0.0)
-    elif family == "full-line-contact":
-        kwargs["v_l"] = cfg.float("model.v_l", 0.0)
-        kwargs["v_r"] = cfg.float("model.v_r", 0.0)
+    factory = FACTORIES[cfg.str("model.family", choices=FAMILIES)]
+    kwargs = {
+        p.name: cfg.float("model." + p.name, p.default)
+        for p in inspect.signature(factory).parameters.values()
+    }
     try:
-        return ModelSpec(family=family, **kwargs)
+        return factory(**kwargs)
     except ValueError as exc:
         raise ConfigError("%s: %s" % (cfg.path, exc))
 
@@ -440,13 +399,6 @@ def _sample_x_grid(cfg, xs, sample):
         raise ConfigError("%s: key %r: %s" % (cfg._where(key), key, exc))
 
 
-def _fan_out(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- tabular tasks ------------------------------------------------------
 
 
@@ -460,22 +412,17 @@ def _task_weyl_sample(cfg, args):
         )
     if has_model:
         weyl = build_triplet(_build_model(cfg, "weyl-sample")).weyl
-        evaluate = weyl
-        dim = weyl.dim
     else:
-        model = _build_jc(cfg, "weyl-sample")
-        evaluate = jd.lead_weyl(model)
-        dim = model.boundary_dim
+        weyl = jd.lead_weyl(_build_jc(cfg, "weyl-sample"))
     zs = _z_grid(cfg, "weyl-sample")
-    mats = _fan_out(evaluate, zs, args.jobs)
     header = ["re_z", "im_z"]
-    for i in range(dim):
-        for j in range(dim):
+    for i in range(weyl.dim):
+        for j in range(weyl.dim):
             header.extend(["re_m_%d_%d" % (i, j), "im_m_%d_%d" % (i, j)])
     rows = []
-    for z, mat in zip(zs, mats):
+    for z in zs:
         row = [z.real, z.imag]
-        for entry in np.asarray(mat).ravel():
+        for entry in np.asarray(weyl(z)).ravel():
             row.extend([entry.real, entry.imag])
         rows.append(row)
     return header, rows
@@ -595,6 +542,11 @@ def _complex_pair(z):
     return {"re": z.real, "im": z.imag}
 
 
+def _spectrum_doc(rep):
+    return {"eigenvalues": [float(v) for v in rep["eigenvalues"]],
+            "multiplicities": [int(m) for m in rep["multiplicities"]]}
+
+
 def _task_jc_run(cfg, args):
     model = _build_jc(cfg, "jc-run")
     z = cfg.complex("jc.z", default=-1.0 + 0.5j)
@@ -603,10 +555,8 @@ def _task_jc_run(cfg, args):
     jac = jd.jacobi_reorder(ct, model)
     ke = jd.kernel_equivalence(model)
     dec = jd.decoupling_report(model, z=z)
-    spec_c = jd.spectrum_report(jd.build_CJC(model))
-    spec_t = jd.spectrum_tilde_CJC(model)
     corr = jd.dot_resolvent_correction(model, z, xs)
-    doc = {
+    return {
         "model": {
             "v_l": model.v_l, "v_r": model.v_r,
             "alpha": model.dot.alpha, "beta": model.dot.beta,
@@ -627,14 +577,8 @@ def _task_jc_run(cfg, args):
         },
         "kernel_equivalence": ke,
         "decoupling": dec,
-        "spectrum_CJC": {
-            "eigenvalues": [float(v) for v in spec_c["eigenvalues"]],
-            "multiplicities": [int(m) for m in spec_c["multiplicities"]],
-        },
-        "spectrum_tilde_CJC": {
-            "eigenvalues": [float(v) for v in spec_t["eigenvalues"]],
-            "multiplicities": [int(m) for m in spec_t["multiplicities"]],
-        },
+        "spectrum_CJC": _spectrum_doc(jd.spectrum_report(jd.build_CJC(model))),
+        "spectrum_tilde_CJC": _spectrum_doc(jd.spectrum_tilde_CJC(model)),
         "weyl_S_diag": [_complex_pair(v) for v in np.diag(jd.weyl_S(model, z))],
         "correction": {
             "x": [float(x) for x in xs],
@@ -643,73 +587,26 @@ def _task_jc_run(cfg, args):
             "im": [float(v) for v in corr.imag.ravel()],
         },
     }
-    return doc
 
 
 # -- validate --------------------------------------------------------------
 
 
-def _validate_checks(seed):
-    """The built-in invariant suite: list of (name, residual, tolerance).
-
-    A check passes when residual <= tolerance; verdict-style checks
-    encode failure as residual 1 against tolerance 0.  Everything is
-    deterministic given the seed.
-    """
-    checks = []
-
-    def add(name, residual, tol):
-        checks.append((name, float(residual), float(tol)))
-
-    def add_flag(name, ok):
-        checks.append((name, 0.0 if ok else 1.0, 0.0))
-
-    # scalar coefficient catalogue: conjugate symmetry and positivity
-    fns = hg.catalogue()
-    res_grid = np.linspace(-5, 5, 12)
-    im_grid = np.linspace(0.1, 5, 12)
-    worst_sym = 0.0
-    min_im = np.inf
-    for fn in fns:
-        for re in res_grid:
-            for im in im_grid:
+def _catalogue_residuals():
+    """Worst conjugate-symmetry defect and least Im m(z) over the scalar catalogue."""
+    worst_sym, min_im = 0.0, np.inf
+    for fn in hg.catalogue():
+        for re in np.linspace(-5, 5, 12):
+            for im in np.linspace(0.1, 5, 12):
                 z = complex(re, im)
-                worst_sym = max(worst_sym, abs(fn(z) - np.conj(fn(np.conj(z)))))
-                min_im = min(min_im, fn(z).imag)
-    add("herglotz-conjugate-symmetry", worst_sym, 1e-12)
-    add("herglotz-imag-positive", -min_im, 0.0)
-    add("herglotz-anchor-value",
-        abs(hg.m_schrodinger_halfline(1j) - complex(-1, 1) / np.sqrt(2)), 1e-15)
-    add("dirac-k1-gap-value",
-        abs(hg.dirac_k1(0.25, 1.0) - 0.5773502691896257j), 1e-15)
-    add("dirac-interval-branch2-at-s",
-        abs(hg.m_dirac(0.5, 1.0, "interval", 1.0, 2) + 1.0), 1e-12)
+                m = fn(z)
+                worst_sym = max(worst_sym, abs(m - np.conj(fn(np.conj(z)))))
+                min_im = min(min_im, m.imag)
+    return worst_sym, min_im
 
-    # finite-difference oracle: m-function value and h^2 convergence
-    m_h = fd_m_function(FDGrid(2e-3, 40.0), -1.0)
-    m_h2 = fd_m_function(FDGrid(1e-3, 40.0), -1.0)
-    add("fd-m-function-value", abs(m_h + 1.0), 1e-4)
-    add("fd-m-convergence-ratio", abs(abs(m_h + 1.0) / abs(m_h2 + 1.0) - 4.0), 0.5)
 
-    # Krein correction against the FD resolvent difference (Robin theta = 1)
-    xs = np.array([0.4, 1.0, 2.2])
-    K_fd = fd_resolvent_difference(FDGrid(5e-3, 30.0), 1.0, -1.0, xs, xs)
-    right = build_triplet(schrodinger_right())
-    K_an = krein_correction(
-        right, BoundaryCondition.operator(np.array([[1.0]])), -1.0
-    ).kernel(xs, xs)
-    add("krein-vs-fd-kernel", np.abs(K_fd - K_an).max() / np.abs(K_an).max(), 1e-2)
-
-    # analytic closed form of the same correction
-    z0 = 2.0 + 1.0j
-    w = hg.sqrt_cut(z0)
-    K_pkg = krein_correction(
-        right, BoundaryCondition.operator(np.array([[0.7]])), z0
-    ).kernel(xs, xs)
-    K_closed = np.exp(1j * w * np.add.outer(xs, xs)) / (0.7 - 1j * w)
-    add("krein-closed-form-kernel", np.abs(K_pkg - K_closed).max(), 1e-12)
-
-    # dense brute-force toys
+def _dense_toy_residuals(seed):
+    """Worst Green identity, Krein-vs-direct and M-Lambda residuals of three dense toys."""
     worst_green = worst_krein = worst_ml = 0.0
     rng = np.random.default_rng(seed)
     for k in range(3):
@@ -721,134 +618,18 @@ def _validate_checks(seed):
             corr = krein_correction(trip, BoundaryCondition.operator(B), z).dense()
             direct = toy.direct_resolvent_difference(B, z)
             worst_krein = max(worst_krein, np.abs(corr - direct).max())
-        pairs = rng.standard_normal((5, 4))
-        for re1, im1, re2, im2 in pairs:
+        for re1, im1, re2, im2 in rng.standard_normal((5, 4)):
             worst_ml = max(
                 worst_ml,
                 herglotz_identity_residual(
                     trip, complex(re1, 1 + abs(im1)), complex(re2, 1 + abs(im2))
                 ),
             )
-    add("dense-toy-green-identity", worst_green, 1e-11)
-    add("dense-toy-krein-equivalence", worst_krein, 1e-10)
-    add("dense-toy-mlambda-identity", worst_ml, 1e-12)
+    return worst_green, worst_krein, worst_ml
 
-    # half-line quadrature route for the same identity
-    worst = 0.0
-    for z, zeta in ((1j, 2.0 + 1.0j), (-1.0 + 0.5j, 0.5 + 2.0j)):
-        worst = max(worst, herglotz_identity_residual(right, z, zeta))
-    add("halfline-mlambda-quadrature", worst, 1e-8)
 
-    # model catalogue: boundary data reproduces (I, M(z)); defect equations
-    worst = 0.0
-    for spec in (schrodinger_right(), schrodinger_left(), schrodinger_interval(),
-                 dirac_right(), dirac_interval(), full_line_contact()):
-        G0, G1 = gamma_boundary_data(spec, z0)
-        M = build_triplet(spec).weyl(z0)
-        dim = M.shape[0]
-        worst = max(worst, np.abs(G0 - np.eye(dim)).max(), np.abs(G1 - M).max())
-    add("gamma-boundary-data-identity", worst, 1e-12)
-    add("defect-equation-schrodinger",
-        verify_defect_equation(schrodinger_interval(), z0,
-                               np.linspace(-0.9, 0.9, 1801)), 1e-5)
-    add("defect-equation-dirac",
-        verify_defect_equation(dirac_right(), z0,
-                               np.linspace(0.0, 2.0, 2001)), 1e-5)
-
-    # tensor constructions
-    base = right
-    meas = SpectralMeasurePP.from_levels(range(6))
-    tt = tensor_normalized(base, meas)
-    add("tensor-normalized-anchor",
-        np.abs(tt.assembled.weyl(1j) - 1j * np.eye(6)).max(), 1e-12)
-    renorm = tensor_normalized(tt.assembled, SpectralMeasurePP.from_levels([0]))
-    add("normalize-idempotence",
-        np.abs(renorm.assembled.weyl(z0) - tt.assembled.weyl(z0)).max(), 1e-10)
-    add("tensor-mlambda-identity",
-        herglotz_identity_residual(tt.assembled, -1.0 + 0.5j, 0.5 + 2.0j), 1e-8)
-    single = tensor_normalized(base, SpectralMeasurePP.from_levels([0]))
-    Mi_b = base.weyl(1j)
-    Wb = 1.0 / np.sqrt(Mi_b[0, 0].imag)
-    m_direct = Wb * (base.weyl(z0)[0, 0] - Mi_b[0, 0].real) * Wb
-    add("tensor-single-atom-reduction",
-        abs(single.assembled.weyl(z0)[0, 0] - m_direct), 1e-13)
-
-    # growth certificates of the normalization weights
-    certs = weight_growth_certificates(lambda z: hg.m_schrodinger_halfline(z))
-    add("growth-exponent-inv-sqrt",
-        abs(certs["im_inv_sqrt"]["fitted_exponent"] - 1.0), 0.1)
-    add("growth-exponent-l-kernel", abs(certs["l_kernel"]["fitted_exponent"]), 0.1)
-    add_flag("growth-certificates-dominate",
-             certs["im_sqrt"]["dominates"] and certs["im_inv_sqrt"]["dominates"]
-             and certs["l_kernel"]["dominates"])
-
-    # Friedrichs / Krein / lower-semibounded probes
-    probe = friedrichs_krein_tensor_check(
-        base, SpectralMeasurePP.from_levels([0, 1, 2]), seed=seed
-    )
-    add_flag("friedrichs-verdict", probe["friedrichs"])
-    add_flag("krein-verdict-false", not probe["krein"])
-    add_flag("lsb-windows-found",
-             all(lev["found"] and lev["x_N"] <= -lev["N"] ** 2
-                 for lev in probe["lsb"]))
-
-    # spectral integrals: functional calculus, multiplicativity, tail plan
-    meas_fc = SpectralMeasurePP(atoms=((0.25, 1), (1.0, 2), (4.0, 1)))
-    T_full = np.diag(np.repeat([lam for lam, _ in meas_fc.atoms],
-                               [dk for _, dk in meas_fc.atoms])).astype(complex)
-    worst = 0.0
-    for name, fn in (("square", lambda x: x * x),
-                     ("sqrt", np.sqrt),
-                     ("inv-sqrt", lambda x: 1.0 / np.sqrt(x))):
-        omega = OperatorFunctionOnR(1, lambda lam, f=fn: np.array([[f(lam)]]))
-        lhs = integral_pp(omega, meas_fc)
-        rhs = hermitian_funcm(T_full, fn, what="functional calculus (%s)" % name)
-        worst = max(worst, np.abs(lhs - rhs).max())
-    add("spectral-functional-calculus", worst, 1e-10)
-    om1 = OperatorFunctionOnR(1, lambda lam: np.array([[lam + 1.0]]))
-    om2 = OperatorFunctionOnR(1, lambda lam: np.array([[1.0 / (lam + 1.0)]]))
-    om12 = OperatorFunctionOnR(1, lambda lam: om1(lam) @ om2(lam))
-    add("spectral-multiplicativity",
-        np.abs(integral_pp(om12, meas_fc)
-               - integral_pp(om1, meas_fc) @ integral_pp(om2, meas_fc)).max(),
-        1e-12)
-    add("spectral-riemann-vs-pp",
-        np.abs(integral_riemann(om1, meas_fc) - integral_pp(om1, meas_fc)).max(),
-        1e-10)
-    omega_lin = OperatorFunctionOnR(
-        1, lambda lam: np.array([[1.0 + lam]]), C0=1.0, alpha=1.0
-    )
-    plan = truncation_plan(omega_lin, range(2000), lambda k: 2.0 ** -k, tol=1e-8)
-    lo, hi = plan["window"]
-    tail = sum((1.0 + k) ** 2 * 2.0 ** -k
-               for k in range(2000) if not (lo <= k <= hi))
-    add("truncation-plan-tail",
-        max(tail - plan["tail_bound"], plan["tail_bound"] - 1e-16), 1e-18)
-
-    # Jaynes-Cummings dot model
-    worst = 0.0
-    for v_l, v_r in ((0.0, 0.0), (0.0, 2.0), (1.0, 3.0)):
-        worst = max(worst, jd.rq_consistency(jd.JCModel(
-            v_l, v_r, jd.TwoLevelDot(0.0, 1.0), 1.0, jd.FockTruncation(20))))
-    add("jc-rq-consistency", worst, 1e-12)
-    model = jd.JCModel(1.0, 3.0, jd.TwoLevelDot(0.2, 1.4, 0.1j), 1.2,
-                       jd.FockTruncation(20))
-    ct = jd.build_tilde_CJC(model)
-    add("jc-tilde-hermiticity", np.abs(ct - ct.conj().T).max(), 1e-12)
-    add("jc-tilde-T-floor",
-        1.0 - 1e-12 - np.min(np.real(np.diag(jd.tilde_T_part(model)))), 0.0)
-    jac = jd.jacobi_reorder(ct, model)
-    add("jc-chain-off-diagonal", jd.jacobi_reorder(jd.build_CJC(model), model)["off_chain_max"], 0.0)
-    add("jc-fock-beyond-band", jac["fock_beyond_band_max"], 1e-14)
-    resonant = jd.JCModel(0.0, 0.0, jd.TwoLevelDot(0.0, 1.0), 1.0,
-                          jd.FockTruncation(1))
-    add("jc-resonant-spectrum",
-        np.abs(jd.spectrum_report(jd.build_CJC(resonant))["eigenvalues"]
-               - [0.0, 0.0, 2.0, 2.0]).max(), 1e-12)
-    ke = jd.kernel_equivalence(model)
-    add("jc-kernel-equivalence", ke["max_principal_angle"], 1e-10)
-    add("jc-weyl-anchor",
-        np.abs(jd.weyl_S(model, 1j) - 1j * np.eye(model.boundary_dim)).max(), 0.0)
+def _jc_rank_one_residual():
+    """Dot correction kernel at N = 0 against its hand-built rank-one form."""
     small = jd.JCModel(0.0, 0.0, jd.TwoLevelDot(0.1, 0.9, 0.2), 0.7,
                        jd.FockTruncation(0))
     xs_c = np.array([-0.6, 0.4])
@@ -859,13 +640,143 @@ def _validate_checks(seed):
     Wn = np.diag(1.0 / np.sqrt(np.diag(Mi).imag))
     Mt = Wn @ (fl.weyl(zc) - np.diag(np.diag(Mi).real)) @ Wn
     A = np.linalg.solve(jd.build_tilde_CJC(small) - Mt, np.eye(2))
-    cz = np.stack([eval_gamma_on_grid(fl, zc, np.eye(2)[:, j], xs_c)
-                   for j in range(2)], axis=1)
-    czb = np.stack([eval_gamma_on_grid(fl, np.conj(zc), np.eye(2)[:, j], xs_c)
-                    for j in range(2)], axis=1)
+    cz, czb = (np.stack([eval_gamma_on_grid(fl, w, np.eye(2)[:, j], xs_c)
+                         for j in range(2)], axis=1) for w in (zc, np.conj(zc)))
     K_hand = np.einsum("xj,jk,yk->xy", cz @ Wn, A, np.conj(czb @ Wn))
-    add("jc-correction-rank-one-reduction", np.abs(K_dot - K_hand).max(), 1e-12)
-    return checks
+    return np.abs(K_dot - K_hand).max()
+
+
+def _validate_checks(seed):
+    """The built-in invariant suite: list of (name, residual, tolerance).
+
+    A check passes when residual <= tolerance; a verdict is float(not ok)
+    against tolerance 0.  Everything is deterministic given the seed.
+    """
+    right = build_triplet(schrodinger_right())
+    xs = np.array([0.4, 1.0, 2.2])
+    z0 = 2.0 + 1.0j
+    sym, min_im = _catalogue_residuals()
+    m_h, m_h2 = (fd_m_function(FDGrid(h, 40.0), -1.0) for h in (2e-3, 1e-3))
+    K_fd = fd_resolvent_difference(FDGrid(5e-3, 30.0), 1.0, -1.0, xs, xs)
+    K_an = krein_correction(
+        right, BoundaryCondition.operator(np.array([[1.0]])), -1.0
+    ).kernel(xs, xs)
+    w = hg.sqrt_cut(z0)
+    K_pkg = krein_correction(
+        right, BoundaryCondition.operator(np.array([[0.7]])), z0
+    ).kernel(xs, xs)
+    K_closed = np.exp(1j * w * np.add.outer(xs, xs)) / (0.7 - 1j * w)
+    green, krein, ml = _dense_toy_residuals(seed)
+    specs = [factory() for factory in FACTORIES.values()]
+    boundary_data = [(gamma_boundary_data(spec, z0), build_triplet(spec).weyl(z0))
+                     for spec in specs]
+    tt = tensor_normalized(right, SpectralMeasurePP.from_levels(range(6)))
+    renorm = tensor_normalized(tt.assembled, SpectralMeasurePP.from_levels([0]))
+    single = tensor_normalized(right, SpectralMeasurePP.from_levels([0]))
+    Mi_b = right.weyl(1j)
+    Wb = 1.0 / np.sqrt(Mi_b[0, 0].imag)
+    m_direct = Wb * (right.weyl(z0)[0, 0] - Mi_b[0, 0].real) * Wb
+    certs = weight_growth_certificates(lambda z: hg.m_schrodinger_halfline(z))
+    probe = friedrichs_krein_tensor_check(
+        right, SpectralMeasurePP.from_levels([0, 1, 2]), seed=seed
+    )
+    meas_fc = SpectralMeasurePP(atoms=((0.25, 1), (1.0, 2), (4.0, 1)))
+    T_full = np.diag(np.repeat([lam for lam, _ in meas_fc.atoms],
+                               [dk for _, dk in meas_fc.atoms])).astype(complex)
+    funcm = 0.0
+    for name, fn in (("square", lambda x: x * x),
+                     ("sqrt", np.sqrt),
+                     ("inv-sqrt", lambda x: 1.0 / np.sqrt(x))):
+        omega = OperatorFunctionOnR(1, lambda lam, f=fn: np.array([[f(lam)]]))
+        rhs = hermitian_funcm(T_full, fn, what="functional calculus (%s)" % name)
+        funcm = max(funcm, np.abs(integral_pp(omega, meas_fc) - rhs).max())
+    om1 = OperatorFunctionOnR(1, lambda lam: np.array([[lam + 1.0]]))
+    om2 = OperatorFunctionOnR(1, lambda lam: np.array([[1.0 / (lam + 1.0)]]))
+    om12 = OperatorFunctionOnR(1, lambda lam: om1(lam) @ om2(lam))
+    omega_lin = OperatorFunctionOnR(
+        1, lambda lam: np.array([[1.0 + lam]]), C0=1.0, alpha=1.0
+    )
+    plan = truncation_plan(omega_lin, range(2000), lambda k: 2.0 ** -k, tol=1e-8)
+    lo, hi = plan["window"]
+    tail = sum((1.0 + k) ** 2 * 2.0 ** -k for k in range(2000) if not (lo <= k <= hi))
+    model = jd.JCModel(1.0, 3.0, jd.TwoLevelDot(0.2, 1.4, 0.1j), 1.2,
+                       jd.FockTruncation(20))
+    ct = jd.build_tilde_CJC(model)
+    resonant = jd.JCModel(0.0, 0.0, jd.TwoLevelDot(0.0, 1.0), 1.0,
+                          jd.FockTruncation(1))
+    checks = [
+        ("herglotz-conjugate-symmetry", sym, 1e-12),
+        ("herglotz-imag-positive", -min_im, 0.0),
+        ("herglotz-anchor-value",
+         abs(hg.m_schrodinger_halfline(1j) - complex(-1, 1) / np.sqrt(2)), 1e-15),
+        ("dirac-k1-gap-value", abs(hg.dirac_k1(0.25, 1.0) - 0.5773502691896257j), 1e-15),
+        ("dirac-interval-branch2-at-s",
+         abs(hg.m_dirac(0.5, 1.0, "interval", 1.0, 2) + 1.0), 1e-12),
+        ("fd-m-function-value", abs(m_h + 1.0), 1e-4),
+        ("fd-m-convergence-ratio", abs(abs(m_h + 1.0) / abs(m_h2 + 1.0) - 4.0), 0.5),
+        ("krein-vs-fd-kernel", np.abs(K_fd - K_an).max() / np.abs(K_an).max(), 1e-2),
+        ("krein-closed-form-kernel", np.abs(K_pkg - K_closed).max(), 1e-12),
+        ("dense-toy-green-identity", green, 1e-11),
+        ("dense-toy-krein-equivalence", krein, 1e-10),
+        ("dense-toy-mlambda-identity", ml, 1e-12),
+        ("halfline-mlambda-quadrature",
+         max(herglotz_identity_residual(right, z, zeta)
+             for z, zeta in ((1j, 2.0 + 1.0j), (-1.0 + 0.5j, 0.5 + 2.0j))), 1e-8),
+        ("gamma-boundary-data-identity",
+         max(max(np.abs(G0 - np.eye(M.shape[0])).max(), np.abs(G1 - M).max())
+             for (G0, G1), M in boundary_data), 1e-12),
+        ("defect-equation-schrodinger",
+         verify_defect_equation(schrodinger_interval(), z0,
+                                np.linspace(-0.9, 0.9, 1801)), 1e-5),
+        ("defect-equation-dirac",
+         verify_defect_equation(dirac_right(), z0, np.linspace(0.0, 2.0, 2001)), 1e-5),
+        ("tensor-normalized-anchor",
+         np.abs(tt.assembled.weyl(1j) - 1j * np.eye(6)).max(), 1e-12),
+        ("normalize-idempotence",
+         np.abs(renorm.assembled.weyl(z0) - tt.assembled.weyl(z0)).max(), 1e-10),
+        ("tensor-mlambda-identity",
+         herglotz_identity_residual(tt.assembled, -1.0 + 0.5j, 0.5 + 2.0j), 1e-8),
+        ("tensor-single-atom-reduction",
+         abs(single.assembled.weyl(z0)[0, 0] - m_direct), 1e-13),
+        ("growth-exponent-inv-sqrt",
+         abs(certs["im_inv_sqrt"]["fitted_exponent"] - 1.0), 0.1),
+        ("growth-exponent-l-kernel", abs(certs["l_kernel"]["fitted_exponent"]), 0.1),
+        ("growth-certificates-dominate",
+         not (certs["im_sqrt"]["dominates"] and certs["im_inv_sqrt"]["dominates"]
+              and certs["l_kernel"]["dominates"]), 0.0),
+        ("friedrichs-verdict", not probe["friedrichs"], 0.0),
+        ("krein-verdict-false", bool(probe["krein"]), 0.0),
+        ("lsb-windows-found",
+         not all(lev["found"] and lev["x_N"] <= -lev["N"] ** 2 for lev in probe["lsb"]),
+         0.0),
+        ("spectral-functional-calculus", funcm, 1e-10),
+        ("spectral-multiplicativity",
+         np.abs(integral_pp(om12, meas_fc)
+                - integral_pp(om1, meas_fc) @ integral_pp(om2, meas_fc)).max(), 1e-12),
+        ("spectral-riemann-vs-pp",
+         np.abs(integral_riemann(om1, meas_fc) - integral_pp(om1, meas_fc)).max(), 1e-10),
+        ("truncation-plan-tail",
+         max(tail - plan["tail_bound"], plan["tail_bound"] - 1e-16), 1e-18),
+        ("jc-rq-consistency",
+         max(jd.rq_consistency(jd.JCModel(v_l, v_r, jd.TwoLevelDot(0.0, 1.0), 1.0,
+                                          jd.FockTruncation(20)))
+             for v_l, v_r in ((0.0, 0.0), (0.0, 2.0), (1.0, 3.0))), 1e-12),
+        ("jc-tilde-hermiticity", np.abs(ct - ct.conj().T).max(), 1e-12),
+        ("jc-tilde-T-floor",
+         1.0 - 1e-12 - np.min(np.real(np.diag(jd.tilde_T_part(model)))), 0.0),
+        ("jc-chain-off-diagonal",
+         jd.jacobi_reorder(jd.build_CJC(model), model)["off_chain_max"], 0.0),
+        ("jc-fock-beyond-band", jd.jacobi_reorder(ct, model)["fock_beyond_band_max"], 1e-14),
+        ("jc-resonant-spectrum",
+         np.abs(jd.spectrum_report(jd.build_CJC(resonant))["eigenvalues"]
+                - [0.0, 0.0, 2.0, 2.0]).max(), 1e-12),
+        ("jc-kernel-equivalence",
+         jd.kernel_equivalence(model)["max_principal_angle"], 1e-10),
+        ("jc-weyl-anchor",
+         np.abs(jd.weyl_S(model, 1j) - 1j * np.eye(model.boundary_dim)).max(), 0.0),
+        ("jc-correction-rank-one-reduction", _jc_rank_one_residual(), 1e-12),
+    ]
+    return [(name, float(residual), float(tol)) for name, residual, tol in checks]
 
 
 def _validate_text(checks, fmt):
@@ -951,8 +862,6 @@ def _parse_args(argv):
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="table format (default csv; jc-run is always json)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for grid fan-out")
     return parser.parse_args(argv)
 
 
@@ -963,8 +872,6 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = Config.from_file(args.config)
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
         if args.task == "validate":
             text, n_fail = _validate_text(_validate_checks(args.seed), args.format)
             _write_out(text, args.out)

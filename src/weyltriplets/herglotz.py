@@ -120,6 +120,8 @@ def _cot(w):
 
 def _pole_distance(arg, offset):
     """Distance of ``arg`` to the lattice {pi (n + offset) : n integer}."""
+    if not cmath.isfinite(arg):
+        raise ArithmeticError("tan/cot argument %s is not finite" % arg)
     n = round(arg.real / cmath.pi - offset)
     return min(
         abs(arg - cmath.pi * (k + offset)) for k in (n - 1, n, n + 1)

@@ -49,7 +49,6 @@ __all__ = [
     "TwoLevelDot",
     "JCModel",
     "z_value",
-    "build_Z",
     "rq_consistency",
     "build_CJC",
     "site_CJC",
@@ -224,7 +223,10 @@ class JCModel:
     def tilde_CJC(self):
         """C~_JC = R^{-1}(C_JC - Q)R^{-1} in the site basis."""
         Rinv, Q = self.Rinv, np.diag(self.rq[1])
-        return _read_only(Rinv @ (self.site_CJC - Q) @ Rinv)
+        ct = Rinv @ (self.site_CJC - Q) @ Rinv
+        if not np.isfinite(ct).all():
+            raise ArithmeticError("C~_JC is not finite (overflow in R^-1 (C_JC - Q) R^-1)")
+        return _read_only(ct)
 
     @cached_property
     def lead_weyl(self):
@@ -255,11 +257,6 @@ def z_value(v, k):
     """Z(v, k) = sqrt(sqrt(1 + (k+v)^2) + k + v), elementwise in k."""
     t = np.asarray(k, dtype=float) + float(v)
     return np.sqrt(np.sqrt(1.0 + t * t) + t)
-
-
-def build_Z(v, fock):
-    """Positive diagonal matrix diag_k Z(v, k), k = 0..N."""
-    return np.diag(z_value(v, np.arange(fock.dim)))
 
 
 def build_CJC(model):

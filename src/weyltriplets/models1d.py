@@ -45,16 +45,8 @@ __all__ = [
     "verify_defect_equation",
     "interval_weyl_poles",
     "FAMILIES",
+    "FACTORIES",
 ]
-
-FAMILIES = (
-    "schrodinger-right",
-    "schrodinger-left",
-    "schrodinger-interval",
-    "dirac-right",
-    "dirac-interval",
-    "full-line-contact",
-)
 
 # Below this |w|*length, sin(w t)/sin(w dd) switches to its Taylor ratio
 # (removable singularity at w = 0).
@@ -87,6 +79,8 @@ class ModelSpec:
                 raise ValueError("interval families need endpoints a < b")
         if self.family.startswith("dirac") and not self.c > 0:
             raise ValueError("Dirac speed c must be positive")
+        if self.family.startswith("dirac") and not np.isfinite(0.5 * self.c * self.c):
+            raise ValueError("Dirac mass s = c^2/2 overflows at c = %r" % self.c)
 
     @property
     def midpoint(self):
@@ -119,6 +113,18 @@ def dirac_interval(c=1.0, a=-1.0, b=1.0):
 
 def full_line_contact(v_l=0.0, v_r=0.0):
     return ModelSpec("full-line-contact", v_l=float(v_l), v_r=float(v_r))
+
+
+# family -> factory; a family's parameters are its factory's keywords
+FACTORIES = {
+    "schrodinger-right": schrodinger_right,
+    "schrodinger-left": schrodinger_left,
+    "schrodinger-interval": schrodinger_interval,
+    "dirac-right": dirac_right,
+    "dirac-interval": dirac_interval,
+    "full-line-contact": full_line_contact,
+}
+FAMILIES = tuple(FACTORIES)
 
 
 def _ratio_sin(w, t, dd):

@@ -1,13 +1,20 @@
 """Command-line interface: configs, schemas, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weyltriplets import cli
 from weyltriplets import herglotz as hg
+from weyltriplets.models1d import FAMILIES
 
 
 def write(tmp_path, name, text):
@@ -78,17 +85,6 @@ def test_repeat_runs_byte_identical(tmp_path, capsys):
         outs.append(open(out, "rb").read())
     capsys.readouterr()
     assert outs[0] == outs[1]
-
-
-def test_jobs_fanout_preserves_order(tmp_path, capsys):
-    cfg = write(tmp_path, "rect.cfg", (
-        "model.family = schrodinger-right\n"
-        "grid.re_min = -2\ngrid.re_max = 2\ngrid.re_n = 5\n"
-        "grid.im_min = 0.5\ngrid.im_max = 2\ngrid.im_n = 4\n"
-    ))
-    _, seq, _ = run(capsys, ["weyl-sample", "--config", cfg, "--jobs", "1"])
-    _, par, _ = run(capsys, ["weyl-sample", "--config", cfg, "--jobs", "4"])
-    assert seq == par
 
 
 def test_table_json_format(tmp_path, capsys):
@@ -242,6 +238,34 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, task, text, key, line):
     rc, out, err = run(capsys, [task, "--config", cfg])
     assert rc == 2 and out == ""
     assert "%s:%d: key %r" % (cfg, line, key) in err
+
+
+@pytest.mark.parametrize("task, text, code, msg", [
+    ("weyl-sample", "model.family = dirac-right\nmodel.c = 1e200\ngrid.z_list = 1j\n",
+     2, "Dirac mass"),
+    ("weyl-sample", "model.family = dirac-interval\nmodel.c = 1e200\ngrid.z_list = 1j\n",
+     2, "Dirac mass"),
+    ("weyl-sample", "model.family = dirac-interval\ngrid.z_list = 1e308+1e308j\n",
+     3, "not finite"),
+    ("gamma-sample", "model.family = dirac-interval\ngamma.z = 1e4j\n"
+     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", 3, "non-finite result"),
+    ("gamma-sample", "model.family = schrodinger-interval\ngamma.z = 1e7j\n"
+     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", 3, "non-finite result"),
+    ("jc-run", "jc.alpha = 0\njc.beta = 1e308\njc.tau = 1\njc.N = 1\n", 3, "C~_JC"),
+], ids=["dirac-right-c", "dirac-interval-c", "dirac-interval-z", "dirac-interval-gamma",
+        "schrodinger-interval-gamma", "jc-overflow"])
+def test_non_finite_results_fail_cleanly(tmp_path, capsys, task, text, code, msg):
+    cfg = write(tmp_path, "of.cfg", text)
+    rc, out, err = run(capsys, [task, "--config", cfg])
+    assert rc == code and out == ""
+    assert msg in err and "Traceback" not in err
+
+
+def test_json_boolean_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, "b.json", '{"jc": {"alpha": 0, "beta": 1, "tau": 1, "N": true}}')
+    rc, out, err = run(capsys, ["jc-run", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert "key 'jc.N': invalid integer 'True'" in err
 
 
 @pytest.mark.parametrize("text, msg", [
@@ -403,3 +427,95 @@ def test_validate_csv_format(tmp_path, capsys):
     assert lines[0] == "check,residual,tolerance,status"
     assert len(lines) - 1 >= 25
     assert all(ln.rsplit(",", 1)[1] == "ok" for ln in lines[1:])
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+# moderate reals plus the extremes that overflow squares, exponentials and
+# products in the closed forms
+_NUMBERS = st.one_of(
+    st.floats(-10, 10, allow_nan=False),
+    st.sampled_from([1e200, -1e200, 1e308, 1e-300]),
+)
+_COMPLEX = st.builds(complex, _NUMBERS, _NUMBERS)
+
+
+@st.composite
+def _cli_case(draw):
+    """(task, config keys, --format) with jc.N <= 3 and every grid count <= 3."""
+    task = draw(st.sampled_from([t for t in cli.TASKS if t != "validate"]))
+    keys = {}
+
+    def put(key, strategy, optional=False):
+        if not optional or draw(st.booleans()):
+            keys[key] = str(draw(strategy))
+
+    if task in ("spectrum", "jc-run") or (task == "weyl-sample" and draw(st.booleans())):
+        for key in ("jc.alpha", "jc.beta", "jc.tau"):
+            put(key, _NUMBERS)
+        put("jc.N", st.integers(0, 3))
+        for key in ("jc.gamma_re", "jc.gamma_im", "jc.v_l", "jc.v_r"):
+            put(key, _NUMBERS, optional=True)
+        if task == "jc-run":
+            put("jc.z", _COMPLEX, optional=True)
+        if task == "spectrum":
+            put("spectrum.which", st.sampled_from(["cjc", "tilde"]), optional=True)
+    else:
+        keys["model.family"] = draw(st.sampled_from(FAMILIES))
+        for p in ("v", "c", "a", "b", "v_l", "v_r"):
+            put("model." + p, _NUMBERS, optional=True)
+    if task == "weyl-sample":
+        if draw(st.booleans()):
+            keys["grid.z_list"] = ", ".join(
+                map(str, draw(st.lists(_COMPLEX, min_size=1, max_size=3))))
+        else:
+            for key in ("grid.re_min", "grid.re_max", "grid.im_min", "grid.im_max"):
+                put(key, _NUMBERS)
+            put("grid.re_n", st.integers(1, 3))
+            put("grid.im_n", st.integers(1, 3))
+    if task in ("gamma-sample", "krein-kernel") or (task == "jc-run" and draw(st.booleans())):
+        put("grid.x_min", st.one_of(st.floats(-1, 1), _NUMBERS))
+        put("grid.x_max", st.one_of(st.floats(-1, 1), _NUMBERS))
+        put("grid.x_n", st.integers(1, 3))
+    if task == "gamma-sample":
+        put("gamma.z", _COMPLEX)
+        if draw(st.booleans()):
+            keys["gamma.xi"] = ", ".join(
+                map(str, draw(st.lists(_COMPLEX, min_size=1, max_size=2))))
+    if task == "krein-kernel":
+        put("krein.z", _COMPLEX)
+        variant = draw(st.sampled_from(["theta0", "theta1", "operator"]))
+        keys["krein.variant"] = variant
+        if variant == "operator" and draw(st.booleans()):
+            put("krein.theta", _NUMBERS)
+        elif variant == "operator":
+            a, d = draw(_NUMBERS), draw(_NUMBERS)
+            b = draw(_COMPLEX)
+            keys["krein.entries"] = ", ".join(map(str, (a, b, b.conjugate(), d)))
+    return task, keys, "json" if task == "jc-run" else draw(st.sampled_from(["csv", "json"]))
+
+
+def _numbers(text):
+    """Every token of a csv table or JSON document that parses as a float."""
+    out = []
+    for token in re.split(r'[\s,\[\]{}:]+', text):
+        try:
+            out.append(float(token))
+        except ValueError:
+            pass
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(("validate", {}, "csv"))
+@given(_cli_case())
+def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
+    task, keys, fmt = case
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in keys.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([task, "--config", str(cfg), "--format", fmt])
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc == 0:
+        assert all(math.isfinite(x) for x in _numbers(out.getvalue()))
