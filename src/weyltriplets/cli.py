@@ -780,9 +780,12 @@ def _validate_checks(seed):
 
 
 def _validate_text(checks, fmt):
-    """Render the checks as csv or as an aligned table; returns (text, n_fail)."""
+    """Render the checks as csv or as an aligned table; returns (text, n_fail).
+
+    A NaN or infinite residual is printed as is and fails its check."""
     rows = [("check", "residual", "tolerance", "status")] + [
-        (name, _fmt(residual), _fmt(tol), "ok" if residual <= tol else "FAIL")
+        (name, format(residual, ".17g"), format(tol, ".17g"),
+         "ok" if residual <= tol else "FAIL")
         for name, residual, tol in checks
     ]
     n_fail = sum(row[3] == "FAIL" for row in rows)

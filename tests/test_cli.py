@@ -240,25 +240,30 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, task, text, key, line):
     assert "%s:%d: key %r" % (cfg, line, key) in err
 
 
-@pytest.mark.parametrize("task, text, code, msg", [
-    ("weyl-sample", "model.family = dirac-right\nmodel.c = 1e200\ngrid.z_list = 1j\n",
-     2, "Dirac mass"),
-    ("weyl-sample", "model.family = dirac-interval\nmodel.c = 1e200\ngrid.z_list = 1j\n",
-     2, "Dirac mass"),
+@pytest.mark.parametrize("task, text, msg", [
     ("weyl-sample", "model.family = dirac-interval\ngrid.z_list = 1e308+1e308j\n",
-     3, "not finite"),
+     "not finite"),
     ("gamma-sample", "model.family = dirac-interval\ngamma.z = 1e4j\n"
-     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", 3, "non-finite result"),
+     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", "non-finite result"),
     ("gamma-sample", "model.family = schrodinger-interval\ngamma.z = 1e7j\n"
-     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", 3, "non-finite result"),
-    ("jc-run", "jc.alpha = 0\njc.beta = 1e308\njc.tau = 1\njc.N = 1\n", 3, "C~_JC"),
-], ids=["dirac-right-c", "dirac-interval-c", "dirac-interval-z", "dirac-interval-gamma",
-        "schrodinger-interval-gamma", "jc-overflow"])
-def test_non_finite_results_fail_cleanly(tmp_path, capsys, task, text, code, msg):
+     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", "non-finite result"),
+    ("jc-run", "jc.alpha = 0\njc.beta = 1e308\njc.tau = 1\njc.N = 1\n", "C~_JC"),
+], ids=["dirac-interval-z", "dirac-interval-gamma", "schrodinger-interval-gamma",
+        "jc-overflow"])
+def test_non_finite_results_fail_cleanly(tmp_path, capsys, task, text, msg):
     cfg = write(tmp_path, "of.cfg", text)
     rc, out, err = run(capsys, [task, "--config", cfg])
-    assert rc == code and out == ""
-    assert msg in err and "Traceback" not in err
+    assert rc == 3 and out == ""
+    assert msg in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["table", "csv"])
+def test_validate_reports_nan_residual_as_fail(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.setattr(cli, "_validate_checks", lambda seed: [("broken", float("nan"), 1e-12)])
+    cfg = write(tmp_path, "v.cfg", "\n")
+    rc, out, err = run(capsys, ["validate", "--config", cfg] + fmt)
+    assert rc == 1 and err == ""
+    assert "broken" in out and "nan" in out and "FAIL" in out
 
 
 def test_json_boolean_rejected(tmp_path, capsys):
@@ -272,7 +277,9 @@ def test_json_boolean_rejected(tmp_path, capsys):
     ("model.family = schrodinger-interval\nmodel.a = 1\nmodel.b = 1\n",
      "a < b"),
     ("model.family = dirac-right\nmodel.c = -1\n", "positive"),
-], ids=["empty-interval", "negative-c"])
+    ("model.family = dirac-right\nmodel.c = 1e200\n", "Dirac mass"),
+    ("model.family = dirac-interval\nmodel.c = 1e200\n", "Dirac mass"),
+], ids=["empty-interval", "negative-c", "dirac-right-c", "dirac-interval-c"])
 def test_invalid_model_spec_is_config_error(tmp_path, capsys, text, msg):
     cfg = write(tmp_path, "ms.cfg", text + "grid.z_list = 1j\n")
     rc, out, err = run(capsys, ["weyl-sample", "--config", cfg])
