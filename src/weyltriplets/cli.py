@@ -38,7 +38,9 @@ value round-trips to the same double.  Outputs are byte-identical for
 the same config, seed, BLAS build and BLAS thread count (the thread
 count can change the rounding of dense solves and SVDs).  Exit codes:
 0 ok, 1 validation failure, 2 config error, 3 numeric failure (including
-a non-finite number in the output of a data task).
+a non-finite number in the output of a data task: each table is checked
+once before anything is written, and the message names its first
+non-finite value in row order).
 """
 
 import argparse
@@ -419,13 +421,12 @@ def _task_weyl_sample(cfg, args):
     for i in range(weyl.dim):
         for j in range(weyl.dim):
             header.extend(["re_m_%d_%d" % (i, j), "im_m_%d_%d" % (i, j)])
-    rows = []
-    for z in zs:
-        row = [z.real, z.imag]
-        for entry in np.asarray(weyl(z)).ravel():
-            row.extend([entry.real, entry.imag])
-        rows.append(row)
-    return header, rows
+    # one scalar evaluation per z: numpy and cmath round differently
+    table = np.empty((len(zs), len(header)))
+    for k, z in enumerate(zs):
+        table[k, :2] = z.real, z.imag
+        table[k, 2:] = np.asarray(weyl(z), dtype=complex).ravel().view(float)
+    return header, table
 
 
 def _task_gamma_sample(cfg, args):
@@ -445,24 +446,19 @@ def _task_gamma_sample(cfg, args):
         columns = {"g": xi}
     else:
         columns = {"g%d" % j: np.eye(d)[:, j] for j in range(d)}
+    # each sample as (len(xs), 2 * components) reals: re, im per component
     samples = _sample_x_grid(cfg, xs, lambda: {
-        name: np.atleast_2d(eval_gamma_on_grid(triplet, z, xi, xs).T).T
+        name: np.ascontiguousarray(eval_gamma_on_grid(triplet, z, xi, xs), dtype=complex)
+        .reshape(len(xs), -1).view(float)
         for name, xi in columns.items()
     })
     header = ["x"]
     for name, vals in samples.items():
-        comps = vals.shape[1]
+        comps = vals.shape[1] // 2
         for c in range(comps):
             suffix = name if comps == 1 else "%s_c%d" % (name, c)
             header.extend(["re_%s" % suffix, "im_%s" % suffix])
-    rows = []
-    for k, x in enumerate(xs):
-        row = [x]
-        for vals in samples.values():
-            for c in range(vals.shape[1]):
-                row.extend([vals[k, c].real, vals[k, c].imag])
-        rows.append(row)
-    return header, rows
+    return header, np.column_stack([xs, *samples.values()])
 
 
 def _task_spectrum(cfg, args):
@@ -470,13 +466,10 @@ def _task_spectrum(cfg, args):
     which = cfg.str("spectrum.which", default="cjc", choices=("cjc", "tilde"))
     mat = jd.build_CJC(model) if which == "cjc" else jd.build_tilde_CJC(model)
     rep = jd.spectrum_report(mat)
+    vals = rep["eigenvalues"]
     mults = np.repeat(rep["multiplicities"], rep["multiplicities"])
-    header = ["index", "eigenvalue", "multiplicity"]
-    rows = [
-        [k, rep["eigenvalues"][k], int(mults[k])]
-        for k in range(len(rep["eigenvalues"]))
-    ]
-    return header, rows
+    return ["index", "eigenvalue", "multiplicity"], np.column_stack(
+        [np.arange(len(vals)), vals, mults])
 
 
 def _task_krein_kernel(cfg, args):
@@ -523,15 +516,10 @@ def _task_krein_kernel(cfg, args):
     else:
         bc = BoundaryCondition(variant)
     corr = krein_correction(triplet, bc, z)
-    K = _sample_x_grid(cfg, xs, lambda: corr.kernel(xs, xs))
-    K = np.asarray(K).reshape(len(xs), len(xs))
-    header = ["x", "y", "re_K", "im_K"]
-    rows = [
-        [x, y, K[ix, iy].real, K[ix, iy].imag]
-        for ix, x in enumerate(xs)
-        for iy, y in enumerate(xs)
-    ]
-    return header, rows
+    n = len(xs)
+    K = np.asarray(_sample_x_grid(cfg, xs, lambda: corr.kernel(xs, xs))).reshape(n, n)
+    return ["x", "y", "re_K", "im_K"], np.column_stack(
+        [np.repeat(xs, n), np.tile(xs, n), K.real.ravel(), K.imag.ravel()])
 
 
 # -- jc-run ---------------------------------------------------------------
@@ -829,16 +817,25 @@ def _render_json(obj, indent=0):
     raise TypeError("cannot render %r" % type(obj))
 
 
-def _table_text(header, rows, fmt):
+def _table_text(header, table, fmt):
+    """Render a 2-D float64 array as csv or JSON, one ``%`` format per row.
+
+    Finiteness is checked once; the error names the first non-finite value
+    in row order.  Rows become Python floats one at a time, not all at once.
+    """
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ArithmeticError("non-finite result %r" % float(table[~finite][0]))
+    # spectrum's index and multiplicity columns hold integers
+    cells = ["%d" if name in ("index", "multiplicity") else "%.17g" for name in header]
     if fmt == "json":
-        return _render_json({"columns": list(header), "rows": rows}) + "\n"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            str(int(cell)) if isinstance(cell, (int, np.integer)) else _fmt(cell)
-            for cell in row
-        ))
-    return "\n".join(lines) + "\n"
+        # the bytes of _render_json({"columns": header, "rows": rows})
+        head = '{\n  "columns": %s,\n  "rows": [\n' % _render_json(list(header), 1)
+        row_fmt = "    [\n      " + ",\n      ".join(cells) + "\n    ]"
+        sep, tail = ",\n", "\n  ]\n}\n"
+    else:
+        head, row_fmt, sep, tail = ",".join(header) + "\n", ",".join(cells), "\n", "\n"
+    return head + sep.join(row_fmt % tuple(row.tolist()) for row in table) + tail
 
 
 def _write_out(text, out_path):
@@ -891,8 +888,8 @@ def main(argv=None):
             "spectrum": _task_spectrum,
             "krein-kernel": _task_krein_kernel,
         }[args.task]
-        header, rows = task_fn(cfg, args)
-        _write_out(_table_text(header, rows, args.format or "csv"), args.out)
+        header, table = task_fn(cfg, args)
+        _write_out(_table_text(header, table, args.format or "csv"), args.out)
         return EXIT_OK
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

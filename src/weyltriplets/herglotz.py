@@ -76,7 +76,12 @@ def sqrt_cut(z):
     z = complex(z)
     if z == 0:
         return 0j
-    theta = cmath.phase(z)
+    try:
+        theta = cmath.phase(z)
+    except OverflowError:
+        # Im z / Re z underflows (Re z > 0): theta is within a denormal of 0
+        # or, below the cut, of 2 pi
+        theta = 2.0 * cmath.pi if z.imag < 0.0 else 0.0
     if theta < 0.0:
         theta += 2.0 * cmath.pi
     return cmath.sqrt(abs(z)) * cmath.exp(0.5j * theta)

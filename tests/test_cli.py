@@ -97,6 +97,49 @@ def test_table_json_format(tmp_path, capsys):
     assert doc["rows"][0][:2] == [0, 1]
 
 
+def _per_cell_table_text(header, table, fmt):
+    """Oracle: the per-cell renderer the array path replaced."""
+    ints = [name in ("index", "multiplicity") for name in header]
+    rows = [[int(x) if is_int else x for x, is_int in zip(row, ints)]
+            for row in table.tolist()]
+    if fmt == "json":
+        return cli._render_json({"columns": header, "rows": rows}) + "\n"
+    return "\n".join([",".join(header)] + [
+        ",".join(str(x) if isinstance(x, int) else format(x, ".17g") for x in row)
+        for row in rows]) + "\n"
+
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                3.0, -7.0, 1e16, 2.0 ** 53, 0.1, -2.5e-17]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header", [
+    ["re_z", "im_z", "re_m_0_0", "im_m_0_0", "re_m_0_1", "im_m_0_1"],
+    ["index", "eigenvalue", "multiplicity"],
+], ids=["reals", "spectrum"])
+def test_table_text_matches_per_cell_renderer(header, fmt):
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((40, len(header))) * 10.0 ** rng.integers(-20, 20, (40, 1))
+    edge = np.tile(np.array(_EDGE_VALUES)[:, None], (1, len(header)))
+    table = np.vstack([edge, edge[::-1], table])
+    for col, name in enumerate(header):
+        if name in ("index", "multiplicity"):
+            table[:, col] = np.arange(len(table)) * (1 + col)
+    assert cli._table_text(header, table, fmt) == _per_cell_table_text(header, table, fmt)
+
+
+def test_table_text_names_first_non_finite_value_in_row_order():
+    table = np.ones((3, 4))
+    table[1, 0] = np.nan
+    table[0, 3] = np.inf
+    for fmt in ("csv", "json"):
+        with pytest.raises(ArithmeticError) as exc:
+            cli._table_text(["a", "b", "c", "d"], table, fmt)
+        assert str(exc.value) == "non-finite result inf"
+
+
 def test_spectrum_resonant_pair(tmp_path, capsys):
     cfg = write(tmp_path, "sp.cfg", (
         "jc.alpha = 0\njc.beta = 1\njc.tau = 1\njc.N = 1\n"
@@ -513,8 +556,15 @@ def _numbers(text):
     return out
 
 
+# a point where Im z / Re z underflows in herglotz.sqrt_cut
+_SQRT_CUT_UNDERFLOW = ("weyl-sample", {
+    "jc.alpha": "0", "jc.beta": "1", "jc.tau": "1", "jc.N": "1",
+    "grid.z_list": "(1e+308-1.4791286014180062e-283j)"}, "csv")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(("validate", {}, "csv"))
+@example(_SQRT_CUT_UNDERFLOW)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case
@@ -524,5 +574,7 @@ def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main([task, "--config", str(cfg), "--format", fmt])
     assert rc in (0, 2, 3), err.getvalue()
+    if case == _SQRT_CUT_UNDERFLOW:
+        assert rc == 0, err.getvalue()
     if rc == 0:
         assert all(math.isfinite(x) for x in _numbers(out.getvalue()))

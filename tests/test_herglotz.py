@@ -1,5 +1,7 @@
 """Scalar coefficient catalogue: frozen values, symmetry, branch guards."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,15 @@ def test_sqrt_cut_branch():
     assert abs(hg.sqrt_cut(-1.0) - 1j) < 1e-15
     assert abs(hg.sqrt_cut(4.0 + 1e-12j) - 2.0) < 1e-6
     assert hg.sqrt_cut(-2.0 - 1.0j).imag > 0
+
+
+@pytest.mark.parametrize("z", [1e308 - 1.4791286014180062e-283j,
+                               1e308 + 1.4791286014180062e-283j])
+def test_sqrt_cut_where_the_phase_underflows(z):
+    # Im z / Re z underflows, so cmath.phase raises OverflowError there;
+    # just below the cut the root is -sqrt(z), just above it sqrt(z)
+    want = cmath.sqrt(z) if z.imag > 0 else -cmath.sqrt(z)
+    assert abs(hg.sqrt_cut(z) - want) <= 1e-15 * abs(want)
 
 
 @settings(max_examples=200, deadline=None)

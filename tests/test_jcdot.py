@@ -64,6 +64,25 @@ def test_resonant_pair_spectrum():
     assert spec["multiplicities"] == [2, 2]
 
 
+@pytest.mark.parametrize("model", [
+    jd.JCModel(0.5, 0.0, jd.TwoLevelDot(-0.3, 1.1), 0.9, jd.FockTruncation(40)),
+    jd.JCModel(1.0, 3.0, jd.TwoLevelDot(0.2, 1.4, 0.3 - 0.25j), 1.2, jd.FockTruncation(300)),
+    jd.JCModel(0.0, 0.0, jd.TwoLevelDot(0.7, 0.7), 2.5, jd.FockTruncation(50)),
+], ids=["N40", "N300-complex-gamma", "N50-degenerate"])
+def test_cjc_spectrum_closed_form(model):
+    # Jaynes-Cummings conserves the excitation number: C_JC splits into
+    # |0,0> (lam0), the truncation edge |1,N> (lam1 + N) and the 2x2
+    # blocks on {|0,k>, |1,k-1>} with the dressed-state eigenvalues
+    lam0, lam1, _ = model.dot.eigen()
+    N, k = model.fock.N, np.arange(1, model.fock.N + 1)
+    mid = k + (lam0 + lam1 - 1) / 2
+    split = np.sqrt(((lam0 - lam1 + 1) / 2) ** 2 + model.tau ** 2 * k)
+    closed = np.sort(np.concatenate([[lam0, lam1 + N], mid - split, mid + split]))
+    numeric = np.linalg.eigvalsh(model.CJC)
+    assert np.abs(closed - numeric).max() <= 1e-13 * np.abs(numeric).max()
+    assert jd.jacobi_reorder(model.CJC, model)["chain_block_diagonal"]
+
+
 def test_rq_closed_form_matches_generic(models):
     for m in models.values():
         assert jd.rq_consistency(m) < 1e-12
