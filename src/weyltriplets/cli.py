@@ -129,6 +129,14 @@ class ConfigError(ValueError):
     """Config parse or compatibility failure (CLI exit code 2)."""
 
 
+# The most memory a task may be estimated to need; the estimate is made
+# before the task allocates.  The estimates of a grid task are about twice
+# the peak measured (tracemalloc) per grid point, cell or header name:
+# 64 bytes a weyl-sample cell and 80 a header name, 1024 a gamma-sample x,
+# 512 a krein-kernel (x, y) pair and a jc-run (x, y, Fock, Fock) entry.
+_MAX_BYTES = 2 ** 31
+
+
 _KNOWN_KEYS = frozenset(
     ["model." + p for factory in FACTORIES.values() for p in inspect.signature(factory).parameters]
     + [
@@ -315,18 +323,22 @@ class Config:
 
 def _build_model(cfg, task):
     cfg.require("model.family", task)
-    factory = FACTORIES[cfg.str("model.family", choices=FAMILIES)]
-    kwargs = {
-        p.name: cfg.float("model." + p.name, p.default)
-        for p in inspect.signature(factory).parameters.values()
-    }
+    family = cfg.str("model.family", choices=FAMILIES)
+    params = inspect.signature(FACTORIES[family]).parameters
+    for key in cfg.values:
+        if key.startswith("model.") and key[len("model."):] not in ("family", *params):
+            raise ConfigError("%s: key %r: family %r takes only model.%s"
+                              % (cfg._where(key), key, family, ", model.".join(params)))
+    kwargs = {name: cfg.float("model." + name, p.default) for name, p in params.items()}
     try:
-        return factory(**kwargs)
+        return FACTORIES[family](**kwargs)
     except ValueError as exc:
         raise ConfigError("%s: %s" % (cfg.path, exc))
 
 
-def _build_jc(cfg, task):
+def _build_jc(cfg, task, matrices):
+    """The dot model; the task holds about ``matrices`` dense complex m x m
+    matrices at its peak (m = 2 (N + 1)), which bounds jc.N."""
     for key in ("jc.alpha", "jc.beta", "jc.tau", "jc.N"):
         cfg.require(key, task)
     dot = jd.TwoLevelDot(
@@ -339,11 +351,21 @@ def _build_jc(cfg, task):
     tau = cfg.float("jc.tau")
     N = cfg.int("jc.N")
     try:
-        return jd.JCModel(
+        model = jd.JCModel(
             v_l=v_l, v_r=v_r, dot=dot, tau=tau, fock=jd.FockTruncation(N)
         )
     except ValueError as exc:
         raise ConfigError("%s: %s" % (cfg.path, exc))
+    # the model allocates lazily, on first use
+    _check_size(cfg, "jc.N", 16 * matrices * model.boundary_dim ** 2)
+    return model
+
+
+def _check_size(cfg, key, nbytes):
+    """A ConfigError naming ``key`` if a task would need more than _MAX_BYTES."""
+    if nbytes > _MAX_BYTES:
+        raise ConfigError("%s: key %r: the task would need about %.3g GB (at most %.3g GB)"
+                          % (cfg._where(key), key, nbytes / 1e9, _MAX_BYTES / 1e9))
 
 
 def _grid_count(cfg, key):
@@ -353,7 +375,8 @@ def _grid_count(cfg, key):
     return n
 
 
-def _z_grid(cfg, task):
+def _z_grid(cfg, task, nbytes):
+    """The z-grid; ``nbytes(rows)`` estimates what the task needs for that many points."""
     rect_keys = (
         "grid.re_min", "grid.re_max", "grid.re_n",
         "grid.im_min", "grid.im_max", "grid.im_n",
@@ -365,14 +388,18 @@ def _z_grid(cfg, task):
             % cfg.path
         )
     if cfg.has("grid.z_list"):
-        return cfg.complex_list("grid.z_list")
+        zs = cfg.complex_list("grid.z_list")
+        _check_size(cfg, "grid.z_list", nbytes(len(zs)))
+        return zs
     if has_rect:
         for key in rect_keys:
             cfg.require(key, task)
-        res = np.linspace(cfg.float("grid.re_min"), cfg.float("grid.re_max"),
-                          _grid_count(cfg, "grid.re_n"))
-        ims = np.linspace(cfg.float("grid.im_min"), cfg.float("grid.im_max"),
-                          _grid_count(cfg, "grid.im_n"))
+        re_lo, re_hi, re_n = (cfg.float("grid.re_min"), cfg.float("grid.re_max"),
+                              _grid_count(cfg, "grid.re_n"))
+        im_lo, im_hi, im_n = (cfg.float("grid.im_min"), cfg.float("grid.im_max"),
+                              _grid_count(cfg, "grid.im_n"))
+        _check_size(cfg, "grid.re_n" if re_n >= im_n else "grid.im_n", nbytes(re_n * im_n))
+        res, ims = np.linspace(re_lo, re_hi, re_n), np.linspace(im_lo, im_hi, im_n)
         return [complex(re, im) for re in res for im in ims]
     raise ConfigError(
         "%s: task %r needs grid.z_list or the grid rectangle keys"
@@ -380,7 +407,8 @@ def _z_grid(cfg, task):
     )
 
 
-def _x_grid(cfg, task, default=None):
+def _x_grid(cfg, task, nbytes, default=None):
+    """The x-grid; ``nbytes(n)`` estimates what the task needs for n points."""
     keys = ("grid.x_min", "grid.x_max", "grid.x_n")
     if not any(cfg.has(k) for k in keys):
         if default is not None:
@@ -389,6 +417,7 @@ def _x_grid(cfg, task, default=None):
     for key in keys:
         cfg.require(key, task)
     n = _grid_count(cfg, "grid.x_n")
+    _check_size(cfg, "grid.x_n", nbytes(n))
     return np.linspace(cfg.float("grid.x_min"), cfg.float("grid.x_max"), n)
 
 
@@ -415,25 +444,20 @@ def _task_weyl_sample(cfg, args):
     if has_model:
         weyl = build_triplet(_build_model(cfg, "weyl-sample")).weyl
     else:
-        weyl = jd.lead_weyl(_build_jc(cfg, "weyl-sample"))
-    zs = _z_grid(cfg, "weyl-sample")
-    header = ["re_z", "im_z"]
-    for i in range(weyl.dim):
-        for j in range(weyl.dim):
-            header.extend(["re_m_%d_%d" % (i, j), "im_m_%d_%d" % (i, j)])
-    # one scalar evaluation per z: numpy and cmath round differently
-    table = np.empty((len(zs), len(header)))
-    for k, z in enumerate(zs):
-        table[k, :2] = z.real, z.imag
-        table[k, 2:] = np.asarray(weyl(z), dtype=complex).ravel().view(float)
-    return header, table
+        weyl = jd.lead_weyl(_build_jc(cfg, "weyl-sample", matrices=1))
+    zs = _z_grid(cfg, "weyl-sample", lambda rows: (64 * rows + 80) * (2 + 2 * weyl.dim ** 2))
+    header = ["re_z", "im_z"] + ["%s_m_%d_%d" % (part, i, j) for i in range(weyl.dim)
+                                 for j in range(weyl.dim) for part in ("re", "im")]
+    # one scalar evaluation per Python complex z: numpy and cmath round differently
+    ms = np.array([weyl(z) for z in zs], dtype=complex).reshape(len(zs), -1)
+    return header, np.column_stack([np.real(zs), np.imag(zs), ms.view(float)])
 
 
 def _task_gamma_sample(cfg, args):
     spec = _build_model(cfg, "gamma-sample")
     cfg.require("gamma.z", "gamma-sample")
     z = cfg.complex("gamma.z")
-    xs = _x_grid(cfg, "gamma-sample")
+    xs = _x_grid(cfg, "gamma-sample", lambda n: 1024 * n)
     triplet = build_triplet(spec)
     d = triplet.dim
     if cfg.has("gamma.xi"):
@@ -462,7 +486,7 @@ def _task_gamma_sample(cfg, args):
 
 
 def _task_spectrum(cfg, args):
-    model = _build_jc(cfg, "spectrum")
+    model = _build_jc(cfg, "spectrum", matrices=4)  # 3 measured at N = 100 and 200
     which = cfg.str("spectrum.which", default="cjc", choices=("cjc", "tilde"))
     mat = jd.build_CJC(model) if which == "cjc" else jd.build_tilde_CJC(model)
     rep = jd.spectrum_report(mat)
@@ -481,7 +505,7 @@ def _task_krein_kernel(cfg, args):
         )
     cfg.require("krein.z", "krein-kernel")
     z = cfg.complex("krein.z")
-    xs = _x_grid(cfg, "krein-kernel")
+    xs = _x_grid(cfg, "krein-kernel", lambda n: 512 * n * n)
     triplet = build_triplet(spec)
     d = triplet.dim
     variant = cfg.str("krein.variant", default="operator",
@@ -536,9 +560,9 @@ def _spectrum_doc(rep):
 
 
 def _task_jc_run(cfg, args):
-    model = _build_jc(cfg, "jc-run")
+    model = _build_jc(cfg, "jc-run", matrices=32)  # 26 measured at N = 100 and 200
     z = cfg.complex("jc.z", default=-1.0 + 0.5j)
-    xs = _x_grid(cfg, "jc-run", default=[-1.0, 0.5])
+    xs = _x_grid(cfg, "jc-run", lambda n: 512 * (n * model.fock.dim) ** 2, default=[-1.0, 0.5])
     ct = jd.build_tilde_CJC(model)
     jac = jd.jacobi_reorder(ct, model)
     ke = jd.kernel_equivalence(model)
@@ -818,24 +842,32 @@ def _render_json(obj, indent=0):
 
 
 def _table_text(header, table, fmt):
-    """Render a 2-D float64 array as csv or JSON, one ``%`` format per row.
+    """Render a 2-D float64 array as csv or JSON, every cell as ``%.17g``.
 
-    Finiteness is checked once; the error names the first non-finite value
-    in row order.  Rows become Python floats one at a time, not all at once.
-    """
+    Finiteness is checked once; the error names the first non-finite value in
+    row order.  Each distinct bit pattern (-0.0 is not 0.0) of a block of 2**14
+    cells (larger blocks raised the peak memory) is formatted once."""
     finite = np.isfinite(table)
     if not finite.all():
         raise ArithmeticError("non-finite result %r" % float(table[~finite][0]))
-    # spectrum's index and multiplicity columns hold integers
-    cells = ["%d" if name in ("index", "multiplicity") else "%.17g" for name in header]
     if fmt == "json":
         # the bytes of _render_json({"columns": header, "rows": rows})
         head = '{\n  "columns": %s,\n  "rows": [\n' % _render_json(list(header), 1)
-        row_fmt = "    [\n      " + ",\n      ".join(cells) + "\n    ]"
-        sep, tail = ",\n", "\n  ]\n}\n"
+        cell, row_open, row_close, row_sep, tail = (
+            ",\n      ", "    [\n      ", "\n    ]", ",\n", "\n  ]\n}\n")
     else:
-        head, row_fmt, sep, tail = ",".join(header) + "\n", ",".join(cells), "\n", "\n"
-    return head + sep.join(row_fmt % tuple(row.tolist()) for row in table) + tail
+        head, cell, row_open, row_close, row_sep, tail = (
+            ",".join(header) + "\n", ",", "", "", "\n", "\n")
+    ncols, between, parts = table.shape[1], row_close + row_sep + row_open, [head]
+    step = max(1, 16384 // ncols)
+    for start in range(0, len(table), step):
+        bits, inv = np.unique(table[start:start + step].view(np.int64), return_inverse=True)
+        vals = tuple(bits.view(float).tolist())
+        # one % operation formats them all; no number's text holds "\0"
+        texts = ("\0".join(["%.17g"] * len(vals)) % vals).split("\0")
+        rows = np.array(texts, dtype=object)[inv.reshape(-1, ncols)].tolist()
+        parts += [between if start else row_open, between.join(map(cell.join, rows))]
+    return "".join(parts + ([row_close, tail] if len(table) else [tail]))
 
 
 def _write_out(text, out_path):

@@ -128,9 +128,9 @@ def _pole_distance(arg, offset):
     if not cmath.isfinite(arg):
         raise ArithmeticError("tan/cot argument %s is not finite" % arg)
     n = round(arg.real / cmath.pi - offset)
-    return min(
-        abs(arg - cmath.pi * (k + offset)) for k in (n - 1, n, n + 1)
-    )
+    return min(abs(arg - cmath.pi * (n - 1 + offset)),
+               abs(arg - cmath.pi * (n + offset)),
+               abs(arg - cmath.pi * (n + 1 + offset)))
 
 
 def m_interval(z, v=0.0, d=1.0, branch_index=1):

@@ -278,12 +278,14 @@ def truncation_plan(omega, atom_stream, f_moment, tol, symmetric=False,
         if k >= max_atoms:
             break
         lams.append(float(lam))
-        norms.append(np.linalg.norm(omega(lam), 2))
+        # the norms only feed the fit of an uncertified Omega
+        if not certified:
+            norms.append(np.linalg.norm(omega(lam), 2))
         weights.append(f_moment(k))
     lams = np.asarray(lams)
-    norms = np.asarray(norms)
     weights = np.asarray(weights)
     if not certified:
+        norms = np.asarray(norms)
         # log-log fit over the sampled range; flagged as uncertified
         mask = (1.0 + np.abs(lams)) > 1.0
         if mask.sum() >= 2:

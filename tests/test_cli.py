@@ -2,10 +2,12 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from weyltriplets import cli
 from weyltriplets import herglotz as hg
-from weyltriplets.models1d import FAMILIES
+from weyltriplets.models1d import FACTORIES, FAMILIES
 
 
 def write(tmp_path, name, text):
@@ -128,6 +130,61 @@ def test_table_text_matches_per_cell_renderer(header, fmt):
         if name in ("index", "multiplicity"):
             table[:, col] = np.arange(len(table)) * (1 + col)
     assert cli._table_text(header, table, fmt) == _per_cell_table_text(header, table, fmt)
+
+
+def _assert_renders_per_cell(header, table, fmt):
+    """The renderer's text equals the oracle's; a mismatch reports its first
+    difference (a full diff of megabytes of text would take minutes)."""
+    got, want = cli._table_text(header, table, fmt), _per_cell_table_text(header, table, fmt)
+    if got != want:
+        k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail("texts differ first at character %d: %r != %r"
+                    % (k, got[max(0, k - 40):k + 40], want[max(0, k - 40):k + 40]))
+
+
+def _pool_table(rng, rows, cols):
+    """Random cells drawn from the edge values and a few hundred random ones."""
+    randoms = rng.standard_normal(300) * 10.0 ** rng.integers(-20, 20, 300)
+    pool = np.concatenate([_EDGE_VALUES, randoms])
+    return pool[rng.integers(0, len(pool), (rows, cols))]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_text_matches_per_cell_renderer_across_blocks(fmt):
+    rng = np.random.default_rng(5)
+    header = ["c%d" % j for j in range(6)]
+    step = 16384 // len(header)  # rows per block of the renderer
+    table = _pool_table(rng, 3 * step + 7, len(header))
+    zeros = table == 0.0
+    # block 0 holds -0.0 and 0.0, block 1 only -0.0, block 2 only 0.0
+    table[step:2 * step][zeros[step:2 * step]] = -0.0
+    table[2 * step:][zeros[2 * step:]] = 0.0
+    table[1, :] = [-0.0, 0.0, -0.0, 0.0, 5e-324, -5e-324]
+    table[step + 1, :] = -0.0
+    table[2 * step + 1, :] = 0.0
+    assert np.signbit(table[step:2 * step][table[step:2 * step] == 0]).all()
+    assert not np.signbit(table[2 * step:][table[2 * step:] == 0]).any()
+    _assert_renders_per_cell(header, table, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows, cols", [(3, 70000), (1, 9)], ids=["wide", "one-row"])
+def test_table_text_matches_per_cell_renderer_on_edge_shapes(fmt, rows, cols):
+    # more than 2**14 columns: one row per block
+    rng = np.random.default_rng(rows)
+    table = _pool_table(rng, rows, cols)
+    table[0, :2] = -0.0, 0.0
+    header = ["c%d" % j for j in range(cols)]
+    _assert_renders_per_cell(header, table, fmt)
+
+
+def test_table_text_zero_rows():
+    # the bytes the renderer always gave, not those of _render_json's "[]"
+    empty = np.empty((0, 2))
+    assert cli._table_text(["a", "b"], empty, "csv") == "a,b\n\n"
+    assert cli._table_text(["a", "b"], empty, "json") == (
+        '{\n  "columns": [\n    "a",\n    "b"\n  ],\n  "rows": [\n\n  ]\n}\n')
 
 
 def test_table_text_names_first_non_finite_value_in_row_order():
@@ -322,12 +379,48 @@ def test_json_boolean_rejected(tmp_path, capsys):
     ("model.family = dirac-right\nmodel.c = -1\n", "positive"),
     ("model.family = dirac-right\nmodel.c = 1e200\n", "Dirac mass"),
     ("model.family = dirac-interval\nmodel.c = 1e200\n", "Dirac mass"),
-], ids=["empty-interval", "negative-c", "dirac-right-c", "dirac-interval-c"])
+    ("model.family = schrodinger-right\nmodel.a = 5\nmodel.c = -3\n",
+     ":2: key 'model.a': family 'schrodinger-right' takes only model.v, model.b"),
+], ids=["empty-interval", "negative-c", "dirac-right-c", "dirac-interval-c", "foreign-key"])
 def test_invalid_model_spec_is_config_error(tmp_path, capsys, text, msg):
     cfg = write(tmp_path, "ms.cfg", text + "grid.z_list = 1j\n")
     rc, out, err = run(capsys, ["weyl-sample", "--config", cfg])
     assert rc == 2 and out == ""
     assert cfg in err and msg in err and "Traceback" not in err
+
+
+_JC_HEAD = "jc.alpha = 0\njc.beta = 1\njc.tau = 1\n"
+
+
+@pytest.mark.parametrize("task, text, key, line", [
+    ("spectrum", _JC_HEAD + "jc.N = 1000000000\n", "jc.N", 4),
+    ("jc-run", _JC_HEAD + "jc.N = 1100\n", "jc.N", 4),
+    ("weyl-sample", _JC_HEAD + "jc.N = 100000\ngrid.z_list = 1j\n", "jc.N", 4),
+    # 2 (N + 1) = 4002 boundary channels pass, a row of 32 million cells does not
+    ("weyl-sample", _JC_HEAD + "jc.N = 2000\ngrid.z_list = 1j\n", "grid.z_list", 5),
+    ("weyl-sample", "model.family = schrodinger-right\n"
+     "grid.re_min = -1\ngrid.re_max = 1\ngrid.re_n = 100000\n"
+     "grid.im_min = 0.5\ngrid.im_max = 1\ngrid.im_n = 1000000\n", "grid.im_n", 7),
+    ("gamma-sample", "model.family = schrodinger-right\ngamma.z = 1j\n"
+     "grid.x_min = 0\ngrid.x_max = 1\ngrid.x_n = 1000000000\n", "grid.x_n", 5),
+    ("krein-kernel", "model.family = schrodinger-right\nkrein.z = -1\n"
+     "krein.variant = theta1\ngrid.x_min = 0\ngrid.x_max = 1\ngrid.x_n = 1000000\n",
+     "grid.x_n", 6),
+    ("jc-run", _JC_HEAD + "jc.N = 3\ngrid.x_min = -1\ngrid.x_max = 1\n"
+     "grid.x_n = 100000\n", "grid.x_n", 7),
+], ids=["spectrum-N", "jc-run-N", "jc-weyl-N", "z-list", "z-rectangle", "gamma-x", "krein-x",
+        "jc-run-x"])
+def test_oversized_inputs_rejected_before_allocating(tmp_path, capsys, task, text, key, line):
+    cfg = write(tmp_path, "big.cfg", text)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, [task, "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert "%s:%d: key %r: the task would need about" % (cfg, line, key) in err
+    assert peak < 2 ** 24
 
 
 @pytest.mark.parametrize("task, extra", [
@@ -458,6 +551,59 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
         "2339d52b8e4191b839e9065febb75c36e7f5253ff033972b11f037f19c39944a")
 
 
+# the five ops of the grid-sweep benchmark at small sizes (its seed-0
+# parameters), except 130 x 130 Krein points, which span several render blocks
+_GRID_SWEEP_OPS = {
+    "jc-weyl": ("weyl-sample", [], (
+        "jc.alpha = 0.344422\njc.beta = 1.709545\njc.gamma_re = -0.031771\n"
+        "jc.gamma_im = -0.096433\njc.tau = 1.011275\njc.N = 2\njc.v_l = 1.512335\n"
+        "jc.v_r = 0.391899\ngrid.re_min = -2.916618\ngrid.re_max = 3.083382\n"
+        "grid.re_n = 3\ngrid.im_min = 0.381623\ngrid.im_max = 2.381623\ngrid.im_n = 3\n")),
+    "model-weyl": ("weyl-sample", [], (
+        "model.family = schrodinger-interval\nmodel.v = 0.009374\nmodel.a = -1.218162\n"
+        "model.b = 1.255804\ngrid.re_min = -2.881631\ngrid.re_max = 3.118369\n"
+        "grid.re_n = 4\ngrid.im_min = 0.250101\ngrid.im_max = 2.250101\ngrid.im_n = 4\n")),
+    "validate": ("validate", ["--seed", "0"], ""),
+    "krein-kernel": ("krein-kernel", [], (
+        "model.family = full-line-contact\nmodel.v_l = 1.819493\nmodel.v_r = 1.965571\n"
+        "krein.z = 0.430652+1.382599j\nkrein.variant = operator\n"
+        "krein.entries = 0.965221+0j,0.398838+0.183984j,0.398838-0.183984j,-0.905252+0j\n"
+        "grid.x_min = -4.0\ngrid.x_max = 4.0\ngrid.x_n = 130\n")),
+    "gamma-sample": ("gamma-sample", [], (
+        "model.family = schrodinger-interval\nmodel.v = -0.055715\nmodel.a = -1.0\n"
+        "model.b = 1.0\ngamma.z = -1.597195+0.821006j\ngrid.x_min = -1.0\n"
+        "grid.x_max = 1.0\ngrid.x_n = 12\n")),
+}
+
+_GRID_SWEEP_SHA256 = {
+    ("jc-weyl", "csv"): "2f94c7c75d70dcac0e463b711b4b8d91991ef3ba10800893085522705376eeea",
+    ("jc-weyl", "json"): "781174e04082ca353d80e4a58b75fd3a82a58395f49ae088f0379e390c2d638f",
+    ("model-weyl", "csv"): "2aa1af5716ce6761d8027ecf87e1bedde22ca2f19a0afad79d38753e3fcefa57",
+    ("model-weyl", "json"): "c026628e3f1562ce9368af64f41f30cb157fa3642fd46b05c9a57a1b28b4aafb",
+    ("validate", "csv"): "3b885d58c1adf2970412857522471de3b38bd3f42f279cec1b6a96ac84261189",
+    ("validate", "json"): "4fe1f0f37a950213b420aefb7976aeb303213fc00b7742b6917a58a24d7e4bd8",
+    ("krein-kernel", "csv"): "1c061d2546893f4119c18a83919de52da397c4dbc603fa52ae306f8ea0bc08c1",
+    ("krein-kernel", "json"): "c443f90a1fa11afc3b0cffa479dc1772c1d369f3ae9c7632f28d3c7ca4bae59b",
+    ("gamma-sample", "csv"): "bc93bfb560b0361e27b98411194f2942d9e0a3a234ec4f337181289f8c0bdc7c",
+    ("gamma-sample", "json"): "517a028bb24bcbadb5e6b93d3efa777c43d3c8e4c2b9fe6ffec82b72cf31df75",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("op", list(_GRID_SWEEP_OPS))
+def test_grid_sweep_frozen_bytes(tmp_path, capsys, op, fmt):
+    task, extra, text = _GRID_SWEEP_OPS[op]
+    cfg, out = write(tmp_path, op + ".cfg", text), str(tmp_path / ("out." + fmt))
+    rc, stdout, err = run(capsys, [task, "--config", cfg, "--out", out, "--format", fmt] + extra)
+    assert (rc, stdout, err) == (0, "", "")
+    blob = open(out, "rb").read()
+    if task == "validate":
+        # the null-space SVD residual of jc-kernel-equivalence changes with
+        # the BLAS thread count; its row is pinned without that one field
+        blob = re.sub(rb"(?m)^(jc-kernel-equivalence[ ,]+)[^ ,]+ *", rb"\1*", blob)
+    assert hashlib.sha256(blob).hexdigest() == _GRID_SWEEP_SHA256[op, fmt]
+
+
 def test_validate_all_checks_pass(tmp_path, capsys):
     cfg = write(tmp_path, "v.cfg", "\n")
     rc, out, _ = run(capsys, ["validate", "--config", cfg])
@@ -511,9 +657,14 @@ def _cli_case(draw):
         if task == "spectrum":
             put("spectrum.which", st.sampled_from(["cjc", "tilde"]), optional=True)
     else:
-        keys["model.family"] = draw(st.sampled_from(FAMILIES))
+        family = draw(st.sampled_from(FAMILIES))
+        keys["model.family"] = family
         for p in ("v", "c", "a", "b", "v_l", "v_r"):
             put("model." + p, _NUMBERS, optional=True)
+            # drawn for every family, so each example keeps its values; a key
+            # the family does not take is a config error of its own
+            if p not in inspect.signature(FACTORIES[family]).parameters:
+                keys.pop("model." + p, None)
     if task == "weyl-sample":
         if draw(st.booleans()):
             keys["grid.z_list"] = ", ".join(
@@ -560,11 +711,15 @@ def _numbers(text):
 _SQRT_CUT_UNDERFLOW = ("weyl-sample", {
     "jc.alpha": "0", "jc.beta": "1", "jc.tau": "1", "jc.N": "1",
     "grid.z_list": "(1e+308-1.4791286014180062e-283j)"}, "csv")
+# a Fock truncation far beyond memory: a config error, not a MemoryError
+_HUGE_FOCK = ("spectrum", {
+    "jc.alpha": "0", "jc.beta": "1", "jc.tau": "1", "jc.N": "1000000000"}, "csv")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(("validate", {}, "csv"))
 @example(_SQRT_CUT_UNDERFLOW)
+@example(_HUGE_FOCK)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case
@@ -576,5 +731,7 @@ def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     assert rc in (0, 2, 3), err.getvalue()
     if case == _SQRT_CUT_UNDERFLOW:
         assert rc == 0, err.getvalue()
+    if case == _HUGE_FOCK:
+        assert rc == 2 and "key 'jc.N'" in err.getvalue(), err.getvalue()
     if rc == 0:
         assert all(math.isfinite(x) for x in _numbers(out.getvalue()))

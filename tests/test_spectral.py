@@ -154,3 +154,29 @@ def test_truncation_plan_uncertified_fit():
     assert not plan["certified"]
     assert abs(plan["alpha"] - 1.0) < 1e-12
     assert abs(plan["C0"] - 1.0) < 1e-12
+
+
+def test_truncation_plan_evaluates_omega_only_to_fit_it():
+    # the dicts are frozen from the version that took ||Omega(lambda)||_2 at
+    # every atom; a certified Omega is no longer evaluated at all
+    calls = []
+
+    def counted(fn, **kw):
+        return sp.OperatorFunctionOnR(1, lambda lam: calls.append(lam) or np.array([[fn(lam)]]),
+                                      **kw)
+
+    plan = sp.truncation_plan(counted(lambda x: 1.0 + x, C0=1.0, alpha=1.0), range(2000),
+                              lambda k: 2.0 ** -k, tol=1e-8)
+    assert plan == {"window": (0.0, 66.0), "tail_bound": 6.455068684435572e-17, "C0": 1.0,
+                    "alpha": 1.0, "certified": True, "atoms_consumed": 2000}
+    assert calls == []
+    plan = sp.truncation_plan(counted(lambda x: 3.0 * (1.0 + abs(x)) ** 1.5), range(1000),
+                              lambda k: 2.0 ** -k, 1e-8)
+    assert plan == {"window": (0.0, 76.0), "tail_bound": 5.878502621662454e-17, "C0": 3.0,
+                    "alpha": 1.5000000000000004, "certified": False, "atoms_consumed": 1000}
+    assert calls == list(range(1000))
+    om = sp.OperatorFunctionOnR(2, lambda x: np.array([[1 + x, 0.5], [0.5j, 2.0]]))
+    plan = sp.truncation_plan(om, range(500), lambda k: 3.0 ** -k, 1e-6)
+    assert plan == {"window": (0.0, 33.0), "tail_bound": 5.140488362273757e-13,
+                    "C0": 2.149611288904803, "alpha": 0.997291672253185,
+                    "certified": False, "atoms_consumed": 500}
