@@ -61,6 +61,7 @@ from ._linalg import (
 from .models1d import (
     FACTORIES,
     FAMILIES,
+    FAMILY_TABLE,
     build_triplet,
     dirac_right,
     eval_gamma_on_grid,
@@ -498,7 +499,7 @@ def _task_spectrum(cfg, args):
 
 def _task_krein_kernel(cfg, args):
     spec = _build_model(cfg, "krein-kernel")
-    if spec.family.startswith("dirac"):
+    if FAMILY_TABLE[spec.family].value_dim != 1:
         raise ConfigError(
             "%s: krein-kernel emits the scalar x,y,re_K,im_K schema; "
             "model.family %r has a spinor-valued kernel" % (cfg.path, spec.family)

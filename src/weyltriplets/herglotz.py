@@ -25,14 +25,13 @@ rejected within a small guard distance.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BranchCutError",
     "PoleError",
-    "BranchCut",
     "HerglotzScalar",
     "sqrt_cut",
     "m_schrodinger_halfline",
@@ -288,42 +287,11 @@ def m_dirac(z, c=1.0, geometry="halfline", d=None, branch_index=1):
 
 
 @dataclass(frozen=True)
-class BranchCut:
-    """Real singular ray(s) of a scalar model coefficient.
-
-    kind "positive-axis": the ray [v, inf) (Schrodinger, threshold v).
-    kind "dirac-gap": the two rays (-inf, -c^2/2] u [c^2/2, inf).
-    """
-
-    kind: str
-    v: float = 0.0
-    c: float = 1.0
-
-    def contains(self, x):
-        """Whether real ``x`` lies on the cut (branch points excluded)."""
-        x = float(x)
-        if self.kind == "positive-axis":
-            return x >= self.v
-        if self.kind == "dirac-gap":
-            s = 0.5 * self.c * self.c
-            return abs(x) >= s and x != s and x != -s
-        raise ValueError("unknown branch-cut kind %r" % self.kind)
-
-
-@dataclass(frozen=True)
 class HerglotzScalar:
-    """A named scalar Herglotz function with its branch bookkeeping.
-
-    ``eval`` maps complex z to complex m(z); ``singular_set`` is a human
-    description of the real cut/pole structure.  Instances are immutable
-    and safe to share.
-    """
+    """A named scalar Herglotz function; ``eval`` maps complex z to m(z)."""
 
     name: str
     eval: object  # callable z -> complex
-    branch: BranchCut
-    singular_set: str
-    params: dict = field(default_factory=dict)
 
     def __call__(self, z):
         return self.eval(z)
@@ -337,36 +305,12 @@ def catalogue(v=0.0, c=1.0, d=1.0):
     different gamma-fields), the two interval Schrodinger branches, the
     half-line Dirac coefficient and the two interval Dirac branches.
     """
-    pos = BranchCut("positive-axis", v=v)
-    gap = BranchCut("dirac-gap", c=c)
-    s = 0.5 * c * c
     return [
-        HerglotzScalar(
-            "m_hr", lambda z: m_schrodinger_halfline(z, v), pos,
-            "cut [v, inf)", {"v": v},
-        ),
-        HerglotzScalar(
-            "m_hl", lambda z: m_schrodinger_halfline(z, v), pos,
-            "cut [v, inf)", {"v": v},
-        ),
-        HerglotzScalar(
-            "m_hc1", lambda z: m_interval(z, v, d, 1), pos,
-            "poles at v + (pi(n+1/2)/d)^2", {"v": v, "d": d},
-        ),
-        HerglotzScalar(
-            "m_hc2", lambda z: m_interval(z, v, d, 2), pos,
-            "poles at v + (pi n/d)^2, n >= 1", {"v": v, "d": d},
-        ),
-        HerglotzScalar(
-            "m_dr", lambda z: m_dirac(z, c, "halfline"), gap,
-            "cuts |x| >= c^2/2; real on the gap", {"c": c},
-        ),
-        HerglotzScalar(
-            "m_dc1", lambda z: m_dirac(z, c, "interval", d, 1), gap,
-            "cuts |x| >= c^2/2 beyond poles of tan(k d)", {"c": c, "d": d},
-        ),
-        HerglotzScalar(
-            "m_dc2", lambda z: m_dirac(z, c, "interval", d, 2), gap,
-            "cuts |x| >= c^2/2 beyond poles of cot(k d)", {"c": c, "d": d},
-        ),
+        HerglotzScalar("m_hr", lambda z: m_schrodinger_halfline(z, v)),
+        HerglotzScalar("m_hl", lambda z: m_schrodinger_halfline(z, v)),
+        HerglotzScalar("m_hc1", lambda z: m_interval(z, v, d, 1)),
+        HerglotzScalar("m_hc2", lambda z: m_interval(z, v, d, 2)),
+        HerglotzScalar("m_dr", lambda z: m_dirac(z, c, "halfline")),
+        HerglotzScalar("m_dc1", lambda z: m_dirac(z, c, "interval", d, 1)),
+        HerglotzScalar("m_dc2", lambda z: m_dirac(z, c, "interval", d, 2)),
     ]

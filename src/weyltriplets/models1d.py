@@ -2,11 +2,13 @@
 
 Families: Schrodinger half-lines and interval (constant potential),
 Dirac half-line and interval (mass s = c^2/2), and the two-lead
-full-line point contact.  Each factory wires the scalar Weyl
-coefficients from :mod:`herglotz` to gamma-fields realized as
-AnalyticKernel objects (explicit solutions of the defect equation,
-normalized so the Gamma0-trace of each column is a standard basis
-vector).
+full-line point contact.  Each family is declared once, as one entry
+of ``FAMILY_TABLE``: its factory and parameter checks, its Weyl
+diagonal (scalar coefficients from :mod:`herglotz`), its gamma-field
+columns (explicit solutions of the defect equation whose Gamma0-traces
+are the standard basis, built from one half-line exponential and one
+even/odd interval helper), its Gamma0/Gamma1 endpoint trace map and its
+defect-equation residual.
 
 Sign conventions (documented, part of the public contract):
 
@@ -25,6 +27,7 @@ Sign conventions (documented, part of the public contract):
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +47,7 @@ __all__ = [
     "eval_gamma_on_grid",
     "verify_defect_equation",
     "interval_weyl_poles",
+    "FAMILY_TABLE",
     "FAMILIES",
     "FACTORIES",
 ]
@@ -51,6 +55,11 @@ __all__ = [
 # Below this |w|*length, sin(w t)/sin(w dd) switches to its Taylor ratio
 # (removable singularity at w = 0).
 _RATIO_CUTOFF = 1e-6
+# Beyond this Im(w)*dd the interval kernels use their exp-scaled forms;
+# cos and sin of w dd themselves overflow near 710.
+_SCALED_CUTOFF = 350.0
+
+_S2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -72,15 +81,10 @@ class ModelSpec:
     v_r: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_TABLE:
             raise ValueError("unknown family %r" % (self.family,))
-        if self.family in ("schrodinger-interval", "dirac-interval"):
-            if self.a is None or self.b is None or not self.a < self.b:
-                raise ValueError("interval families need endpoints a < b")
-        if self.family.startswith("dirac") and not self.c > 0:
-            raise ValueError("Dirac speed c must be positive")
-        if self.family.startswith("dirac") and not np.isfinite(0.5 * self.c * self.c):
-            raise ValueError("Dirac mass s = c^2/2 overflows at c = %r" % self.c)
+        for check in FAMILY_TABLE[self.family].checks:
+            check(self)
 
     @property
     def midpoint(self):
@@ -115,230 +119,242 @@ def full_line_contact(v_l=0.0, v_r=0.0):
     return ModelSpec("full-line-contact", v_l=float(v_l), v_r=float(v_r))
 
 
-# family -> factory; a family's parameters are its factory's keywords
-FACTORIES = {
-    "schrodinger-right": schrodinger_right,
-    "schrodinger-left": schrodinger_left,
-    "schrodinger-interval": schrodinger_interval,
-    "dirac-right": dirac_right,
-    "dirac-interval": dirac_interval,
-    "full-line-contact": full_line_contact,
+def _check_endpoints(spec):
+    if spec.a is None or spec.b is None or not spec.a < spec.b:
+        raise ValueError("interval families need endpoints a < b")
+
+
+def _check_speed(spec):
+    if not spec.c > 0:
+        raise ValueError("Dirac speed c must be positive")
+    if not np.isfinite(0.5 * spec.c * spec.c):
+        raise ValueError("Dirac mass s = c^2/2 overflows at c = %r" % spec.c)
+
+
+def _exp(iw, x0):
+    """x -> e^{iw (x - x0)} and its x-derivative, on 1-D arrays."""
+    e = lambda x: np.exp(iw * (np.asarray(x) - x0))
+    return e, lambda x: iw * e(x)
+
+
+def _even_odd(w, spec):
+    """(small, cos(w dd), sin(w dd), trig) of the interval's even/odd kernels.
+
+    trig(x) = (t, cos(w t), sin(w t)) at t = x - midpoint; ``small`` flags
+    the removable limit |w| dd -> 0.  Past _SCALED_CUTOFF (Im w >= 0 on all
+    branches used here) the four trig values carry a common factor
+    2 e^{iw dd}, which cancels in each kernel ratio and keeps it finite for
+    |t| <= dd: cos(w t)/cos(w dd) = (e^{iw(dd+t)} + e^{iw(dd-t)})/(1 + e^{2iw dd}).
+    There |e^{2iw dd}| < e^{-700} is below rounding, so the scaled cos(w dd)
+    and sin(w dd) = i (1 - e^{2iw dd}) are exactly 1 and i.
+    """
+    nu, dd = spec.midpoint, spec.half_length
+    small = abs(w) * max(abs(spec.a - nu), abs(spec.b - nu), dd) < _RATIO_CUTOFF
+    scaled = w.imag * dd > _SCALED_CUTOFF
+
+    def trig(x):
+        t = np.asarray(x, dtype=float) - nu
+        if scaled:
+            p, m = np.exp(1j * w * (dd + t)), np.exp(1j * w * (dd - t))
+            return t, p + m, -1j * (p - m)
+        return t, np.cos(w * t), np.sin(w * t)
+
+    if scaled:
+        return small, 1.0, 1j, trig
+    return small, np.cos(w * dd), np.sin(w * dd), trig
+
+
+def _halfline_kernel(i, end, wave, spec, z):
+    """Half-line kernel e^{i w (x - end)}: i = 1j right of end, -1j left.
+
+    wave(spec, z) gives w and the layout of a column's values as an array of
+    shape (n, value_dim, 1).
+    """
+    w, layout = wave(spec, z)
+    x0 = getattr(spec, end)
+    e, de = _exp(i * w, x0)
+    return dict(columns=lambda x: layout(e(x)), columns_dx=lambda x: layout(de(x)),
+                domain=(x0, np.inf) if i.imag > 0 else (-np.inf, x0), decay_rate=w.imag)
+
+
+def _schrodinger_wave(spec, z):
+    return hg.sqrt_cut(z - spec.v), lambda f: f[:, None, None]
+
+
+def _dirac_wave(spec, z):
+    """k and the spinor (f, k1 f) of a Dirac half-line column f."""
+    k1 = hg.dirac_k1(z, spec.c)
+    return hg.dirac_k(z, spec.c), lambda f: np.stack([f, k1 * f], axis=1)[:, :, None]
+
+
+def _schrodinger_interval_kernel(spec, z):
+    w = hg.sqrt_cut(z - spec.v)
+    dd = spec.half_length
+    small, cd, sd, trig = _even_odd(w, spec)
+
+    def cols(x):
+        t, co, si = trig(x)
+        odd = (t / dd) * (1.0 + w * w * (t * t - dd * dd) / 6.0) if small else si / sd
+        return np.stack([co / (_S2 * cd), odd / _S2], axis=-1)[:, None, :]
+
+    def cols_dx(x):
+        t, co, si = trig(x)
+        odd = ((1.0 / dd) * (1.0 + w * w * (3.0 * t * t - dd * dd) / 6.0) if small
+               else w * co / sd)
+        return np.stack([-w * si / (_S2 * cd), odd / _S2], axis=-1)[:, None, :]
+
+    return dict(columns=cols, columns_dx=cols_dx, domain=(spec.a, spec.b))
+
+
+def _dirac_interval_kernel(spec, z):
+    c = spec.c
+    s = 0.5 * c * c
+    k1 = hg.dirac_k1(z, c)
+    k = hg.dirac_k(z, c)
+    dd = spec.half_length
+    small, cd, sd, trig = _even_odd(k, spec)
+
+    def cols(x):
+        t, co, si = trig(x)
+        even = [co / (_S2 * cd), 1j * k1 * si / (_S2 * cd)]
+        if small:
+            # sin(kt)/sin(k dd) -> t/dd and k1*cos/sin(k dd) -> c/((z+s) dd)
+            odd = [(t / dd) / _S2, -1j * (c / ((z + s) * dd)) * co / _S2]
+        else:
+            odd = [si / (_S2 * sd), -1j * k1 * co / (_S2 * sd)]
+        return np.stack([np.stack(even, axis=-1), np.stack(odd, axis=-1)], axis=-1)
+
+    return dict(columns=cols, domain=(spec.a, spec.b))
+
+
+def _contact_kernel(spec, z):
+    wl = hg.sqrt_cut(z - spec.v_l)
+    wr = hg.sqrt_cut(z - spec.v_r)
+
+    def sides(left, right, at_zero):
+        # the left lead's column on x <= 0, the right lead's on x > 0
+        def cols(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros((len(x), 1, 2), dtype=complex)
+            neg = x <= 0
+            out[neg, 0, 0] = left(x[neg])
+            out[~neg, 0, 1] = right(x[~neg])
+            # both columns share the contact value at x = 0
+            out[x == 0, 0, 1] = at_zero
+            return out
+        return cols
+
+    (el, del_), (er, der) = _exp(-1j * wl, 0.0), _exp(1j * wr, 0.0)
+    return dict(columns=sides(el, er, 1.0), columns_dx=sides(del_, der, 1j * wr),
+                domain=(-np.inf, np.inf), decay_rate=min(wl.imag, wr.imag),
+                split_points=(0.0,))
+
+
+def _symmetrized(f, g):
+    """Interval traces from the end values f and inward Gamma1 values g, rows (a, b)."""
+    return (np.vstack([(f[1] + f[0]) / _S2, (f[1] - f[0]) / _S2]),
+            np.vstack([(g[1] + g[0]) / _S2, (g[1] - g[0]) / _S2]))
+
+
+def _schrodinger_defect(potential):
+    """-u'' + (V - z) u by centred second differences, V = potential(spec, x)."""
+    def residual(spec, z, x, u, h):
+        u = u[:, 0]
+        lap = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
+        return -lap + (potential(spec, x[1:-1]) - z) * u[1:-1]
+    return residual
+
+
+def _dirac_defect(spec, z, x, u, h):
+    """Centred residual of the first-order Dirac system, worst component."""
+    c = spec.c
+    s = 0.5 * c * c
+    u1, u2 = u[:, 0], u[:, 1]
+    d1 = (u1[2:] - u1[:-2]) / (2 * h)
+    d2 = (u2[2:] - u2[:-2]) / (2 * h)
+    r1 = -1j * c * d2 + (s - z) * u1[1:-1]
+    r2 = -1j * c * d1 - (s + z) * u2[1:-1]
+    return np.maximum(np.abs(r1), np.abs(r2))
+
+
+_constant_v_defect = _schrodinger_defect(lambda s, x: s.v)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """How one family is built and checked (see the module docstring)."""
+
+    factory: object
+    checks: tuple  # each spec -> None, raising ValueError
+    # names of the herglotz coefficient and its z-derivative (or None), looked
+    # up when a triplet is built, so wrappers installed on herglotz see calls
+    m: str
+    dm: str
+    weyl_args: object  # spec -> one keyword dict for m and dm per diagonal entry
+    kernel: object  # (spec, z) -> AnalyticKernel fields of the gamma columns
+    traces: object  # (spec, values, x-derivatives at the boundary points) -> G0, G1
+    defect: object  # (spec, z, x, u, h) -> residual of (A* - z) u at x[1:-1]
+    value_dim: int = 1
+
+
+FAMILY_TABLE = {
+    "schrodinger-right": _Family(
+        schrodinger_right, (), "m_schrodinger_halfline", "dm_schrodinger_halfline",
+        lambda s: [dict(v=s.v)], partial(_halfline_kernel, 1j, "b", _schrodinger_wave),
+        lambda s, f, d: (f[0, :1], d[0, :1]), _constant_v_defect),
+    "schrodinger-left": _Family(
+        schrodinger_left, (), "m_schrodinger_halfline", "dm_schrodinger_halfline",
+        lambda s: [dict(v=s.v)], partial(_halfline_kernel, -1j, "a", _schrodinger_wave),
+        lambda s, f, d: (f[0, :1], -d[0, :1]), _constant_v_defect),
+    "schrodinger-interval": _Family(
+        schrodinger_interval, (_check_endpoints,), "m_interval", "dm_interval",
+        lambda s: [dict(v=s.v, d=s.half_length, branch_index=j) for j in (1, 2)],
+        _schrodinger_interval_kernel,
+        lambda s, f, d: _symmetrized(f[:, 0], [d[0, 0], -d[1, 0]]), _constant_v_defect),
+    "dirac-right": _Family(
+        dirac_right, (_check_speed,), "m_dirac", None,
+        lambda s: [dict(c=s.c)], partial(_halfline_kernel, 1j, "b", _dirac_wave),
+        lambda s, f, d: (f[0, :1], (1j * s.c) * f[0, 1:]), _dirac_defect, value_dim=2),
+    "dirac-interval": _Family(
+        dirac_interval, (_check_endpoints, _check_speed), "m_dirac", None,
+        lambda s: [dict(c=s.c, geometry="interval", d=s.half_length, branch_index=j)
+                   for j in (1, 2)],
+        _dirac_interval_kernel,
+        lambda s, f, d: _symmetrized(f[:, 0], [1j * s.c * f[0, 1], -1j * s.c * f[1, 1]]),
+        _dirac_defect, value_dim=2),
+    "full-line-contact": _Family(
+        full_line_contact, (), "m_schrodinger_halfline", "dm_schrodinger_halfline",
+        lambda s: [dict(v=s.v_l), dict(v=s.v_r)], _contact_kernel,
+        # one-sided traces at the contact: the kernel holds the left column's
+        # -0 limit and the right column's +0 limit at x = 0
+        lambda s, f, d: (np.diag(f[0, 0]), np.diag([-d[0, 0, 0], d[0, 0, 1]])),
+        _schrodinger_defect(lambda s, x: np.where(x < 0, s.v_l, s.v_r))),
 }
-FAMILIES = tuple(FACTORIES)
+# family -> factory; a family's parameters are its factory's keywords
+FACTORIES = {name: fam.factory for name, fam in FAMILY_TABLE.items()}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
-def _ratio_sin(w, t, dd):
-    """sin(w t)/sin(w dd) with the removable w -> 0 limit t/dd."""
-    t = np.asarray(t, dtype=float)
-    if abs(w) * max(np.abs(t).max(initial=0.0), dd) < _RATIO_CUTOFF:
-        return (t / dd) * (1.0 + w * w * (t * t - dd * dd) / 6.0)
-    return np.sin(w * t) / np.sin(w * dd)
-
-
-def _dratio_cos(w, t, dd):
-    """d/dt of the above: w cos(w t)/sin(w dd), with its w -> 0 limit."""
-    t = np.asarray(t, dtype=float)
-    if abs(w) * max(np.abs(t).max(initial=0.0), dd) < _RATIO_CUTOFF:
-        return (1.0 / dd) * (1.0 + w * w * (3.0 * t * t - dd * dd) / 6.0)
-    return w * np.cos(w * t) / np.sin(w * dd)
+def _diagonal(fns):
+    """z -> the diagonal matrix of the scalars f(z), f in fns (one or two)."""
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda z: np.array([[f(z)]])
+    f1, f2 = fns
+    return lambda z: np.array([[f1(z), 0j], [0j, f2(z)]])
 
 
 def _weyl_matrix(spec):
-    f = spec.family
-    if f in ("schrodinger-right", "schrodinger-left"):
-        ev = lambda z: np.array([[hg.m_schrodinger_halfline(z, spec.v)]])
-        dv = lambda z: np.array([[hg.dm_schrodinger_halfline(z, spec.v)]])
-        return WeylFunction(1, ev, derivative=dv,
-                            resolvent_set_hint="C minus [v, inf)")
-    if f == "schrodinger-interval":
-        dd = spec.half_length
-
-        def ev(z):
-            return np.diag([
-                hg.m_interval(z, spec.v, dd, 1),
-                hg.m_interval(z, spec.v, dd, 2),
-            ])
-
-        def dv(z):
-            return np.diag([
-                hg.dm_interval(z, spec.v, dd, 1),
-                hg.dm_interval(z, spec.v, dd, 2),
-            ])
-
-        return WeylFunction(2, ev, derivative=dv,
-                            resolvent_set_hint="C minus the Dirichlet spectrum")
-    if f == "dirac-right":
-        ev = lambda z: np.array([[hg.m_dirac(z, spec.c)]])
-        return WeylFunction(1, ev,
-                            resolvent_set_hint="C minus (-inf,-s] U [s, inf)")
-    if f == "dirac-interval":
-        dd = spec.half_length
-
-        def ev(z):
-            return np.diag([
-                hg.m_dirac(z, spec.c, "interval", dd, 1),
-                hg.m_dirac(z, spec.c, "interval", dd, 2),
-            ])
-
-        return WeylFunction(2, ev, resolvent_set_hint="C minus Dirac point spectra")
-    # full-line contact
-    def ev(z):
-        return np.diag([
-            hg.m_schrodinger_halfline(z, spec.v_l),
-            hg.m_schrodinger_halfline(z, spec.v_r),
-        ])
-
-    def dv(z):
-        return np.diag([
-            hg.dm_schrodinger_halfline(z, spec.v_l),
-            hg.dm_schrodinger_halfline(z, spec.v_r),
-        ])
-
-    return WeylFunction(2, ev, derivative=dv,
-                        resolvent_set_hint="C minus [min(v_l,v_r), inf)")
+    fam = FAMILY_TABLE[spec.family]
+    args = fam.weyl_args(spec)
+    diag = lambda name: _diagonal([partial(getattr(hg, name), **kw) for kw in args])
+    return WeylFunction(len(args), diag(fam.m), derivative=fam.dm and diag(fam.dm))
 
 
 def _gamma_kernel(spec, z):
     """AnalyticKernel of the gamma-field columns at z (Gamma0-trace = I)."""
-    f = spec.family
-    z = complex(z)
-    if f == "schrodinger-right":
-        w = hg.sqrt_cut(z - spec.v)
-        b = spec.b
-        return AnalyticKernel(
-            columns=lambda x: np.exp(1j * w * (np.asarray(x) - b))[:, None, None],
-            columns_dx=lambda x: (1j * w)
-            * np.exp(1j * w * (np.asarray(x) - b))[:, None, None],
-            domain=(b, np.inf),
-            decay_rate=w.imag,
-            label="right half-line kernel",
-        )
-    if f == "schrodinger-left":
-        w = hg.sqrt_cut(z - spec.v)
-        a = spec.a
-        return AnalyticKernel(
-            columns=lambda x: np.exp(-1j * w * (np.asarray(x) - a))[:, None, None],
-            columns_dx=lambda x: (-1j * w)
-            * np.exp(-1j * w * (np.asarray(x) - a))[:, None, None],
-            domain=(-np.inf, a),
-            decay_rate=w.imag,
-            label="left half-line kernel",
-        )
-    if f == "schrodinger-interval":
-        w = hg.sqrt_cut(z - spec.v)
-        nu, dd = spec.midpoint, spec.half_length
-        cw = np.cos(w * dd)
-        s2 = np.sqrt(2.0)
-
-        def cols(x):
-            t = np.asarray(x, dtype=float) - nu
-            out = np.empty((len(t), 1, 2), dtype=complex)
-            out[:, 0, 0] = np.cos(w * t) / (s2 * cw)
-            out[:, 0, 1] = _ratio_sin(w, t, dd) / s2
-            return out
-
-        def cols_dx(x):
-            t = np.asarray(x, dtype=float) - nu
-            out = np.empty((len(t), 1, 2), dtype=complex)
-            out[:, 0, 0] = -w * np.sin(w * t) / (s2 * cw)
-            out[:, 0, 1] = _dratio_cos(w, t, dd) / s2
-            return out
-
-        return AnalyticKernel(
-            columns=cols,
-            columns_dx=cols_dx,
-            domain=(spec.a, spec.b),
-            label="interval even/odd kernels",
-        )
-    if f == "dirac-right":
-        k1 = hg.dirac_k1(z, spec.c)
-        k = hg.dirac_k(z, spec.c)
-        b = spec.b
-
-        def cols(x):
-            e = np.exp(1j * k * (np.asarray(x) - b))
-            out = np.empty((len(e), 2, 1), dtype=complex)
-            out[:, 0, 0] = e
-            out[:, 1, 0] = k1 * e
-            return out
-
-        def cols_dx(x):
-            e = 1j * k * np.exp(1j * k * (np.asarray(x) - b))
-            out = np.empty((len(e), 2, 1), dtype=complex)
-            out[:, 0, 0] = e
-            out[:, 1, 0] = k1 * e
-            return out
-
-        return AnalyticKernel(
-            columns=cols,
-            columns_dx=cols_dx,
-            domain=(b, np.inf),
-            value_dim=2,
-            decay_rate=k.imag,
-            label="Dirac half-line spinor kernel",
-        )
-    if f == "dirac-interval":
-        c = spec.c
-        s = 0.5 * c * c
-        k1 = hg.dirac_k1(z, c)
-        k = hg.dirac_k(z, c)
-        nu, dd = spec.midpoint, spec.half_length
-        ck = np.cos(k * dd)
-        s2 = np.sqrt(2.0)
-        small = abs(k) * max(abs(spec.a - nu), abs(spec.b - nu), dd) < _RATIO_CUTOFF
-
-        def cols(x):
-            t = np.asarray(x, dtype=float) - nu
-            out = np.empty((len(t), 2, 2), dtype=complex)
-            out[:, 0, 0] = np.cos(k * t) / (s2 * ck)
-            out[:, 1, 0] = 1j * k1 * np.sin(k * t) / (s2 * ck)
-            if small:
-                # sin(kt)/sin(k dd) -> t/dd and k1*cos/sin(k dd) -> c/((z+s) dd)
-                out[:, 0, 1] = (t / dd) / s2
-                out[:, 1, 1] = -1j * (c / ((z + s) * dd)) * np.cos(k * t) / s2
-            else:
-                sk = np.sin(k * dd)
-                out[:, 0, 1] = np.sin(k * t) / (s2 * sk)
-                out[:, 1, 1] = -1j * k1 * np.cos(k * t) / (s2 * sk)
-            return out
-
-        return AnalyticKernel(
-            columns=cols,
-            domain=(spec.a, spec.b),
-            value_dim=2,
-            label="Dirac interval spinor kernels",
-        )
-    # full-line contact
-    wl = hg.sqrt_cut(z - spec.v_l)
-    wr = hg.sqrt_cut(z - spec.v_r)
-
-    def cols(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((len(x), 1, 2), dtype=complex)
-        left = x <= 0
-        out[left, 0, 0] = np.exp(-1j * wl * x[left])
-        out[~left, 0, 1] = np.exp(1j * wr * x[~left])
-        # both columns share the contact value at x = 0
-        out[x == 0, 0, 1] = 1.0
-        return out
-
-    def cols_dx(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((len(x), 1, 2), dtype=complex)
-        left = x <= 0
-        out[left, 0, 0] = -1j * wl * np.exp(-1j * wl * x[left])
-        out[~left, 0, 1] = 1j * wr * np.exp(1j * wr * x[~left])
-        out[x == 0, 0, 1] = 1j * wr
-        return out
-
-    return AnalyticKernel(
-        columns=cols,
-        columns_dx=cols_dx,
-        domain=(-np.inf, np.inf),
-        decay_rate=min(wl.imag, wr.imag),
-        split_points=(0.0,),
-        label="two-lead contact kernels",
-    )
+    fam = FAMILY_TABLE[spec.family]
+    return AnalyticKernel(value_dim=fam.value_dim, **fam.kernel(spec, complex(z)))
 
 
 def build_triplet(spec):
@@ -355,53 +371,10 @@ def gamma_boundary_data(spec, z):
     Weyl-function formulas — so that comparing the result against
     (I, M(z)) is a genuine cross-check of the catalogue.
     """
-    z = complex(z)
     kern = _gamma_kernel(spec, z)
-    f = spec.family
-    s2 = np.sqrt(2.0)
-    if f == "schrodinger-right":
-        pts = np.array([spec.b])
-        G0 = kern.values(pts)[0, 0, :][None, :]
-        G1 = kern.columns_dx(pts)[0, 0, :][None, :]
-        return G0, G1
-    if f == "schrodinger-left":
-        pts = np.array([spec.a])
-        G0 = kern.values(pts)[0, 0, :][None, :]
-        G1 = -kern.columns_dx(pts)[0, 0, :][None, :]
-        return G0, G1
-    if f == "schrodinger-interval":
-        pts = np.array([spec.a, spec.b])
-        vals = kern.values(pts)[:, 0, :]  # (2 pts, 2 cols)
-        ders = kern.columns_dx(pts)[:, 0, :]
-        fa, fb = vals[0], vals[1]
-        da, db = ders[0], ders[1]
-        G0 = np.vstack([(fb + fa) / s2, (fb - fa) / s2])
-        G1 = np.vstack([(da - db) / s2, -(da + db) / s2])
-        return G0, G1
-    if f == "dirac-right":
-        pts = np.array([spec.b])
-        vals = kern.values(pts)[0]  # (2, 1)
-        G0 = vals[0, :][None, :]
-        G1 = (1j * spec.c) * vals[1, :][None, :]
-        return G0, G1
-    if f == "dirac-interval":
-        pts = np.array([spec.a, spec.b])
-        vals = kern.values(pts)  # (2 pts, 2 spinor, 2 cols)
-        f1a, f1b = vals[0, 0, :], vals[1, 0, :]
-        g1a = 1j * spec.c * vals[0, 1, :]  # Gamma1 trace at a
-        g1b = -1j * spec.c * vals[1, 1, :]  # and at b
-        G0 = np.vstack([(f1b + f1a) / s2, (f1b - f1a) / s2])
-        G1 = np.vstack([(g1b + g1a) / s2, (g1b - g1a) / s2])
-        return G0, G1
-    # full-line contact: one-sided traces at the contact point (the
-    # kernel arrays carry the left column's -0 limit and the right
-    # column's +0 limit at x = 0; the cross supports vanish identically)
-    pts = np.array([0.0])
-    vals = kern.values(pts)[0, 0, :]
-    ders = kern.columns_dx(pts)[0, 0, :]
-    G0 = np.diag(vals).astype(complex)
-    G1 = np.diag([-ders[0], ders[1]]).astype(complex)
-    return G0, G1
+    x = np.array([p for p in (*kern.domain, *kern.split_points) if np.isfinite(p)])
+    ders = None if kern.columns_dx is None else kern.columns_dx(x)
+    return FAMILY_TABLE[spec.family].traces(spec, kern.values(x), ders)
 
 
 def eval_gamma_on_grid(triplet, z, boundary_vector, grid):
@@ -421,7 +394,8 @@ def verify_defect_equation(spec, z, grid, xi=None):
     ``grid`` must be uniform and inside the spec's spatial domain.
     Schrodinger families use the centered second difference; Dirac
     families the centered first-order system residual.  Stencils
-    straddling the full-line contact point are skipped.
+    touching a split point of the kernel (the full-line contact point)
+    are skipped.
     """
     z = complex(z)
     grid = np.asarray(grid, dtype=float)
@@ -433,28 +407,11 @@ def verify_defect_equation(spec, z, grid, xi=None):
     if xi is None:
         xi = np.ones(d) / np.sqrt(d)
     u = kern.values(grid, np.asarray(xi, dtype=complex))  # (n, value_dim)
-    f = spec.family
-    if f.startswith("dirac"):
-        c = spec.c
-        s = 0.5 * c * c
-        u1, u2 = u[:, 0], u[:, 1]
-        d1 = (u1[2:] - u1[:-2]) / (2 * h)
-        d2 = (u2[2:] - u2[:-2]) / (2 * h)
-        r1 = -1j * c * d2 + (s - z) * u1[1:-1]
-        r2 = -1j * c * d1 - (s + z) * u2[1:-1]
-        return float(max(np.abs(r1).max(), np.abs(r2).max()))
-    if f == "full-line-contact":
-        pot = np.where(grid < 0, spec.v_l, spec.v_r)
-    else:
-        pot = np.full(len(grid), spec.v)
-    uu = u[:, 0]
-    lap = (uu[2:] - 2 * uu[1:-1] + uu[:-2]) / (h * h)
-    res = -lap + (pot[1:-1] - z) * uu[1:-1]
-    if f == "full-line-contact":
-        # exclude stencils touching the contact kink at x = 0
-        keep = np.abs(grid[1:-1]) > 1.5 * abs(h)
-        res = res[keep]
-    return float(np.abs(res).max())
+    res = np.abs(FAMILY_TABLE[spec.family].defect(spec, z, grid, u, h))
+    keep = np.ones(len(res), dtype=bool)
+    for p in kern.split_points:
+        keep &= np.abs(grid[1:-1] - p) > 1.5 * abs(h)
+    return float(res[keep].max())
 
 
 def interval_weyl_poles(spec, count=4):

@@ -297,11 +297,7 @@ class DenseToyTriplet:
         return worst
 
     def as_triplet(self):
-        weyl = WeylFunction(
-            self.d,
-            self.weyl_mat,
-            resolvent_set_hint="C minus spec(A0) (dense Hermitian)",
-        )
+        weyl = WeylFunction(self.d, self.weyl_mat)
         gamma = GammaField(self.d, lambda z: DenseMatrix(self.gamma_mat(z)))
         return BoundaryTriplet(
             weyl=weyl,

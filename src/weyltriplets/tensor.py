@@ -178,12 +178,7 @@ def tensor_weyl_bounded(base_weyl, measure):
             ]
             return _assemble(blocks, slots, d, total)
 
-    return WeylFunction(
-        d * total,
-        ev,
-        derivative=deriv,
-        resolvent_set_hint="base resolvent set shifted by each atom",
-    )
+    return WeylFunction(d * total, ev, derivative=deriv)
 
 
 def tensor_gamma_bounded(base_gamma, measure):
@@ -309,7 +304,7 @@ def tensor_quasi_scalar(base_ms, measure):
         ]
         return np.diag(np.repeat(np.array(vals, dtype=complex), reps))
 
-    return WeylFunction(n, ev, resolvent_set_hint="entrywise scalar shifts")
+    return WeylFunction(n, ev)
 
 
 def friedrichs_krein_tensor_check(

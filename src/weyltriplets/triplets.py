@@ -103,7 +103,6 @@ class WeylFunction:
     dim: int
     eval: object  # callable z -> (dim, dim) array
     derivative: object = None  # optional callable z -> (dim, dim) array
-    resolvent_set_hint: str = ""
 
     def __call__(self, z):
         out = np.atleast_2d(np.asarray(self.eval(z), dtype=complex))
@@ -166,7 +165,6 @@ class AnalyticKernel:
     decay_rate: float = None
     split_points: tuple = ()
     columns_dx: object = None
-    label: str = ""
 
     @property
     def dim(self):
@@ -526,11 +524,7 @@ def _rescaled(triplet, mode, anchor):
     lk = LKernel(triplet.weyl, mode, anchor)
     W, _, _ = lk.weights(0.0)
     return BoundaryTriplet(
-        weyl=WeylFunction(
-            triplet.dim,
-            lambda z: lk.at(z, 0.0),
-            resolvent_set_hint=triplet.weyl.resolvent_set_hint,
-        ),
+        weyl=WeylFunction(triplet.dim, lambda z: lk.at(z, 0.0)),
         gamma=GammaField(triplet.dim, lambda z: triplet.gamma(z).postmultiply(W)),
         label=triplet.label,
         normalized=mode == "imag",

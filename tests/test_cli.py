@@ -8,6 +8,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -343,18 +344,32 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, task, text, key, line):
 @pytest.mark.parametrize("task, text, msg", [
     ("weyl-sample", "model.family = dirac-interval\ngrid.z_list = 1e308+1e308j\n",
      "not finite"),
-    ("gamma-sample", "model.family = dirac-interval\ngamma.z = 1e4j\n"
-     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", "non-finite result"),
-    ("gamma-sample", "model.family = schrodinger-interval\ngamma.z = 1e7j\n"
-     "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n", "non-finite result"),
     ("jc-run", "jc.alpha = 0\njc.beta = 1e308\njc.tau = 1\njc.N = 1\n", "C~_JC"),
-], ids=["dirac-interval-z", "dirac-interval-gamma", "schrodinger-interval-gamma",
-        "jc-overflow"])
+], ids=["dirac-interval-z", "jc-overflow"])
 def test_non_finite_results_fail_cleanly(tmp_path, capsys, task, text, msg):
     cfg = write(tmp_path, "of.cfg", text)
     rc, out, err = run(capsys, [task, "--config", cfg])
     assert rc == 3 and out == ""
     assert msg in err
+
+
+# cos and sin of w dd overflow here; the kernel ratios themselves are bounded
+@pytest.mark.parametrize("text", [
+    "model.family = dirac-interval\ngamma.z = 1e4j\n"
+    "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n",
+    "model.family = schrodinger-interval\ngamma.z = 1e7j\n"
+    "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n",
+], ids=["dirac-interval-gamma", "schrodinger-interval-gamma"])
+def test_interval_gamma_sample_finite_at_large_imaginary_z(tmp_path, capsys, text):
+    cfg = write(tmp_path, "big.cfg", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, ["gamma-sample", "--config", cfg])
+    assert (rc, err) == (0, "")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    values = _numbers(out)
+    assert len(values) == 3 * (1 + 2 * 2 * (2 if "dirac" in text else 1))
+    assert all(math.isfinite(x) for x in values)
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["table", "csv"])
@@ -552,7 +567,10 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
 
 
 # the five ops of the grid-sweep benchmark at small sizes (its seed-0
-# parameters), except 130 x 130 Krein points, which span several render blocks
+# parameters), except 130 x 130 Krein points, which span several render blocks;
+# then weyl-sample and gamma-sample on every other family (with the removable
+# points z = v and z = c^2/2 of the intervals) and krein-kernel on every other
+# scalar family
 _GRID_SWEEP_OPS = {
     "jc-weyl": ("weyl-sample", [], (
         "jc.alpha = 0.344422\njc.beta = 1.709545\njc.gamma_re = -0.031771\n"
@@ -573,6 +591,66 @@ _GRID_SWEEP_OPS = {
         "model.family = schrodinger-interval\nmodel.v = -0.055715\nmodel.a = -1.0\n"
         "model.b = 1.0\ngamma.z = -1.597195+0.821006j\ngrid.x_min = -1.0\n"
         "grid.x_max = 1.0\ngrid.x_n = 12\n")),
+    "weyl-schrodinger-right": ("weyl-sample", [], (
+        "model.family = schrodinger-right\nmodel.v = 0.3\nmodel.b = 0.5\n"
+        "grid.z_list = 1j, -1+0.5j, 2-1j, -0.7\n")),
+    "weyl-schrodinger-left": ("weyl-sample", [], (
+        "model.family = schrodinger-left\nmodel.v = -0.2\nmodel.a = 0.25\n"
+        "grid.z_list = 1j, -1+0.5j, 2-1j, -0.7\n")),
+    "weyl-dirac-right": ("weyl-sample", [], (
+        "model.family = dirac-right\nmodel.c = 1.3\nmodel.b = 0.5\n"
+        "grid.z_list = 1j, -1+0.5j, 2-1j, 0.3\n")),
+    "weyl-dirac-interval": ("weyl-sample", [], (
+        "model.family = dirac-interval\nmodel.c = 1.0\nmodel.a = -1.0\nmodel.b = 1.0\n"
+        "grid.z_list = 1j, -1+0.5j, 2-1j, 0.5, 0.2\n")),
+    "weyl-full-line-contact": ("weyl-sample", [], (
+        "model.family = full-line-contact\nmodel.v_l = 1.0\nmodel.v_r = 0.5\n"
+        "grid.z_list = 1j, -1+0.5j, 2-1j, -0.7\n")),
+    "gamma-schrodinger-right": ("gamma-sample", [], (
+        "model.family = schrodinger-right\nmodel.v = 0.3\nmodel.b = 0.5\n"
+        "gamma.z = -1+0.5j\ngrid.x_min = 0.5\ngrid.x_max = 3.0\ngrid.x_n = 7\n")),
+    "gamma-schrodinger-left": ("gamma-sample", [], (
+        "model.family = schrodinger-left\nmodel.v = -0.2\nmodel.a = 0.25\n"
+        "gamma.z = 2-1j\ngrid.x_min = -3.0\ngrid.x_max = 0.25\ngrid.x_n = 7\n")),
+    "gamma-schrodinger-interval-at-v": ("gamma-sample", [], (
+        "model.family = schrodinger-interval\nmodel.v = 0.2\nmodel.a = -1.0\n"
+        "model.b = 0.5\ngamma.z = 0.2\ngrid.x_min = -1.0\ngrid.x_max = 0.5\ngrid.x_n = 7\n")),
+    "gamma-schrodinger-interval-near-v": ("gamma-sample", [], (
+        "model.family = schrodinger-interval\nmodel.v = 0.2\nmodel.a = -1.0\n"
+        "model.b = 0.5\ngamma.z = 0.2+1e-14j\ngrid.x_min = -1.0\ngrid.x_max = 0.5\n"
+        "grid.x_n = 7\n")),
+    "gamma-schrodinger-interval-2e5j": ("gamma-sample", [], (
+        "model.family = schrodinger-interval\nmodel.v = 0.0\nmodel.a = -1.0\n"
+        "model.b = 1.0\ngamma.z = 2e5j\ngrid.x_min = -1.0\ngrid.x_max = 1.0\ngrid.x_n = 7\n")),
+    "gamma-dirac-right": ("gamma-sample", [], (
+        "model.family = dirac-right\nmodel.c = 1.3\nmodel.b = 0.5\n"
+        "gamma.z = -1+0.5j\ngrid.x_min = 0.5\ngrid.x_max = 3.0\ngrid.x_n = 7\n")),
+    "gamma-dirac-interval": ("gamma-sample", [], (
+        "model.family = dirac-interval\nmodel.c = 1.0\nmodel.a = -1.0\nmodel.b = 1.0\n"
+        "gamma.z = 2+1j\ngrid.x_min = -1.0\ngrid.x_max = 1.0\ngrid.x_n = 7\n")),
+    "gamma-dirac-interval-at-s": ("gamma-sample", [], (
+        "model.family = dirac-interval\nmodel.c = 1.0\nmodel.a = -1.0\nmodel.b = 1.0\n"
+        "gamma.z = 0.5\ngrid.x_min = -1.0\ngrid.x_max = 1.0\ngrid.x_n = 7\n")),
+    "gamma-dirac-interval-near-s": ("gamma-sample", [], (
+        "model.family = dirac-interval\nmodel.c = 1.0\nmodel.a = -1.0\nmodel.b = 1.0\n"
+        "gamma.z = 0.5+1e-14j\ngrid.x_min = -1.0\ngrid.x_max = 1.0\ngrid.x_n = 7\n")),
+    "gamma-full-line-contact": ("gamma-sample", [], (
+        "model.family = full-line-contact\nmodel.v_l = 1.0\nmodel.v_r = 0.5\n"
+        "gamma.z = -1+0.5j\ngamma.xi = 0.5-1j, 2\ngrid.x_min = -2.0\ngrid.x_max = 2.0\n"
+        "grid.x_n = 9\n")),
+    "krein-schrodinger-right": ("krein-kernel", [], (
+        "model.family = schrodinger-right\nmodel.v = 0.3\nmodel.b = 0.5\n"
+        "krein.z = -1+0.5j\nkrein.variant = operator\nkrein.theta = 0.7\n"
+        "grid.x_min = 0.5\ngrid.x_max = 3.0\ngrid.x_n = 6\n")),
+    "krein-schrodinger-left": ("krein-kernel", [], (
+        "model.family = schrodinger-left\nmodel.v = -0.2\nmodel.a = 0.25\n"
+        "krein.z = 2-1j\nkrein.variant = theta0\n"
+        "grid.x_min = -3.0\ngrid.x_max = 0.25\ngrid.x_n = 6\n")),
+    "krein-schrodinger-interval": ("krein-kernel", [], (
+        "model.family = schrodinger-interval\nmodel.v = 0.2\nmodel.a = -1.0\nmodel.b = 0.5\n"
+        "krein.z = -1+0.5j\nkrein.variant = operator\n"
+        "krein.entries = 1, 0.2+0.1j, 0.2-0.1j, -0.5\n"
+        "grid.x_min = -1.0\ngrid.x_max = 0.5\ngrid.x_n = 6\n")),
 }
 
 _GRID_SWEEP_SHA256 = {
@@ -586,6 +664,78 @@ _GRID_SWEEP_SHA256 = {
     ("krein-kernel", "json"): "c443f90a1fa11afc3b0cffa479dc1772c1d369f3ae9c7632f28d3c7ca4bae59b",
     ("gamma-sample", "csv"): "bc93bfb560b0361e27b98411194f2942d9e0a3a234ec4f337181289f8c0bdc7c",
     ("gamma-sample", "json"): "517a028bb24bcbadb5e6b93d3efa777c43d3c8e4c2b9fe6ffec82b72cf31df75",
+    ("weyl-schrodinger-right", "csv"):
+        "52798a909f9b147834f79ae6a9b40b6945a4a327dddaf31f67819b16c43a687b",
+    ("weyl-schrodinger-right", "json"):
+        "cd3d613a43586f7d54225c46e3cfb5de42039291c02d230eb86b8d5db8096433",
+    ("weyl-schrodinger-left", "csv"):
+        "95f2051a8e9298bbb796b9b5cd6ed3d01fdf80aca47399078cb7fadee54ceda3",
+    ("weyl-schrodinger-left", "json"):
+        "51e6bde080661c61220b9a7720eccee7a1521ebbfc6945f2317454446e2e1217",
+    ("weyl-dirac-right", "csv"):
+        "aadeed97bff9e1ede41af8e6506b83cae5d1da2f630c473264de56cc1c561c3f",
+    ("weyl-dirac-right", "json"):
+        "c0c54db19f2f481f54e2c41d72a62bcc4645d757b5cc006a2dccdaa639b62f8d",
+    ("weyl-dirac-interval", "csv"):
+        "ce2b9847b5554e70568a291f46e37af08d67e938ed8885db1fafeb53f86f4edb",
+    ("weyl-dirac-interval", "json"):
+        "78f0bd944e44ddafc4331f328893fc3d3a37be922a7d00a87fd2144c487d30d1",
+    ("weyl-full-line-contact", "csv"):
+        "282b97f8586a4222c71b8a1c49625e469fdbabb1f73ef256f3af21c52f5c7dc5",
+    ("weyl-full-line-contact", "json"):
+        "b11f2dc79a98ae5db6d122ade46f7cb4dceccc79f57b83423cc22c2ecb3f9bd7",
+    ("gamma-schrodinger-right", "csv"):
+        "c129824206c128aae452a35b3fe72bc1275be5fc3a40aa259f9f275518a9b9b3",
+    ("gamma-schrodinger-right", "json"):
+        "d59dbd6d4d1e58fbe7a0b1879fa571db9a89532676dbc7caab8497640fdb64e8",
+    ("gamma-schrodinger-left", "csv"):
+        "3a8f6308e1c4bcbc711ef84fd247b0f19e4bb560d1cc372d98749e3c2e890587",
+    ("gamma-schrodinger-left", "json"):
+        "3827945cb86727f659c9c2cdc63cca7bdf4530adc8b76bfd87dbc547dcbc2d7f",
+    ("gamma-schrodinger-interval-at-v", "csv"):
+        "dc11bec8326e6468b3b4093d078ef15e5b36a8cc80a11052fcdfe50a17b8443c",
+    ("gamma-schrodinger-interval-at-v", "json"):
+        "b2651f5058ac95101c3d1bf97ab6761b987515b87daa3290e87948551f224f06",
+    ("gamma-schrodinger-interval-near-v", "csv"):
+        "541c96625842f4fd2d80cfea9ef3d3198771c4bea50644f95d9616ff3324b175",
+    ("gamma-schrodinger-interval-near-v", "json"):
+        "e184c90f92c77d98173e7391599f6c124c42bcb4d353b322707b346f0e34a620",
+    ("gamma-schrodinger-interval-2e5j", "csv"):
+        "c500efdb19388830b6ab2c2f19ea620268278d1f10b0ad12794186ce0a26bda7",
+    ("gamma-schrodinger-interval-2e5j", "json"):
+        "a1163fe21a0bee7bba04c1aa9199e4f0ab9c99284a582d805dc3a4a061e5dd5e",
+    ("gamma-dirac-right", "csv"):
+        "deddab95ae3f3a062b9d6200da7506915959e7e3178397b77adc9a0a6d2d8ed7",
+    ("gamma-dirac-right", "json"):
+        "850ecac08283f49c74c3b1abc1bea941f6d23ad0bc20c59ced7ed0f818d9f558",
+    ("gamma-dirac-interval", "csv"):
+        "36639ae7a2206df6e8b71b6ceaf2957329eee69b6c3dd17535d2e878d0b4d030",
+    ("gamma-dirac-interval", "json"):
+        "5b5a5b602052c9c413c1839a2d9b3dd1c05a03ec82b8f21694fedeb690c862d0",
+    ("gamma-dirac-interval-at-s", "csv"):
+        "3eb29212e892913b822cce866ed7d39698153f6606c11dc2ca64031007b83c0c",
+    ("gamma-dirac-interval-at-s", "json"):
+        "283cdc6f764a4fb0881db1801f693961a6962b4534dbbca7faab2edf265d800b",
+    ("gamma-dirac-interval-near-s", "csv"):
+        "24a4e318dcd4df92c4653261a0b8892a0d5c4fed6d0bb2d709d6b5ef3ca6d76a",
+    ("gamma-dirac-interval-near-s", "json"):
+        "8cf1e44c159b8feb3a396ada02ed14b8092c2c16f975790978e54f7cc657a374",
+    ("gamma-full-line-contact", "csv"):
+        "60cc187ff089aaaaae8316f6e7a90aa68d35c09f5cfcbc23fef0810f6159b5d1",
+    ("gamma-full-line-contact", "json"):
+        "5d5f4893897a27ac6d488af5070070122f08c1daa75a2411f1fc35e181a7d14c",
+    ("krein-schrodinger-right", "csv"):
+        "a438f7d4112d8a374a886a8eaa89d3e788936c2cfe5541b0d1db350f00dfc570",
+    ("krein-schrodinger-right", "json"):
+        "f18bb0e8dd4b0367c2b687f3ec068434253e2fc0d98019ff31bf8bb3775b66ad",
+    ("krein-schrodinger-left", "csv"):
+        "3240972d0c729dc9fa721fe77d93e16967eee460b711800ffa1750a40aec11fa",
+    ("krein-schrodinger-left", "json"):
+        "31a4466e15e14b71b77528dc7dc7dabbd90180f5bb06c85a34772387ba9d8595",
+    ("krein-schrodinger-interval", "csv"):
+        "da89b0fd1d1490876f667819b968ad47ba26a99428b47de0c9fd2120b71fde4e",
+    ("krein-schrodinger-interval", "json"):
+        "b7cf1af999b6aa1301b591a33b21bb158d239fc13ff92dbf34778914a6aa0c40",
 }
 
 

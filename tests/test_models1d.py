@@ -40,13 +40,37 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
-@pytest.mark.parametrize("z", [2 + 1j, -1 + 0.5j])
+# the last three reach the exp-scaled forms of the interval kernels
+@pytest.mark.parametrize("z", [2 + 1j, -1 + 0.5j, 1e4j, 1e7j, 5 + 1e6j])
 def test_gamma_boundary_data_is_identity_and_weyl(spec, z):
     G0, G1 = m1.gamma_boundary_data(spec, z)
     t = m1.build_triplet(spec)
     n = t.dim
     assert np.abs(np.asarray(G0) - np.eye(n)).max() < 1e-12
     assert np.abs(np.asarray(G1) - t.weyl(z)).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec, z", [
+    (m1.schrodinger_interval(v=0.2, a=-1.0, b=1.0), 0.2 + 2j * 349.9 ** 2),
+    (m1.schrodinger_interval(v=0.0, a=-3.0, b=0.5), 7 + 2j * (349.9 / 1.75) ** 2),
+    (m1.dirac_interval(c=1.0, a=-1.0, b=1.0), 349.9j),
+    (m1.dirac_interval(c=1.7, a=-0.3, b=2.0), 3 + 1.7j * 349.9 / 1.15),
+], ids=["schrodinger", "schrodinger-offset", "dirac", "dirac-offset"])
+def test_interval_kernel_scaled_forms_match_direct_below_cutoff(monkeypatch, spec, z):
+    # Im(w) dd is just below the cutoff, so the default is the direct form;
+    # a zero cutoff forces the exp-scaled form at the same point
+    def columns(cutoff):
+        monkeypatch.setattr(m1, "_SCALED_CUTOFF", cutoff)
+        kern = m1.build_triplet(spec).gamma(z)
+        x = np.linspace(spec.a, spec.b, 201)
+        fns = [kern.columns] + ([kern.columns_dx] if kern.columns_dx else [])
+        return [f(x) for f in fns]
+
+    direct, scaled = columns(m1._SCALED_CUTOFF), columns(0.0)
+    for d, s in zip(direct, scaled):
+        # relative to each column's largest value, which sits at an end
+        scale = np.abs(d).max(axis=0)
+        assert np.all(np.abs(d - s).max(axis=0) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
