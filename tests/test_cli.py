@@ -563,7 +563,7 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
     rc, out, _ = run(capsys, ["jc-run", "--config", cfg])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2339d52b8e4191b839e9065febb75c36e7f5253ff033972b11f037f19c39944a")
+        "7ba6c1cd040bde12f8b1e4329dc3e6cf0793911ea2d76ad25a5fa55f4c2228b2")
 
 
 # the five ops of the grid-sweep benchmark at small sizes (its seed-0

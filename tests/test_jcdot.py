@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import subspace_angles
 
 from weyltriplets import herglotz as hg
 from weyltriplets import jcdot as jd
@@ -236,6 +238,67 @@ def test_kernel_equivalence(models):
         assert ke["max_principal_angle"] < 1e-12
         assert ke["transform_residual"] < 1e-12
         assert ke["null_dim"] == m.boundary_dim
+
+
+def _unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@pytest.mark.parametrize("m", [6, 60])
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-6, 1e-2, 0.7, np.pi / 2 - 1e-3])
+def test_largest_angle_to_kernel_planted(m, theta):
+    # m-dimensional A, B in C^{2m} with principal angles in [0, theta], the
+    # largest exactly theta; each given in a random unitary frame, B as the
+    # kernel of a matrix whose rows span its complement
+    rng = np.random.default_rng(int(1e3 * m + 1e6 * theta))
+    U = _unitary(rng, 2 * m)
+    angles = rng.uniform(0.0, theta, m)
+    angles[rng.integers(m)] = theta
+    c, s = np.cos(angles), np.sin(angles)
+    A = U[:, :m] @ _unitary(rng, m)
+    B = (U[:, :m] * c + U[:, m:] * s) @ _unitary(rng, m)
+    M = _unitary(rng, m) @ (U[:, m:] * c - U[:, :m] * s).conj().T
+    assert np.abs(M @ B).max() < 1e-14
+    reference = subspace_angles(A, B).max()
+    got = jd._largest_angle_to_kernel(A, M)
+    assert abs(got - reference) < 1e-12
+    assert abs(got - theta) < 1e-12
+    assert abs(reference - theta) < 1e-12
+
+
+def test_kernel_equivalence_detects_shifted_Q(models, monkeypatch):
+    # with Q + 1e-6 I in M2 only, M2 != R^{-1} M1 and the kernels differ
+    for m in models.values():
+        assert jd.kernel_equivalence(m)["max_principal_angle"] < 1e-12
+    build = jd.build_R_Q
+
+    def shifted(model):
+        R, Q = build(model)
+        return R, Q + 1e-6 * np.eye(model.boundary_dim)
+
+    monkeypatch.setattr(jd, "build_R_Q", shifted)
+    for m in models.values():
+        assert jd.kernel_equivalence(m)["max_principal_angle"] > 1e-10
+
+
+def test_kernel_equivalence_makes_at_most_two_svds(models, monkeypatch):
+    # every binding of svd that kernel_equivalence can reach: the public
+    # names, the ones scipy's null_space/orth/svdvals and numpy's norm call,
+    # and jcdot's own import
+    calls = []
+    for mod in dict.fromkeys((scipy.linalg, scipy.linalg._decomp_svd, np.linalg,
+                              getattr(np.linalg, "_linalg", np.linalg), jd)):
+        if hasattr(mod, "svd"):
+            def counted(*args, _svd=getattr(mod, "svd"), **kwargs):
+                calls.append(1)
+                return _svd(*args, **kwargs)
+            monkeypatch.setattr(mod, "svd", counted)
+    for m in models.values():
+        calls.clear()
+        jd.kernel_equivalence(m)
+        assert 1 <= len(calls) <= 2
 
 
 def test_correction_shape_and_adjoint_symmetry():
