@@ -22,6 +22,10 @@ which coincide entrywise with sqrt(Im m(i - T; v)) and Re m(i - T; v)
 of the lead Weyl coefficients (the construction aborts if the two
 routes disagree).
 
+The leads have one normalized Weyl function M^S, built from the same
+anchors m(i - k; v) that check R and Q, so ``dot_resolvent_correction``
+and ``decoupling_report`` invert the same C~_JC - M^S(z).
+
 Ordering convention: boundary/dot index outer, Fock index inner,
 everywhere; C_JC is emitted in the dot eigenbasis, C~_JC in the site
 (lead) basis since R and Q live there.  ``jacobi_reorder`` is the only
@@ -31,7 +35,7 @@ The usual parameter regime has 0 <= v_r <= v_l; this is recorded as a
 convention only and deliberately not enforced (nothing below needs it).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,8 +45,8 @@ from . import herglotz as hg
 from ._linalg import solve_guarded
 from .models1d import build_triplet, full_line_contact
 from .spectral import SpectralMeasurePP
-from .tensor import tensor_normalized, tensor_quasi_scalar
-from .triplets import BoundaryCondition, krein_correction
+from .tensor import tensor_normalized
+from .triplets import BoundaryCondition, WeylFunction, krein_correction
 
 __all__ = [
     "FockTruncation",
@@ -155,12 +159,12 @@ class TwoLevelDot:
 class JCModel:
     """Two leads (v_l, v_r >= 0), a two-level dot, JC coupling tau.
 
-    The model owns its derived matrices, each built on first use and
+    The model owns its derived objects, each built on first use and
     cached (``functools.cached_property``) for every function below:
-    ``CJC``, ``site_CJC``, ``rq``, ``Rinv``, ``tilde_CJC``, ``lead_weyl``
-    and ``normalized_leads``.  Cached arrays are read-only.  An exception
-    is never cached, so ``Rinv`` and ``tilde_CJC`` raise on every access
-    while the closed-form R, Q is inconsistent.
+    ``CJC``, ``site_CJC``, ``anchors``, ``rq``, ``Rinv``, ``tilde_CJC``,
+    ``lead_weyl`` and ``lead_triplet``.  Cached arrays are read-only.  An
+    exception is never cached, so ``Rinv`` and ``tilde_CJC`` raise on
+    every access while the closed-form R, Q is inconsistent.
     """
 
     v_l: float
@@ -194,16 +198,23 @@ class JCModel:
         return _read_only(W @ self.CJC @ W.conj().T)
 
     @cached_property
+    def anchors(self):
+        """The lead Weyl coefficients a = m(i - k; v) over (side, Fock level),
+        evaluated once for both ``rq``'s check and ``lead_weyl``."""
+        return _read_only(np.array([hg.m_schrodinger_halfline(1j - k, v)
+                                    for v in (self.v_l, self.v_r)
+                                    for k in range(self.fock.dim)]))
+
+    @cached_property
     def rq(self):
         """(r, q, deviation): the closed-form diagonals of R and Q over
         (side, Fock level), and their worst entrywise deviation from the
-        generic path sqrt(Im m(i - k; v)), Re m(i - k; v)."""
+        generic path sqrt(Im a), Re a of the ``anchors``."""
         sides, k = (self.v_l, self.v_r), np.arange(self.fock.dim)
         Z = np.concatenate([z_value(v, k) for v in sides])
         r = 2.0 ** (-0.25) / np.sqrt(Z)
         q = -(2.0 ** (-0.5)) * Z
-        m = np.array([hg.m_schrodinger_halfline(1j - kk, v)
-                      for v in sides for kk in range(self.fock.dim)])
+        m = self.anchors
         dev = np.concatenate([np.abs(np.sqrt(m.imag) - r), np.abs(m.real - q)])
         # fmax skips NaN like a running Python max seeded with 0.0
         return _read_only(r), _read_only(q), float(np.fmax.reduce(dev, initial=0.0))
@@ -223,29 +234,39 @@ class JCModel:
     def tilde_CJC(self):
         """C~_JC = R^{-1}(C_JC - Q)R^{-1} in the site basis."""
         Rinv, Q = self.Rinv, np.diag(self.rq[1])
-        ct = Rinv @ (self.site_CJC - Q) @ Rinv
+        # an overflow here is reported by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            ct = Rinv @ (self.site_CJC - Q) @ Rinv
         if not np.isfinite(ct).all():
             raise ArithmeticError("C~_JC is not finite (overflow in R^-1 (C_JC - Q) R^-1)")
         return _read_only(ct)
 
     @cached_property
     def lead_weyl(self):
-        """Normalized Weyl function of the tensored two-lead triplet.
+        """Normalized Weyl function M^S of the tensored two-lead triplet.
 
-        diag over (side, Fock level) of (m(z - k; v) - Re m(i - k; v)) /
-        Im m(i - k; v), identically iI at z = i.  This scalar route agrees
-        to ~1e-13 with the matrix route W (M - S) W of ``normalized_leads``,
-        which carries the gamma weights the Krein correction needs.
+        diag over (side, Fock level) of (m(z - k; v) - Re a) / Im a with a
+        the ``anchors``, in scalar arithmetic; identically iI at z = i.
         """
-        return tensor_quasi_scalar(
-            [lambda z, v=v: hg.m_schrodinger_halfline(z, v) for v in (self.v_l, self.v_r)],
-            SpectralMeasurePP.from_levels(range(self.fock.dim)),
-        )
+        a = self.anchors.tolist()
+        if any(w.imag <= 0 for w in a):
+            raise ValueError("a lead anchor m(i - k; v) has non-positive imaginary part")
+        levels = [(v, k) for v in (self.v_l, self.v_r) for k in range(self.fock.dim)]
+
+        def ev(z):
+            z = complex(z)
+            if z == 1j:
+                return 1j * np.eye(len(a), dtype=complex)
+            return np.diag([(hg.m_schrodinger_halfline(z - k, v) - w.real) / w.imag
+                            for (v, k), w in zip(levels, a)])
+
+        return WeylFunction(len(a), ev)
 
     @cached_property
-    def normalized_leads(self):
-        """The assembled normalized two-lead triplet on the Fock ladder."""
-        return _normalized_lead_triplet(self).assembled
+    def lead_triplet(self):
+        """The normalized two-lead triplet on the Fock ladder: ``lead_weyl``
+        with the gamma-field of the tensor-normalized contact triplet."""
+        return replace(_normalized_lead_triplet(self).assembled, weyl=self.lead_weyl)
 
 
 def _read_only(a):
@@ -377,7 +398,7 @@ def dot_resolvent_correction(model, z, xs, ys=None):
     xs = np.asarray(xs, dtype=float)
     ys = xs if ys is None else np.asarray(ys, dtype=float)
     bc = BoundaryCondition.operator(model.tilde_CJC)
-    corr = krein_correction(model.normalized_leads, bc, z)
+    corr = krein_correction(model.lead_triplet, bc, z)
     n = model.fock.dim
     # undo the scalar squeeze at N = 0 so the shape contract is uniform
     return np.asarray(corr.kernel(xs, ys)).reshape(len(xs), len(ys), n, n)

@@ -145,18 +145,6 @@ def integral_pp(omega, measure):
     return out
 
 
-def _projection_weight(measure, lo, hi, d):
-    """Diagonal 0/1 projection (times I_d per atom slot) onto atoms in [lo, hi)."""
-    total = measure.total_dim
-    diag = np.zeros(d * total)
-    off = 0
-    for lam, dk in measure.atoms:
-        if lo <= lam < hi:
-            diag[off : off + d * dk] = 1.0
-        off += d * dk
-    return diag
-
-
 def integral_riemann(omega, measure, a=None, b=None, tol=1e-10,
                      max_depth=MAX_REFINEMENT_DEPTH):
     """Riemann-Stieltjes integral by partition refinement.
@@ -167,6 +155,11 @@ def integral_riemann(omega, measure, a=None, b=None, tol=1e-10,
     piecewise-constant measures representable here the refinement
     terminates exactly once every atom sits at the left endpoint of its
     cell, at which point the sum equals ``integral_pp``.
+
+    Each atom lies in exactly one cell, so a partial sum is
+    ``integral_pp`` of the Omega that tags each atom with the left
+    endpoint of its cell; Omega is evaluated once per atom, not once per
+    non-empty cell.
     """
     lams = measure.lambdas
     if a is None:
@@ -175,26 +168,13 @@ def integral_riemann(omega, measure, a=None, b=None, tol=1e-10,
         b = float(lams.max()) + 1.0
     if not (a <= lams.min() and lams.max() < b):
         raise ValueError("[a, b) must contain all atoms")
-    d = omega.dim
 
     def riemann_sum(points):
-        s = np.zeros((d * measure.total_dim,) * 2, dtype=complex)
-        for lo, hi in zip(points[:-1], points[1:]):
-            w = _projection_weight(measure, lo, hi, d)
-            if not w.any():
-                continue
-            val = omega(lo)  # left-endpoint tag
-            # Omega(tag) (x) I restricted to the atoms of this cell
-            blk = np.zeros_like(s)
-            off = 0
-            for lam, dk in measure.atoms:
-                if lo <= lam < hi:
-                    blk[off : off + d * dk, off : off + d * dk] = np.kron(
-                        val, np.eye(dk)
-                    )
-                off += d * dk
-            s += blk
-        return s
+        cells = np.searchsorted(points, lams, side="right") - 1
+        tag_of = dict(zip(lams.tolist(), np.asarray(points)[cells]))
+        return integral_pp(
+            OperatorFunctionOnR(omega.dim, lambda lam: omega(tag_of[lam])), measure
+        )
 
     points = list(np.linspace(a, b, 9))
     prev = riemann_sum(points)

@@ -13,8 +13,6 @@ a - lambda below the spectrum), so that the assembled triplet satisfies
 M(i) = iI (resp. M(a) = 0) exactly.  The weights (W, S, C) of every atom
 are computed once and give both the gamma-field weight W and the
 boundary-map transforms G0 = C^{1/2}, G1 = W, G2 = W S.
-``tensor_quasi_scalar`` is the same normalization for a diagonal base
-of scalar entries, done entrywise in scalar arithmetic.
 
 Kronecker ordering is boundary-index outer, atom-slot inner; this is
 part of the public contract (note it differs from the atom-outer
@@ -44,7 +42,6 @@ __all__ = [
     "tensor_weyl_bounded",
     "tensor_gamma_bounded",
     "tensor_normalized",
-    "tensor_quasi_scalar",
     "tensor_positive",
     "friedrichs_krein_tensor_check",
     "growth_certificate",
@@ -274,37 +271,6 @@ def tensor_positive(base, measure, a):
         label="real-point tensor sum at a=%g over %d atoms [%s]"
         % (a, len(measure.atoms), base.label),
     )
-
-
-def tensor_quasi_scalar(base_ms, measure):
-    """Normalized Weyl function for a diagonal base of scalar entries.
-
-    Entry (j, atom k) is (m_j(z-lam_k) - Re m_j(i-lam_k)) / Im m_j(i-lam_k),
-    the scalar normalization applied entrywise; at z = i the result is
-    iI exactly.
-    """
-    _require_window(measure, "quasi-scalar tensor Weyl function")
-    n = len(base_ms) * measure.total_dim
-    lams = [lam for lam, _ in measure.atoms]
-    reps = [dk for _, dk in measure.atoms] * len(base_ms)
-    anchors = [[complex(m(1j - lam)) for lam in lams] for m in base_ms]
-    for j, row in enumerate(anchors):
-        for lam, val in zip(lams, row):
-            if val.imag <= 0:
-                raise ValueError("entry %d has non-positive Im m(i - %g)" % (j, lam))
-
-    def ev(z):
-        z = complex(z)
-        if z == 1j:
-            return 1j * np.eye(n, dtype=complex)
-        vals = [
-            (m(z - lam) - w.real) / w.imag
-            for m, row in zip(base_ms, anchors)
-            for lam, w in zip(lams, row)
-        ]
-        return np.diag(np.repeat(np.array(vals, dtype=complex), reps))
-
-    return WeylFunction(n, ev)
 
 
 def friedrichs_krein_tensor_check(

@@ -353,6 +353,16 @@ def test_non_finite_results_fail_cleanly(tmp_path, capsys, task, text, msg):
     assert msg in err
 
 
+def test_jc_overflow_fails_cleanly_without_warnings(tmp_path, capsys):
+    # the overflow in C~_JC is reported by its finiteness check alone
+    cfg = write(tmp_path, "of.cfg", "jc.alpha = 0\njc.beta = 1e308\njc.tau = 1\njc.N = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, ["jc-run", "--config", cfg])
+    assert rc == 3 and out == ""
+    assert "C~_JC" in err
+
+
 # cos and sin of w dd overflow here; the kernel ratios themselves are bounded
 @pytest.mark.parametrize("text", [
     "model.family = dirac-interval\ngamma.z = 1e4j\n"
@@ -563,7 +573,7 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
     rc, out, _ = run(capsys, ["jc-run", "--config", cfg])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7ba6c1cd040bde12f8b1e4329dc3e6cf0793911ea2d76ad25a5fa55f4c2228b2")
+        "81c040bdcab54ca45ad96d86987bc6b79880429bd5c68aeeab47cf4c28cf7ba4")
 
 
 # the five ops of the grid-sweep benchmark at small sizes (its seed-0

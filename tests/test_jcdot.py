@@ -12,7 +12,12 @@ from weyltriplets.models1d import (
     eval_gamma_on_grid,
     full_line_contact,
 )
-from weyltriplets.triplets import BoundaryCondition, krein_correction
+from weyltriplets._linalg import solve_guarded
+from weyltriplets.triplets import (
+    BoundaryCondition,
+    herglotz_identity_residual,
+    krein_correction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +222,41 @@ def test_weyl_S_matches_tensor_assembly(models):
     for z in (-1.0 + 0.0j, 0.5 + 2.0j, -3.0 - 1.0j):
         Mt = tt.assembled.weyl(z)
         assert np.abs(Mt - jd.weyl_S(m6, z)).max() < 1e-13
+
+
+def test_lead_weyl_scalar_normalization():
+    # entry (side, k) is (m(z - k; v) - Re a) / Im a with a = m(i - k; v),
+    # exactly, on a diagonal that is exactly iI at z = i
+    m = jd.JCModel(1.0, 0.0, jd.TwoLevelDot(0.2, 1.4, 0.1j), 1.2,
+                   jd.FockTruncation(3))
+    n = m.boundary_dim
+    assert np.abs(m.lead_weyl(1j) - 1j * np.eye(n)).max() == 0.0
+    z = -2 + 0.5j
+    M = m.lead_weyl(z)
+    assert np.abs(M - np.diag(np.diag(M))).max() == 0.0
+    for (v, k), entry in (((1.0, 0), M[0, 0]), ((0.0, 2), M[6, 6])):
+        a = hg.m_schrodinger_halfline(1j - k, v)
+        want = (hg.m_schrodinger_halfline(z - k, v) - a.real) / a.imag
+        assert abs(entry - want) == 0.0
+
+
+@pytest.mark.parametrize("N", [3, 20, 60])
+def test_krein_weight_is_decoupling_solve(N):
+    # the correction and the decoupling report invert one C~ - M^S(z)
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(N))
+    bc = BoundaryCondition.operator(m.tilde_CJC)
+    for z in (-1.0 + 0.5j, 2.5 - 0.75j):
+        weight = krein_correction(m.lead_triplet, bc, z).weight
+        want = solve_guarded(m.tilde_CJC - jd.weyl_S(m, z), np.eye(m.boundary_dim))
+        assert np.array_equal(weight, want)
+
+
+def test_lead_triplet_herglotz_identity():
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(3))
+    for z, zeta in ((-1.0 + 0.5j, 0.3 + 2.0j), (2.0 - 1.0j, -0.5 + 0.25j)):
+        assert herglotz_identity_residual(m.lead_triplet, z, zeta) < 1e-10
 
 
 def test_weyl_S_truncation_shared_blocks_exact(models):

@@ -102,23 +102,6 @@ def test_unbounded_source_needs_window(base):
     tn.tensor_normalized(base, windowed)  # certified slice is accepted
 
 
-def test_quasi_scalar_diagonal(measure):
-    ms = [
-        lambda z: hg.m_schrodinger_halfline(z, 1.0),
-        lambda z: hg.m_schrodinger_halfline(z, 0.0),
-    ]
-    qs = tn.tensor_quasi_scalar(ms, measure)
-    n = qs.dim
-    assert n == 2 * measure.total_dim
-    assert np.abs(qs(1j) - 1j * np.eye(n)).max() == 0.0
-    z = -2 + 0.5j
-    M = qs(z)
-    assert np.abs(M - np.diag(np.diag(M))).max() == 0.0
-    w = hg.m_schrodinger_halfline(1j, 1.0)
-    want = (hg.m_schrodinger_halfline(z, 1.0) - w.real) / w.imag
-    assert abs(M[0, 0] - want) == 0.0
-
-
 def test_positive_mode_real_anchor(base, measure):
     tt = tn.tensor_positive(base, measure, -3.0)
     assert tt.mode == tn.MODE_REGULARIZED
