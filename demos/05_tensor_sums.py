@@ -17,8 +17,8 @@ from weyltriplets.models1d import build_triplet, full_line_contact
 
 base = build_triplet(full_line_contact(1.0, 0.0))
 measure = sp.SpectralMeasurePP.from_levels(range(6))
-print("base: %s (boundary dimension %d), measure atoms %s"
-      % (base.label, base.dim, list(measure.lambdas)))
+print("base: full-line-contact (boundary dimension %d), measure atoms %s"
+      % (base.dim, list(measure.lambdas)))
 
 raw = tn.tensor_weyl_bounded(base.weyl, measure)
 tt = tn.tensor_normalized(base, measure)

@@ -65,26 +65,26 @@ def hermitian_funcm(M, fn, floor=None, what="matrix function"):
     return (V * fn(w)) @ V.conj().T
 
 
-def herm_sqrt(M, floor=EIG_FLOOR, what="matrix square root"):
+def herm_sqrt(M, what="matrix square root"):
     """Positive-definite square root of a Hermitian matrix."""
-    return hermitian_funcm(M, np.sqrt, floor=floor, what=what)
+    return hermitian_funcm(M, np.sqrt, floor=EIG_FLOOR, what=what)
 
 
-def herm_inv_sqrt(M, floor=EIG_FLOOR, what="matrix inverse square root"):
+def herm_inv_sqrt(M, what="matrix inverse square root"):
     """Inverse square root of a Hermitian positive definite matrix."""
-    return hermitian_funcm(M, lambda w: 1.0 / np.sqrt(w), floor=floor, what=what)
+    return hermitian_funcm(M, lambda w: 1.0 / np.sqrt(w), floor=EIG_FLOOR, what=what)
 
 
-def solve_guarded(A, B, cond_limit=COND_LIMIT, context=""):
+def solve_guarded(A, B, context=""):
     """Solve A X = B, refusing ill-conditioned systems.
 
-    Raises SingularMatrixError when cond_2(A) exceeds ``cond_limit``;
+    Raises SingularMatrixError when cond_2(A) exceeds ``COND_LIMIT``;
     this signals e.g. an evaluation point approaching the spectrum of
     an extension rather than returning an unusable result.
     """
     A = np.asarray(A, dtype=complex)
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(
             "matrix %s is numerically singular (cond = %.3g)"
             % (context or "in solve", cond)

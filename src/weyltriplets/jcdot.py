@@ -404,13 +404,16 @@ def dot_resolvent_correction(model, z, xs, ys=None):
     return np.asarray(corr.kernel(xs, ys)).reshape(len(xs), len(ys), n, n)
 
 
-def spectrum_report(matrix, cluster_tol=1e-8):
-    """Sorted eigenvalues of a Hermitian matrix with multiplicities."""
+def spectrum_report(matrix):
+    """Sorted eigenvalues of a Hermitian matrix with multiplicities.
+
+    Eigenvalues within 1e-8 of the spectral scale form one cluster.
+    """
     vals = np.linalg.eigvalsh(np.asarray(matrix))
     scale = max(1.0, np.abs(vals).max()) if len(vals) else 1.0
     distinct, mult = [], []
     for v in vals:
-        if distinct and abs(v - distinct[-1]) <= cluster_tol * scale:
+        if distinct and abs(v - distinct[-1]) <= 1e-8 * scale:
             mult[-1] += 1
         else:
             distinct.append(float(v))
@@ -422,8 +425,8 @@ def spectrum_report(matrix, cluster_tol=1e-8):
     }
 
 
-def spectrum_tilde_CJC(model, cluster_tol=1e-8):
-    return spectrum_report(model.tilde_CJC, cluster_tol)
+def spectrum_tilde_CJC(model):
+    return spectrum_report(model.tilde_CJC)
 
 
 def _largest_angle_to_kernel(K, M):

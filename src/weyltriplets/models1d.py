@@ -361,7 +361,7 @@ def build_triplet(spec):
     """BoundaryTriplet of the catalogue entry ``spec``."""
     weyl = _weyl_matrix(spec)
     gamma = GammaField(weyl.dim, lambda z: _gamma_kernel(spec, z))
-    return BoundaryTriplet(weyl=weyl, gamma=gamma, label=spec.family)
+    return BoundaryTriplet(weyl=weyl, gamma=gamma)
 
 
 def gamma_boundary_data(spec, z):

@@ -299,12 +299,7 @@ class DenseToyTriplet:
     def as_triplet(self):
         weyl = WeylFunction(self.d, self.weyl_mat)
         gamma = GammaField(self.d, lambda z: DenseMatrix(self.gamma_mat(z)))
-        return BoundaryTriplet(
-            weyl=weyl,
-            gamma=gamma,
-            label="dense toy n=%d d=%d seed=%d" % (self.n, self.d, self.seed),
-            s0=self.A0,
-        )
+        return BoundaryTriplet(weyl=weyl, gamma=gamma, s0=self.A0)
 
 
 def _crandn(rng, *shape):

@@ -8,14 +8,15 @@ real lambda to a d x d matrix, optionally with a certified growth bound
 ||Omega(lambda)|| <= C0 (1 + |lambda|)^alpha used for improper-integral
 truncation plans.
 
-The spectral integral of Omega against the measure is assembled
-block-diagonally in the *atom-outer* ordering
+The spectral integral of Omega against the measure is the exact sum
 
-    integral = blockdiag_k [ Omega(lambda_k) (x) I_{dim_k} ],
+    integral = sum_k Omega(lambda_k) (x) P_k,
 
-which is exact for atomic measures; a Riemann-Stieltjes refinement
-driver is provided to mirror the partition-limit definition and to
-integrate against piecewise-constant measures given only cell data.
+assembled by ``kron_sum`` in the order of H (x) T: boundary index
+outer, atom slot inner.  ``kron_sum`` is the one assembler of such
+sums; the tensor-sum constructions use it too.  A Riemann-Stieltjes
+refinement driver mirrors the partition-limit definition and
+integrates against piecewise-constant measures given only cell data.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "SpectralMeasurePP",
     "OperatorFunctionOnR",
+    "kron_sum",
     "integral_pp",
     "integral_riemann",
     "admissibility_residual",
@@ -89,6 +91,11 @@ class SpectralMeasurePP:
             offs.append(offs[-1] + d)
         return offs
 
+    def slots(self):
+        """Per-atom slot index arrays of the total space, in atom order."""
+        offs = self.block_offsets()
+        return [np.arange(lo, hi) for lo, hi in zip(offs, offs[1:])]
+
 
 @dataclass(frozen=True)
 class OperatorFunctionOnR:
@@ -128,21 +135,27 @@ class OperatorFunctionOnR:
         return worst
 
 
-def integral_pp(omega, measure):
-    """Exact spectral integral against an atomic measure.
+def kron_sum(blocks, measure, d):
+    """sum_k blocks[k] (x) P_k for d x d blocks, one per atom.
 
-    Returns blockdiag_k [Omega(lambda_k) (x) I_{dim_k}] in the atom
-    ordering of the measure; total size = omega.dim * measure.total_dim.
+    Entry (i * total + s, j * total + s) holds blocks[k][i, j] for every
+    slot s of atom k: the order of H (x) T, boundary index outer.
     """
-    d = omega.dim
     total = measure.total_dim
     out = np.zeros((d * total, d * total), dtype=complex)
-    off = 0
-    for lam, dk in measure.atoms:
-        blk = np.kron(omega(lam), np.eye(dk))
-        out[off : off + d * dk, off : off + d * dk] = blk
-        off += d * dk
+    grid = out.reshape(d, total, d, total)
+    for B, sl in zip(blocks, measure.slots()):
+        grid[:, sl, :, sl] = B
     return out
+
+
+def integral_pp(omega, measure):
+    """Exact spectral integral sum_k Omega(lambda_k) (x) P_k.
+
+    Assembled by ``kron_sum`` in the order of H (x) T; total size =
+    omega.dim * measure.total_dim.
+    """
+    return kron_sum([omega(lam) for lam, _ in measure.atoms], measure, omega.dim)
 
 
 def integral_riemann(omega, measure, a=None, b=None, tol=1e-10,
@@ -204,8 +217,8 @@ def admissibility_residual(omega, measure, probe_sets):
     ``probe_sets`` are lists of atom indices (unions of atoms).  The
     integrand is evaluated at every atom position; Omega must act on the
     measure's total space, i.e. omega.dim is an integer multiple c of
-    measure.total_dim, with the projection F(delta) inflating each atom
-    indicator to a c*dim_k identity block.  Returns
+    measure.total_dim, with the projection F(delta) = I_c (x) P_delta in
+    the order of ``kron_sum``.  Returns
 
         max_{lambda, delta} || Omega(lambda) F(delta)
                                - F(delta) Omega(lambda) F(delta) ||_2.
@@ -219,13 +232,8 @@ def admissibility_residual(omega, measure, probe_sets):
     c = omega.dim // total
     worst = 0.0
     for idxs in probe_sets:
-        diag = np.zeros(omega.dim)
-        off = 0
-        for k, (_, dk) in enumerate(measure.atoms):
-            if k in idxs:
-                diag[off : off + c * dk] = 1.0
-            off += c * dk
-        F = np.diag(diag)
+        F = kron_sum([float(k in idxs) * np.eye(c) for k in range(len(measure.atoms))],
+                     measure, c)
         for lam, _ in measure.atoms:
             O = omega(lam)
             resid = O @ F - F @ O @ F
@@ -234,7 +242,7 @@ def admissibility_residual(omega, measure, probe_sets):
 
 
 def truncation_plan(omega, atom_stream, f_moment, tol, symmetric=False,
-                    max_atoms=200000, cauchy_ratio=0.75):
+                    max_atoms=200000):
     """Smallest truncation window certified by the moment tail bound.
 
     The improper integral of Omega against the spectral measure applied
@@ -245,9 +253,9 @@ def truncation_plan(omega, atom_stream, f_moment, tol, symmetric=False,
     below tol^2.
 
     Divergence is detected by a Cauchy test over doubling index windows:
-    if consecutive doubling-block sums stop decaying (ratio >=
-    ``cauchy_ratio``) the remaining tail is extrapolated geometrically;
-    if they fail to decay at all, MomentDivergenceError is raised.
+    if consecutive doubling-block sums stop decaying (ratio >= 0.75)
+    or fail to decay at all, MomentDivergenceError is raised; otherwise
+    the remaining tail is extrapolated geometrically.
 
     Returns a dict with the window, the certified bound, the (C0,
     alpha) pair used and whether it was certified or fitted.
@@ -297,11 +305,10 @@ def truncation_plan(omega, atom_stream, f_moment, tol, symmetric=False,
                     "(ratio %.3g); the weighted moment series diverges" % rho
                 )
             rho = max(rho, 0.0)
-            if rho >= cauchy_ratio:
+            if rho >= 0.75:
                 raise MomentDivergenceError(
                     "doubling-window moment sums decay too slowly "
-                    "(ratio %.3g >= %.2g) for a certified finite tail"
-                    % (rho, cauchy_ratio)
+                    "(ratio %.3g >= 0.75) for a certified finite tail" % rho
                 )
             # certified geometric tail beyond the consumed stream
             tail_extra = last * rho / (1.0 - rho)

@@ -356,7 +356,6 @@ class BoundaryTriplet:
 
     weyl: WeylFunction
     gamma: GammaField
-    label: str = ""
     normalized: bool = False
     s0: np.ndarray = None
     diagnostic_only: bool = False
@@ -365,10 +364,10 @@ class BoundaryTriplet:
     def dim(self):
         return self.weyl.dim
 
-    def check_normalized(self, tol=1e-10):
+    def check_normalized(self):
         Mi = self.weyl(1j)
         dev = np.linalg.norm(Mi - 1j * np.eye(self.dim), 2)
-        if self.normalized and dev >= tol:
+        if self.normalized and dev >= 1e-10:
             raise AssertionError(
                 "triplet flagged normalized but ||M(i) - iI|| = %.3g" % dev
             )
@@ -447,11 +446,11 @@ def krein_correction(triplet, bc, z):
     return KreinCorrection(z, weight, left, right)
 
 
-def weyl_derivative(weyl, a, step_scale=1e-6):
+def weyl_derivative(weyl, a):
     """M'(a): analytic when the model provides it, else central difference."""
     if weyl.derivative is not None:
         return np.atleast_2d(np.asarray(weyl.derivative(a), dtype=complex))
-    h = step_scale * (1.0 + abs(a))
+    h = 1e-6 * (1.0 + abs(a))
     return (weyl(a + h) - weyl(a - h)) / (2.0 * h)
 
 
@@ -526,7 +525,6 @@ def _rescaled(triplet, mode, anchor):
     return BoundaryTriplet(
         weyl=WeylFunction(triplet.dim, lambda z: lk.at(z, 0.0)),
         gamma=GammaField(triplet.dim, lambda z: triplet.gamma(z).postmultiply(W)),
-        label=triplet.label,
         normalized=mode == "imag",
         s0=triplet.s0,
     )
@@ -543,7 +541,7 @@ def _rescaled_blocks(triplets, mode, anchor):
     return out
 
 
-def _direct_sum(blocks, label, **flags):
+def _direct_sum(blocks, **flags):
     """Block-diagonal Weyl function and s0, BlockDiagImage gamma-field."""
     total = sum(t.dim for t in blocks)
     s0 = [t.s0 for t in blocks]
@@ -552,7 +550,6 @@ def _direct_sum(blocks, label, **flags):
         gamma=GammaField(
             total, lambda z: BlockDiagImage(tuple(t.gamma(z) for t in blocks))
         ),
-        label=label,
         s0=block_diag(*s0) if all(m is not None for m in s0) else None,
         **flags,
     )
@@ -583,12 +580,7 @@ def direct_sum_normalized(triplets):
     direct sum of the adjoints, for any (even infinitely many, here
     finitely truncated) summands.
     """
-    triplets = list(triplets)
-    return _direct_sum(
-        _rescaled_blocks(triplets, "imag", 1j),
-        label=" (+) ".join(t.label for t in triplets),
-        normalized=True,
-    )
+    return _direct_sum(_rescaled_blocks(triplets, "imag", 1j), normalized=True)
 
 
 def direct_sum_plain(triplets):
@@ -599,12 +591,7 @@ def direct_sum_plain(triplets):
     surjective in the limit); this constructor exists to demonstrate
     that failure mode numerically and refuses Krein computations.
     """
-    triplets = list(triplets)
-    return _direct_sum(
-        triplets,
-        label="plain sum: " + " (+) ".join(t.label for t in triplets),
-        diagnostic_only=True,
-    )
+    return _direct_sum(list(triplets), diagnostic_only=True)
 
 
 def regularize_at_real_point(triplets, a):
@@ -616,13 +603,7 @@ def regularize_at_real_point(triplets, a):
     every block (checked by Hermiticity of Mn(a)) with Mn'(a) positive
     definite.
     """
-    a = float(a)
-    triplets = list(triplets)
-    return _direct_sum(
-        _rescaled_blocks(triplets, "real", a),
-        label="regularized at a=%g: " % a + " (+) ".join(t.label for t in triplets),
-        normalized=False,
-    )
+    return _direct_sum(_rescaled_blocks(triplets, "real", float(a)), normalized=False)
 
 
 def herglotz_identity_residual(triplet, z, zeta):

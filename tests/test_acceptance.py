@@ -9,6 +9,7 @@ stated tolerance and a wall-clock budget.  Run the whole file with
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -199,9 +200,7 @@ def test_06_spectral_integral_suite():
 
 def test_07_tensor_growth_certificates():
     budget = _Budget(5.0)
-    wg = tn.weight_growth_certificates(
-        lambda z: hg.m_schrodinger_halfline(z), lam_max=1e4
-    )
+    wg = tn.weight_growth_certificates(lambda z: hg.m_schrodinger_halfline(z))
     e_plus = wg["im_sqrt"]["fitted_exponent"]
     e_minus = wg["im_inv_sqrt"]["fitted_exponent"]
     e_l = wg["l_kernel"]["fitted_exponent"]
@@ -322,7 +321,7 @@ def test_11_cli_determinism(tmp_path):
                 "--out", str(tmp_path / "j2.json")]),
     ):
         codes.append(cli.main(argv))
-        blobs[tag] = open(argv[-1], "rb").read()
+        blobs[tag] = Path(argv[-1]).read_bytes()
     identical = blobs["v1"] == blobs["v2"] and blobs["j1"] == blobs["j2"]
     doc = json.loads(blobs["j1"])
     ok = identical and codes == [0, 0, 0, 0] and "correction" in doc

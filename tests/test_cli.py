@@ -9,6 +9,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_json_config_mirror_byte_identical(tmp_path, capsys):
     assert cli.main(["weyl-sample", "--config", cfg, "--out", out_a]) == 0
     assert cli.main(["weyl-sample", "--config", jcfg, "--out", out_b]) == 0
     capsys.readouterr()
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+    assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
 
 def test_repeat_runs_byte_identical(tmp_path, capsys):
@@ -85,7 +86,7 @@ def test_repeat_runs_byte_identical(tmp_path, capsys):
     for name in ("r1.csv", "r2.csv"):
         out = str(tmp_path / name)
         assert cli.main(["weyl-sample", "--config", cfg, "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
 
@@ -551,8 +552,8 @@ def test_jc_run_rejects_csv_and_is_deterministic(tmp_path, capsys):
     assert cli.main(["jc-run", "--config", cfg, "--out", out_a]) == 0
     assert cli.main(["jc-run", "--config", cfg, "--out", out_b]) == 0
     capsys.readouterr()
-    blob_a = open(out_a, "rb").read()
-    assert blob_a == open(out_b, "rb").read()
+    blob_a = Path(out_a).read_bytes()
+    assert blob_a == Path(out_b).read_bytes()
     doc = json.loads(blob_a)
     for key in ("model", "rq_consistency", "jacobi", "kernel_equivalence",
                 "spectrum_CJC", "spectrum_tilde_CJC", "weyl_S_diag",
@@ -756,7 +757,7 @@ def test_grid_sweep_frozen_bytes(tmp_path, capsys, op, fmt):
     cfg, out = write(tmp_path, op + ".cfg", text), str(tmp_path / ("out." + fmt))
     rc, stdout, err = run(capsys, [task, "--config", cfg, "--out", out, "--format", fmt] + extra)
     assert (rc, stdout, err) == (0, "", "")
-    blob = open(out, "rb").read()
+    blob = Path(out).read_bytes()
     if task == "validate":
         # the null-space SVD residual of jc-kernel-equivalence changes with
         # the BLAS thread count; its row is pinned without that one field

@@ -27,15 +27,20 @@ def test_measure_validation():
 
 
 def test_integral_pp_blockdiag_layout():
+    # the order of H (x) T: boundary index outer, atom slot inner
     m = sp.SpectralMeasurePP.from_levels([0.5, 2.0], dims=[1, 2])
     om = sp.OperatorFunctionOnR(
         2, lambda lam: np.array([[lam, 1.0], [1.0, -lam]])
     )
     out = sp.integral_pp(om, m)
-    want = np.zeros((6, 6), dtype=complex)
-    want[:2, :2] = om(0.5)
-    want[2:, 2:] = np.kron(om(2.0), np.eye(2))
+    P = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]
+    want = np.kron(om(0.5), P[0]) + np.kron(om(2.0), P[1])
     assert np.abs(out - want).max() == 0.0
+
+
+def test_integral_pp_over_empty_measure():
+    om = sp.OperatorFunctionOnR(2, lambda lam: np.eye(2))
+    assert sp.integral_pp(om, sp.SpectralMeasurePP(())).shape == (0, 0)
 
 
 def test_riemann_refinement_equals_pp():
@@ -87,6 +92,18 @@ def test_admissibility_residual_commutation():
     assert sp.admissibility_residual(om_mix, m, [[0]]) > 0.5
     with pytest.raises(ValueError):
         sp.admissibility_residual(scalar(np.exp), m, [[0]])  # 1 % 3 != 0
+
+
+def test_admissibility_residual_two_boundary_copies():
+    # c = 2: F(delta) = I_2 (x) P_delta in the order of H (x) T
+    m = sp.SpectralMeasurePP.from_levels([0.0, 1.0, 3.0], dims=[1, 2, 1])
+    A = np.array([[1.0, 2.0], [2.0, -1.0]])
+    om_comm = sp.OperatorFunctionOnR(8, lambda lam: (1 + lam) * np.kron(A, np.eye(4)))
+    assert sp.admissibility_residual(om_comm, m, [[0], [1], [0, 2]]) == 0.0
+    # swapping the slot of atom 0 with the first slot of atom 1
+    swap = np.eye(4)[[1, 0, 2, 3]]
+    om_mix = sp.OperatorFunctionOnR(8, lambda lam: np.kron(np.eye(2), swap))
+    assert sp.admissibility_residual(om_mix, m, [[0]]) > 0.5
 
 
 def test_operator_function_shape_guard():

@@ -45,16 +45,22 @@ def test_raw_assembly_matches_dense_summation(base, measure):
         assert np.abs(raw(z) - dense[np.ix_(perm, perm)]).max() == 0.0
 
 
+def test_raw_weyl_is_the_spectral_integral(base, measure):
+    raw = tn.tensor_weyl_bounded(base.weyl, measure)
+    for z in Z_POINTS:
+        omega = sp.OperatorFunctionOnR(base.dim, lambda lam: base.weyl(z - lam))
+        assert np.array_equal(raw(z), sp.integral_pp(omega, measure))
+
+
 def test_raw_gamma_mlambda_identity(base, measure):
     weyl = tn.tensor_weyl_bounded(base.weyl, measure)
     gamma = tn.tensor_gamma_bounded(base.gamma, measure)
-    t = tr.BoundaryTriplet(weyl=weyl, gamma=gamma, label="raw tensor")
+    t = tr.BoundaryTriplet(weyl=weyl, gamma=gamma)
     assert tr.herglotz_identity_residual(t, 1j, -2 + 0.5j) < 1e-10
 
 
 def test_normalized_anchor_and_idempotence(base, measure):
     tt = tn.tensor_normalized(base, measure)
-    assert tt.mode == tn.MODE_NORMALIZED
     assert tt.assembled.normalized
     n = tt.dim
     assert np.abs(tt.assembled.weyl(1j) - 1j * np.eye(n)).max() == 0.0
@@ -104,7 +110,7 @@ def test_unbounded_source_needs_window(base):
 
 def test_positive_mode_real_anchor(base, measure):
     tt = tn.tensor_positive(base, measure, -3.0)
-    assert tt.mode == tn.MODE_REGULARIZED
+    assert not tt.assembled.normalized
     assert np.abs(tt.assembled.weyl(-3.0)).max() == 0.0
     D = tr.weyl_derivative(tt.assembled.weyl, -3.0)
     assert np.abs(D - np.eye(tt.dim)).max() < 1e-6
@@ -121,7 +127,6 @@ def test_positive_mode_gap_violation():
     fake = tr.BoundaryTriplet(
         weyl=tr.WeylFunction(1, lambda z: np.array([[1j]])),
         gamma=tr.GammaField(1, lambda z: tr.DenseMatrix(np.ones((1, 1)))),
-        label="constant-i",
     )
     with pytest.raises(tr.GapViolationError):
         tn.tensor_positive(fake, sp.SpectralMeasurePP.from_levels([0.0]), -1.0)

@@ -194,17 +194,16 @@ def test_regularize_rejects_point_outside_gap():
         tr.regularize_at_real_point([t], 2.0)  # inside the essential spectrum
 
 
-def _scalar_triplet(m, label):
+def _scalar_triplet(m):
     return tr.BoundaryTriplet(
         weyl=tr.WeylFunction(1, lambda z: np.array([[m(z)]])),
         gamma=tr.GammaField(1, lambda z: tr.DenseMatrix(np.ones((1, 1)))),
-        label=label,
     )
 
 
 def test_direct_sum_normalized_names_failing_block():
     # Im M(i) = 0 in the second summand: no normalization weight exists
-    blocks = [build_triplet(schrodinger_right()), _scalar_triplet(lambda z: 1.0, "real")]
+    blocks = [build_triplet(schrodinger_right()), _scalar_triplet(lambda z: 1.0)]
     with pytest.raises(tr.NotPositiveDefiniteError, match="block 1"):
         tr.direct_sum_normalized(blocks)
 
@@ -212,11 +211,11 @@ def test_direct_sum_normalized_names_failing_block():
 def test_regularize_names_failing_block():
     # M(a) = i is not Hermitian: a is in no real gap of the second summand
     right = build_triplet(schrodinger_right())
-    blocks = [right, _scalar_triplet(lambda z: 1j, "constant-i")]
+    blocks = [right, _scalar_triplet(lambda z: 1j)]
     with pytest.raises(tr.GapViolationError, match="block 1"):
         tr.regularize_at_real_point(blocks, -1.0)
     # a = 2 lies on the half line's cut: M cannot be evaluated there
-    blocks = [_scalar_triplet(lambda z: z, "identity"), right]
+    blocks = [_scalar_triplet(lambda z: z), right]
     with pytest.raises(tr.GapViolationError, match="block 1: cannot evaluate"):
         tr.regularize_at_real_point(blocks, 2.0)
 
