@@ -24,7 +24,9 @@ routes disagree).
 
 The leads have one normalized Weyl function M^S, built from the same
 anchors m(i - k; v) that check R and Q, so ``dot_resolvent_correction``
-and ``decoupling_report`` invert the same C~_JC - M^S(z).
+and ``decoupling_report`` invert the same C~_JC - M^S(z).  The gamma
+weights (Im m(i - k; v))^{-1/2} come from those anchors too: one
+``jc-run`` evaluates each anchor once.
 
 Ordering convention: boundary/dot index outer, Fock index inner,
 everywhere; C_JC is emitted in the dot eigenbasis, C~_JC in the site
@@ -35,7 +37,7 @@ The usual parameter regime has 0 <= v_r <= v_l; this is recorded as a
 convention only and deliberately not enforced (nothing below needs it).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,8 +47,8 @@ from . import herglotz as hg
 from ._linalg import solve_guarded
 from .models1d import build_triplet, full_line_contact
 from .spectral import SpectralMeasurePP
-from .tensor import tensor_normalized
-from .triplets import BoundaryCondition, WeylFunction, krein_correction
+from .tensor import tensor_gamma_bounded
+from .triplets import BoundaryCondition, BoundaryTriplet, WeylFunction, krein_correction
 
 __all__ = [
     "FockTruncation",
@@ -265,8 +267,22 @@ class JCModel:
     @cached_property
     def lead_triplet(self):
         """The normalized two-lead triplet on the Fock ladder: ``lead_weyl``
-        with the gamma-field of the tensor-normalized contact triplet."""
-        return replace(_normalized_lead_triplet(self).assembled, weyl=self.lead_weyl)
+        and the tensored gamma-field of the two-lead contact.
+
+        Per Fock level k the contact's gamma(z - k) is postmultiplied by
+        diag((Im a)^{-1/2}) over the two sides, with a the ``anchors``:
+        the normalization weight, read from the anchors since Im M(i - k)
+        is diagonal.
+        """
+        weyl = self.lead_weyl  # first: it rejects a non-positive Im a
+        n = self.fock.dim
+        scale = 1.0 / np.sqrt(self.anchors.imag)
+        gamma = tensor_gamma_bounded(
+            build_triplet(full_line_contact(self.v_l, self.v_r)).gamma,
+            SpectralMeasurePP.from_levels(range(n)),
+            [np.diag(scale[[k, n + k]]) for k in range(n)],
+        )
+        return BoundaryTriplet(weyl=weyl, gamma=gamma, normalized=True)
 
 
 def _read_only(a):
@@ -382,11 +398,6 @@ def weyl_S(model, z):
     return model.lead_weyl(z)
 
 
-def _normalized_lead_triplet(model):
-    base = build_triplet(full_line_contact(model.v_l, model.v_r))
-    return tensor_normalized(base, SpectralMeasurePP.from_levels(range(model.fock.dim)))
-
-
 def dot_resolvent_correction(model, z, xs, ys=None):
     """Krein correction kernel of the JC boundary condition.
 
@@ -413,7 +424,7 @@ def spectrum_report(matrix):
     scale = max(1.0, np.abs(vals).max()) if len(vals) else 1.0
     distinct, mult = [], []
     for v in vals:
-        if distinct and abs(v - distinct[-1]) <= 1e-8 * scale:
+        if distinct and abs(float(v) - distinct[-1]) <= 1e-8 * scale:
             mult[-1] += 1
         else:
             distinct.append(float(v))

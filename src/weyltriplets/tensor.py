@@ -16,7 +16,10 @@ boundary-map transforms G0 = C^{1/2}, G1 = W, G2 = W S.
 
 Every block sum is assembled by ``spectral.kron_sum`` in the order of
 H (x) T (boundary index outer, atom slot inner); this is part of the
-public contract.
+public contract.  The same structure contracts the Krein correction
+kernel: ``TensorKernelImage.contract`` samples each atom's base kernels
+once per slot and sums over the d boundary columns of a slot, never over
+the d * total columns of gamma^S.
 """
 
 from dataclasses import dataclass
@@ -63,6 +66,9 @@ class TensorKernelImage:
 
     Spectral-projection orthogonality makes Gram matrices block-local:
     gamma^S(zeta)* gamma^S(z) = sum_k (gamma_k(zeta)* gamma_k(z)) (x) P_k.
+    It also makes every column (i, s) of gamma^S(z) live on the single
+    atom slot s, so ``contract`` forms the Krein correction kernel slot
+    by slot without sampling the zero columns.
     """
 
     measure: SpectralMeasurePP
@@ -88,24 +94,41 @@ class TensorKernelImage:
         return kron_sum(grams, self.measure, self.boundary_dim)
 
     def values(self, x):
-        """Sample kernels on a spatial grid: shape (nx, total, d*total).
+        """Sample the kernels slot by slot: shape (nx, total, d).
 
-        The value dimension is the atom space: column (i, s) of
-        gamma^S(z) is the base column i at the shifted point, supported
-        on atom slot s.  Needs scalar-valued base kernels.
+        Row s holds the base columns of the atom k(s) that owns slot s;
+        column (i, s) of gamma^S(z) is row s, entry i, supported on slot
+        s alone.  Needs scalar-valued base kernels.
         """
         x = np.asarray(x, dtype=float)
-        d, total = self.boundary_dim, self.measure.total_dim
-        out = np.zeros((len(x), total, d * total), dtype=complex)
-        grid = out.reshape(len(x), total, d, total)
+        out = np.empty((len(x), self.measure.total_dim, self.boundary_dim), dtype=complex)
         for img, sl in zip(self.images, self.measure.slots()):
             vals = img.values(x)  # (nx, v, d)
             if vals.shape[1] != 1:
                 raise RepresentationError(
                     "spatial sampling of tensor images needs scalar base kernels"
                 )
-            grid[:, sl, :, sl] = vals[:, 0, :]
+            out[:, sl, :] = vals
         return out
+
+    def contract(self, weight, other, xs, ys):
+        """Kernel samples K[x, y, s, t] of gamma^S W gamma'^S*, shape (nx, ny, total, total').
+
+        With g = ``values(xs)``, h = ``other.values(ys)`` and W viewed as
+        (d, total, d', total'): (g W)[x, s, j, t] = sum_i g[x, s, i]
+        W[i, s, j, t], then K = sum_j (g W)[x, s, j, t] conj(h[y, t, j]),
+        in O(nx ny total^2 d), as plain einsum loops.
+        """
+        if not isinstance(other, TensorKernelImage):
+            raise RepresentationError(
+                "cannot contract TensorKernelImage with %r" % other
+            )
+        g, h = self.values(xs), other.values(ys)
+        W = weight.reshape(
+            self.boundary_dim, self.value_dim, other.boundary_dim, other.value_dim
+        )
+        gW = np.einsum("xsi,isjt->xsjt", g, W)
+        return np.einsum("xsjt,ytj->xyst", gW, h.conj())
 
 
 @dataclass(frozen=True)
@@ -145,15 +168,21 @@ def tensor_weyl_bounded(base_weyl, measure):
     return WeylFunction(d * measure.total_dim, ev, derivative=deriv)
 
 
-def tensor_gamma_bounded(base_gamma, measure):
-    """gamma^S(z) = sum_k gamma^A(z - lambda_k) (x) P_k."""
+def tensor_gamma_bounded(base_gamma, measure, weights=None):
+    """gamma^S(z) = sum_k gamma^A(z - lambda_k) W_k (x) P_k.
+
+    W_k = I, or the per-atom postmultipliers ``weights`` of a rescaled
+    construction.
+    """
     _require_window(measure, "raw tensor gamma-field")
     d = base_gamma.dim
-    lams = measure.lambdas
+    lams = [lam for lam, _ in measure.atoms]
 
     def ev(z):
-        imgs = tuple(base_gamma(complex(z) - lam) for lam in lams)
-        return TensorKernelImage(measure, imgs, d)
+        imgs = [base_gamma(complex(z) - lam) for lam in lams]
+        if weights is not None:
+            imgs = [img.postmultiply(W) for img, W in zip(imgs, weights)]
+        return TensorKernelImage(measure, tuple(imgs), d)
 
     return GammaField(d * measure.total_dim, ev)
 
@@ -172,16 +201,9 @@ def _rescaled_tensor(base, measure, lk):
     def weyl_ev(z):
         return kron_sum([lk.at(z, lam) for lam in lams], measure, d)
 
-    def gamma_ev(z):
-        imgs = tuple(
-            base.gamma(complex(z) - lam).postmultiply(W)
-            for lam, (W, _, _) in zip(lams, weights)
-        )
-        return TensorKernelImage(measure, imgs, d)
-
     assembled = BoundaryTriplet(
         weyl=WeylFunction(d * total, weyl_ev),
-        gamma=GammaField(d * total, gamma_ev),
+        gamma=tensor_gamma_bounded(base.gamma, measure, [W for W, _, _ in weights]),
         normalized=lk.mode == "imag",
     )
     return TensorTriplet(

@@ -395,25 +395,28 @@ class KreinCorrection:
         Returns shape (len xs, len ys) for scalar kernels and
         (len xs, len ys, v, v) for value_dim = v > 1.
 
-        The contraction runs through U W first: with U = gamma(z) samples
-        (nx, v, d), V = gamma(conj z) samples (ny, v, d) and W the d x d
-        weight, it forms U W in O(nx v d^2) and then contracts it with
-        conj V in O(nx ny v^2 d).  For the JC dot (v = N+1, d = 2(N+1))
-        that is O(N^3) instead of the O(N^4) of summing over both weight
-        indices for every output entry.  Both steps are plain einsum
-        loops, not BLAS products: BLAS rounds differently and would change
-        the last digits of the 17-digit CLI output.
+        Tensor images (``tensor.TensorKernelImage``) contract themselves
+        atom slot by atom slot: for the JC dot (v = N+1, d = 2(N+1)) that
+        is O(nx ny N^2).  Other images are sampled as U = gamma(z)
+        (nx, v, d) and V = gamma(conj z) (ny, v, d); U W is formed first,
+        in O(nx v d^2), and then contracted with conj V in O(nx ny v^2 d).
+        Every step is a plain einsum loop, not a BLAS product: BLAS rounds
+        differently and would change the last digits of the 17-digit CLI
+        output.
         """
         if not (
             callable(getattr(self.left, "values", None))
             and callable(getattr(self.right, "values", None))
         ):
             raise RepresentationError("kernel() needs samplable gamma images")
-        U = self.left.values(xs)  # (nx, v, d)
-        V = self.right.values(ys)  # (ny, v, d)
-        # K(x,y)[s,t] = sum_k (U W)[x,s,k] conj(V[y,t,k])
-        UW = np.einsum("xsj,jk->xsk", U, self.weight)
-        K = np.einsum("xsk,ytk->xyst", UW, V.conj())
+        if callable(getattr(self.left, "contract", None)):
+            K = self.left.contract(self.weight, self.right, xs, ys)
+        else:
+            U = self.left.values(xs)  # (nx, v, d)
+            V = self.right.values(ys)  # (ny, v, d)
+            # K(x,y)[s,t] = sum_k (U W)[x,s,k] conj(V[y,t,k])
+            UW = np.einsum("xsj,jk->xsk", U, self.weight)
+            K = np.einsum("xsk,ytk->xyst", UW, V.conj())
         if K.shape[2] == 1 and K.shape[3] == 1:
             return K[:, :, 0, 0]
         return K

@@ -9,6 +9,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,28 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "81c040bdcab54ca45ad96d86987bc6b79880429bd5c68aeeab47cf4c28cf7ba4")
+
+
+@pytest.mark.parametrize("N", [0, 3])
+def test_jc_run_evaluates_each_anchor_once(tmp_path, capsys, monkeypatch, N):
+    # the anchors a = m(i - k; v) over (side, Fock level): 2(N+1) scalar
+    # evaluations per jc-run, shared by R, Q, the Weyl function and the
+    # gamma weights
+    m_true, anchors = hg.m_schrodinger_halfline, []
+
+    def counted(z, v=0.0):
+        if complex(z).imag == 1.0:
+            anchors.append((complex(z), v))
+        return m_true(z, v)
+
+    monkeypatch.setattr(hg, "m_schrodinger_halfline", counted)
+    cfg = write(tmp_path, "jc.cfg", (
+        "jc.alpha = 0.1\njc.beta = 0.9\njc.tau = 0.7\njc.N = %d\n"
+        "jc.v_l = 0.5\njc.v_r = 0.25\njc.z = -1+0.5j\n" % N
+    ))
+    rc, _, _ = run(capsys, ["jc-run", "--config", cfg])
+    assert rc == 0
+    assert Counter(anchors) == Counter((1j - k, v) for v in (0.5, 0.25) for k in range(N + 1))
 
 
 # the five ops of the grid-sweep benchmark at small sizes (its seed-0

@@ -1,5 +1,7 @@
 """Two-lead quantum-dot model with a truncated photon ladder."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,8 @@ from scipy.linalg import subspace_angles
 
 from weyltriplets import herglotz as hg
 from weyltriplets import jcdot as jd
+from weyltriplets.spectral import SpectralMeasurePP
+from weyltriplets.tensor import tensor_normalized
 from weyltriplets.models1d import (
     build_triplet,
     eval_gamma_on_grid,
@@ -15,9 +19,26 @@ from weyltriplets.models1d import (
 from weyltriplets._linalg import solve_guarded
 from weyltriplets.triplets import (
     BoundaryCondition,
+    LKernel,
     herglotz_identity_residual,
     krein_correction,
 )
+
+
+def _normalized_lead_triplet(model):
+    """The independent route to the lead triplet: the generic normalized
+    tensor construction over the Fock levels, with its own anchors."""
+    base = build_triplet(full_line_contact(model.v_l, model.v_r))
+    return tensor_normalized(base, SpectralMeasurePP.from_levels(range(model.fock.dim)))
+
+
+def _slot_expanded(g):
+    """Slot samples g (total, d) of one x as the dense (total, d*total)
+    row block of gamma^S: entry (s, (j, s)) is g[s, j], zero off slot s."""
+    total, d = g.shape
+    dense = np.zeros((total, d, total), dtype=complex)
+    dense[np.arange(total), :, np.arange(total)] = g
+    return dense.reshape(total, d * total)
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +239,7 @@ def test_weyl_S_values(models):
 def test_weyl_S_matches_tensor_assembly(models):
     m13 = models["(1,3)"]
     m6 = jd.JCModel(1.0, 3.0, m13.dot, m13.tau, jd.FockTruncation(6))
-    tt = jd._normalized_lead_triplet(m6)
+    tt = _normalized_lead_triplet(m6)
     for z in (-1.0 + 0.0j, 0.5 + 2.0j, -3.0 - 1.0j):
         Mt = tt.assembled.weyl(z)
         assert np.abs(Mt - jd.weyl_S(m6, z)).max() < 1e-13
@@ -380,7 +401,7 @@ def test_fockless_limit_reduces_to_scalar_krein_formula():
     )
     K_hand = np.einsum("xj,jk,yk->xy", cols_z @ Wn, A, np.conj(cols_zb @ Wn))
     assert np.abs(K0 - K_hand).max() < 1e-12
-    tt0 = jd._normalized_lead_triplet(m0)
+    tt0 = _normalized_lead_triplet(m0)
     K0b = krein_correction(
         tt0.assembled, BoundaryCondition.operator(Ct0), z
     ).kernel(xs, xs)
@@ -398,12 +419,12 @@ def test_correction_matches_per_pair_products():
     ys = np.array([-0.8, 0.5, 1.7])
     K = jd.dot_resolvent_correction(m, z, xs, ys)
     corr = krein_correction(
-        jd._normalized_lead_triplet(m).assembled,
+        _normalized_lead_triplet(m).assembled,
         BoundaryCondition.operator(jd.build_tilde_CJC(m)),
         z,
     )
-    U = corr.left.values(xs)
-    V = corr.right.values(ys)
+    U = [_slot_expanded(g) for g in corr.left.values(xs)]
+    V = [_slot_expanded(h) for h in corr.right.values(ys)]
     oracle = np.array([[U[i] @ corr.weight @ V[j].conj().T
                         for j in range(len(ys))] for i in range(len(xs))])
     assert K.shape == oracle.shape == (4, 3, 9, 9)
@@ -436,6 +457,32 @@ def test_decoupling_report():
     rep0 = jd.decoupling_report(m_off, z=-2.0 + 1.0j)
     assert rep0["cross_block_max"] == 0.0
     assert rep0["weight_cross_max"] < 1e-15
+
+
+def test_spectrum_report_far_apart_eigenvalues_do_not_warn():
+    # successive eigenvalues 2e308 apart: their gap overflows to inf, which
+    # must separate them without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = jd.spectrum_report(np.diag([-1e308, 1e308]))
+    assert rep["distinct"].tolist() == [-1e308, 1e308]
+    assert rep["multiplicities"] == [1, 1]
+
+
+def test_lead_gamma_weights_are_the_anchor_weights():
+    # diag((Im a)^{-1/2}) from the cached anchors equals, bit for bit, the
+    # weight the generic normalized construction computes from Im M(i - k)
+    for N in (0, 3, 60):
+        m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                       jd.FockTruncation(N))
+        contact = build_triplet(full_line_contact(m.v_l, m.v_r))
+        lk = LKernel(contact.weyl, "imag")
+        x = np.array([-1.3, -0.2, 0.0, 0.4, 2.0])
+        for z in (-1.0 + 0.5j, 1j):
+            got = m.lead_triplet.gamma(z).images
+            for k in range(N + 1):
+                want = contact.gamma(z - k).postmultiply(lk.weights(k)[0])
+                assert np.array_equal(got[k].values(x), want.values(x))
 
 
 def test_spectrum_tilde_multiplicities():

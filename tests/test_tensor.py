@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from weyltriplets import herglotz as hg
+from weyltriplets import jcdot as jd
 from weyltriplets import spectral as sp
 from weyltriplets import tensor as tn
 from weyltriplets import triplets as tr
 from weyltriplets.oracle import dense_spectral_integral
 from weyltriplets.models1d import (
     build_triplet,
+    dirac_right,
     full_line_contact,
+    schrodinger_right,
 )
 
 Z_POINTS = (1j, -2 + 0.5j, 1.5 + 2j)
@@ -182,3 +185,128 @@ def test_friedrichs_krein_tensor_check(base):
     for entry in rep["lsb"]:
         assert entry["found"]
         assert entry["x_N"] <= -entry["N"] ** 2 + 1e-9
+
+
+# -- the Krein correction kernel of tensor images ---------------------------
+
+
+def _dense_values(image, x):
+    """The slot-expanded samples of gamma^S(z), shape (nx, total, d*total):
+    column (i, s) is base column i of the atom owning slot s, on slot s
+    only.  Built from the base images, not from ``values``."""
+    d, total = image.boundary_dim, image.measure.total_dim
+    out = np.zeros((len(x), total, d * total), dtype=complex)
+    grid = out.reshape(len(x), total, d, total)
+    for img, sl in zip(image.images, image.measure.slots()):
+        grid[:, sl, :, sl] = img.values(x)[:, 0, :]
+    return out
+
+
+def _dense_kernel(corr, xs, ys):
+    """The oracle: U W V* summed over every weight column of the dense samples."""
+    U, V = _dense_values(corr.left, xs), _dense_values(corr.right, ys)
+    UW = np.einsum("xsj,jk->xsk", U, corr.weight)
+    K = np.einsum("xsk,ytk->xyst", UW, V.conj())
+    return K[:, :, 0, 0] if K.shape[2:] == (1, 1) else K
+
+
+XS = np.array([-1.3, -0.4, 0.0, 0.2, 0.9])
+YS = np.array([-0.8, 0.5, 1.7])
+
+
+def _jc_dot(N):
+    return jd.JCModel(0.5, 0.2, jd.TwoLevelDot(0.1, 0.9, 0.2 + 0.3j), 0.7,
+                      jd.FockTruncation(N))
+
+
+@pytest.mark.parametrize("N", [0, 1, 8, 40])
+def test_jc_correction_kernel_matches_dense_oracle(N):
+    model = _jc_dot(N)
+    bc = tr.BoundaryCondition.operator(model.tilde_CJC)
+    for z in (-1.0 + 0.5j, 0.3 - 2.0j):
+        corr = tr.krein_correction(model.lead_triplet, bc, z)
+        K = corr.kernel(XS, YS)
+        shape = (len(XS), len(YS)) + ((N + 1, N + 1) if N else ())
+        assert K.shape == shape
+        assert np.abs(K).max() > 0.0
+        assert np.array_equal(K, _dense_kernel(corr, XS, YS))
+
+
+@pytest.mark.parametrize("build", ["normalized", "bounded"])
+def test_tensor_correction_kernel_matches_dense_oracle(base, build):
+    # atoms of dimensions 1, 3 and 2: each atom's base columns repeat over
+    # its slots, and the weight (B - M(z))^{-1} is dense across atoms
+    measure = sp.SpectralMeasurePP.from_levels([0.0, 1.5, 4.0], dims=[1, 3, 2])
+    if build == "normalized":
+        triplet = tn.tensor_normalized(base, measure).assembled
+    else:
+        triplet = tr.BoundaryTriplet(
+            weyl=tn.tensor_weyl_bounded(base.weyl, measure),
+            gamma=tn.tensor_gamma_bounded(base.gamma, measure),
+        )
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    for z in (-1.0 + 0.5j, 2.0 + 1.5j):
+        corr = tr.krein_correction(triplet, tr.BoundaryCondition.operator(B + B.conj().T), z)
+        K = corr.kernel(XS, YS)
+        assert K.shape == (5, 3, 6, 6)
+        assert np.array_equal(K, _dense_kernel(corr, XS, YS))
+        g = corr.left.values(XS)
+        assert g.shape == (5, 6, 2)
+        assert np.array_equal(g[:, 1:4], np.repeat(g[:, 1:2], 3, axis=1))
+
+
+def test_tensor_correction_kernel_theta0_is_zero(base):
+    measure = sp.SpectralMeasurePP.from_levels([0.0, 1.5, 4.0], dims=[1, 3, 2])
+    triplet = tn.tensor_normalized(base, measure).assembled
+    corr = tr.krein_correction(triplet, tr.BoundaryCondition.theta0(), -1.0 + 0.5j)
+    K = corr.kernel(XS, YS)
+    assert K.shape == (5, 3, 6, 6) and not K.any()
+    assert np.array_equal(K, _dense_kernel(corr, XS, YS))
+    jc = _jc_dot(8).lead_triplet
+    K = tr.krein_correction(jc, tr.BoundaryCondition.theta0(), 1j).kernel(XS, YS)
+    assert K.shape == (5, 3, 9, 9) and not K.any()
+
+
+def test_tensor_correction_kernel_squeezes_one_slot():
+    right = build_triplet(schrodinger_right())
+    triplet = tn.tensor_normalized(right, sp.SpectralMeasurePP.from_levels([0.0])).assembled
+    xs, ys = np.array([0.0, 0.4, 1.0, 2.2]), np.array([0.3, 1.5])
+    corr = tr.krein_correction(triplet, tr.BoundaryCondition.operator([[0.7]]), 2.0 + 1.0j)
+    K = corr.kernel(xs, ys)
+    assert K.shape == (4, 2)
+    assert np.array_equal(K, _dense_kernel(corr, xs, ys))
+    # the same single-atom kernel as the normalized base triplet's
+    plain = tr.krein_correction(tr.normalize(right), tr.BoundaryCondition.operator([[0.7]]),
+                                2.0 + 1.0j).kernel(xs, ys)
+    assert np.abs(K - plain).max() <= 1e-14 * np.abs(plain).max()
+
+
+def test_tensor_images_skip_the_generic_route(monkeypatch):
+    # the generic (U W) V* route of KreinCorrection.kernel made to raise:
+    # the JC correction still runs, so it never samples slot-expanded columns
+    model = _jc_dot(6)
+    want = jd.dot_resolvent_correction(model, -1.0 + 0.5j, XS, YS)
+
+    class NoEinsum:
+        def __getattr__(self, name):
+            if name == "einsum":
+                raise AssertionError("generic kernel route taken")
+            return getattr(np, name)
+
+    monkeypatch.setattr(tr, "np", NoEinsum())
+    assert np.array_equal(jd.dot_resolvent_correction(model, -1.0 + 0.5j, XS, YS), want)
+    right = build_triplet(schrodinger_right())
+    with pytest.raises(AssertionError, match="generic"):
+        tr.krein_correction(right, tr.BoundaryCondition.theta1(), 1j).kernel(XS[2:], YS[1:])
+
+
+def test_tensor_contraction_needs_tensor_images(base):
+    measure = sp.SpectralMeasurePP.from_levels([0.0, 1.0])
+    image = tn.tensor_normalized(base, measure).assembled.gamma(1j)
+    with pytest.raises(tr.RepresentationError):
+        image.contract(np.eye(4), base.gamma(1j), XS, YS)
+    spinor = build_triplet(dirac_right())
+    dirac = tn.tensor_gamma_bounded(spinor.gamma, measure)(1j)
+    with pytest.raises(tr.RepresentationError, match="scalar base kernels"):
+        tr.KreinCorrection(1j, np.eye(2), dirac, dirac).kernel(XS[2:], YS[1:])
