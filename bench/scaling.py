@@ -1,15 +1,15 @@
 """How the Krein correction stage of the JC dot scales in N and in the grid.
 
-    python3 bench/scaling.py [--size {full,tiny}] [--repeats R]
-                             [--parent DIR] [--out FILE]
+    python3 bench/scaling.py [--size {full,tiny}] [--parent DIR] [--out FILE]
 
 Times ``jcdot.dot_resolvent_correction`` and its kernel step
 ``KreinCorrection.kernel`` in one process at one BLAS thread, over the
 Fock truncations N and x-grid sizes nx of ``SIZES`` that ``jc-run``'s
 size guard admits (nx (N + 1) <= 2048), plus two points on the guard's
-edge, (N, nx) = (60, 33) and (200, 10).  Each point uses one model whose cached parts (C~_JC, the lead
-triplet) are built by an untimed warm-up call; the repeats cycle over
-all points, so drift spreads over them.  Reported per point: median and
+edge, (N, nx) = (60, 33) and (200, 10).  Each point uses one model
+whose cached parts (C~_JC, the lead triplet) are built by an untimed
+warm-up call; the size's repeats (5 full, 2 tiny) cycle over all
+points, so drift spreads over them.  Reported per point: median and
 quartiles (inclusive method) of each stage, and per nx the fitted
 log-log slope of the median in the Fock dimension N + 1, over all N and
 over the three largest.
@@ -54,7 +54,7 @@ def points(size):
     return grid + [p for p in spec["edges"] if p not in grid]
 
 
-def measure(src, size, repeats):
+def measure(src, size):
     """Samples of both stages at every point, with the library under ``src``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from worker import environment
@@ -71,7 +71,7 @@ def measure(src, size, repeats):
                                 BoundaryCondition.operator(model.tilde_CJC), Z)
         cases.append({"N": N, "nx": nx, "model": model, "xs": xs, "corr": corr,
                       "correction_s": [], "kernel_s": []})
-    for _ in range(repeats):
+    for _ in range(SIZES[size]["repeats"]):
         for case in cases:
             t0 = perf_counter()
             jd.dot_resolvent_correction(case["model"], Z, case["xs"])
@@ -84,9 +84,9 @@ def measure(src, size, repeats):
             "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases]}
 
 
-def run_child(src, size, repeats):
+def run_child(src, size):
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(src),
-           "--size", size, "--repeats", str(repeats)]
+           "--size", size]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=1800)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -125,15 +125,13 @@ def side_report(runs, size):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="bench/scaling.py")
     parser.add_argument("--size", choices=tuple(SIZES), default="full")
-    parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--parent", type=Path, default=None,
                         help="a checkout to measure against this one")
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--child", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    repeats = args.repeats or SIZES[args.size]["repeats"]
     if args.child is not None:
-        print(json.dumps(measure(args.child, args.size, repeats)))
+        print(json.dumps(measure(args.child, args.size)))
         return 0
 
     sides = {"change": ROOT / "src"}
@@ -143,15 +141,15 @@ def main(argv=None):
         order = ["parent", "change", "change", "parent"]
     runs = {name: [] for name in sides}
     for name in order:
-        runs[name].append(run_child(sides[name], args.size, repeats))
+        runs[name].append(run_child(sides[name], args.size))
     doc = {
         "what": "dot_resolvent_correction and its KreinCorrection.kernel step, "
                 "z = %r, one BLAS thread" % Z,
         # the parent checkout's path is a local detail, left out
-        "command": "python3 bench/scaling.py --size %s --repeats %d%s"
-                   % (args.size, repeats, " --parent PARENT" if args.parent else ""),
+        "command": "python3 bench/scaling.py --size %s%s"
+                   % (args.size, " --parent PARENT" if args.parent else ""),
         "size": args.size,
-        "repeats_per_child": repeats,
+        "repeats_per_child": SIZES[args.size]["repeats"],
         "order": order,
         "sides": {name: side_report(runs[name], args.size) for name in sides},
     }

@@ -68,7 +68,8 @@ class TensorKernelImage:
     gamma^S(zeta)* gamma^S(z) = sum_k (gamma_k(zeta)* gamma_k(z)) (x) P_k.
     It also makes every column (i, s) of gamma^S(z) live on the single
     atom slot s, so ``contract`` forms the Krein correction kernel slot
-    by slot without sampling the zero columns.
+    by slot without sampling the zero columns.  There is no ``values``:
+    the spatial samples are read through ``contract`` only.
     """
 
     measure: SpectralMeasurePP
@@ -93,12 +94,14 @@ class TensorKernelImage:
         grams = [a.gram(b) for a, b in zip(self.images, other.images)]
         return kron_sum(grams, self.measure, self.boundary_dim)
 
-    def values(self, x):
+    def _slot_values(self, x):
         """Sample the kernels slot by slot: shape (nx, total, d).
 
         Row s holds the base columns of the atom k(s) that owns slot s;
         column (i, s) of gamma^S(z) is row s, entry i, supported on slot
-        s alone.  Needs scalar-valued base kernels.
+        s alone.  Needs scalar-valued base kernels.  This is not the
+        (nx, v, dim) layout of other images' ``values``, so it is read
+        by ``contract`` only.
         """
         x = np.asarray(x, dtype=float)
         out = np.empty((len(x), self.measure.total_dim, self.boundary_dim), dtype=complex)
@@ -114,16 +117,16 @@ class TensorKernelImage:
     def contract(self, weight, other, xs, ys):
         """Kernel samples K[x, y, s, t] of gamma^S W gamma'^S*, shape (nx, ny, total, total').
 
-        With g = ``values(xs)``, h = ``other.values(ys)`` and W viewed as
-        (d, total, d', total'): (g W)[x, s, j, t] = sum_i g[x, s, i]
-        W[i, s, j, t], then K = sum_j (g W)[x, s, j, t] conj(h[y, t, j]),
-        in O(nx ny total^2 d), as plain einsum loops.
+        With g = ``_slot_values(xs)``, h = ``other._slot_values(ys)``
+        and W viewed as (d, total, d', total'): (g W)[x, s, j, t] =
+        sum_i g[x, s, i] W[i, s, j, t], then K = sum_j (g W)[x, s, j, t]
+        conj(h[y, t, j]), in O(nx ny total^2 d), as plain einsum loops.
         """
         if not isinstance(other, TensorKernelImage):
             raise RepresentationError(
                 "cannot contract TensorKernelImage with %r" % other
             )
-        g, h = self.values(xs), other.values(ys)
+        g, h = self._slot_values(xs), other._slot_values(ys)
         W = weight.reshape(
             self.boundary_dim, self.value_dim, other.boundary_dim, other.value_dim
         )

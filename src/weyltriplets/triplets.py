@@ -397,20 +397,22 @@ class KreinCorrection:
 
         Tensor images (``tensor.TensorKernelImage``) contract themselves
         atom slot by atom slot: for the JC dot (v = N+1, d = 2(N+1)) that
-        is O(nx ny N^2).  Other images are sampled as U = gamma(z)
-        (nx, v, d) and V = gamma(conj z) (ny, v, d); U W is formed first,
-        in O(nx v d^2), and then contracted with conj V in O(nx ny v^2 d).
+        is O(nx ny N^2).  They pair only with tensor images and have no
+        ``values``; any other pairing raises RepresentationError.  Other
+        images are sampled as U = gamma(z) (nx, v, d) and V = gamma(conj z)
+        (ny, v, d); U W is formed first, in O(nx v d^2), and then
+        contracted with conj V in O(nx ny v^2 d).
         Every step is a plain einsum loop, not a BLAS product: BLAS rounds
         differently and would change the last digits of the 17-digit CLI
         output.
         """
-        if not (
+        if callable(getattr(self.left, "contract", None)):
+            K = self.left.contract(self.weight, self.right, xs, ys)
+        elif not (
             callable(getattr(self.left, "values", None))
             and callable(getattr(self.right, "values", None))
         ):
             raise RepresentationError("kernel() needs samplable gamma images")
-        if callable(getattr(self.left, "contract", None)):
-            K = self.left.contract(self.weight, self.right, xs, ys)
         else:
             U = self.left.values(xs)  # (nx, v, d)
             V = self.right.values(ys)  # (ny, v, d)

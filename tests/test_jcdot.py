@@ -32,13 +32,15 @@ def _normalized_lead_triplet(model):
     return tensor_normalized(base, SpectralMeasurePP.from_levels(range(model.fock.dim)))
 
 
-def _slot_expanded(g):
-    """Slot samples g (total, d) of one x as the dense (total, d*total)
-    row block of gamma^S: entry (s, (j, s)) is g[s, j], zero off slot s."""
-    total, d = g.shape
-    dense = np.zeros((total, d, total), dtype=complex)
-    dense[np.arange(total), :, np.arange(total)] = g
-    return dense.reshape(total, d * total)
+def _dense_values(image, x):
+    """The dense samples of a tensor image gamma^S, shape (nx, total,
+    d*total): entry (s, (j, s)) is base column j of the atom owning slot
+    s, zero off slot s.  Built from the per-atom base images."""
+    d, total = image.boundary_dim, image.measure.total_dim
+    out = np.zeros((len(x), total, d, total), dtype=complex)
+    for img, sl in zip(image.images, image.measure.slots()):
+        out[:, sl, :, sl] = img.values(x)[:, 0, :]
+    return out.reshape(len(x), total, d * total)
 
 
 @pytest.fixture(scope="module")
@@ -423,8 +425,7 @@ def test_correction_matches_per_pair_products():
         BoundaryCondition.operator(jd.build_tilde_CJC(m)),
         z,
     )
-    U = [_slot_expanded(g) for g in corr.left.values(xs)]
-    V = [_slot_expanded(h) for h in corr.right.values(ys)]
+    U, V = _dense_values(corr.left, xs), _dense_values(corr.right, ys)
     oracle = np.array([[U[i] @ corr.weight @ V[j].conj().T
                         for j in range(len(ys))] for i in range(len(xs))])
     assert K.shape == oracle.shape == (4, 3, 9, 9)

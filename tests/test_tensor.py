@@ -251,7 +251,7 @@ def test_tensor_correction_kernel_matches_dense_oracle(base, build):
         K = corr.kernel(XS, YS)
         assert K.shape == (5, 3, 6, 6)
         assert np.array_equal(K, _dense_kernel(corr, XS, YS))
-        g = corr.left.values(XS)
+        g = corr.left._slot_values(XS)
         assert g.shape == (5, 6, 2)
         assert np.array_equal(g[:, 1:4], np.repeat(g[:, 1:2], 3, axis=1))
 
@@ -306,6 +306,11 @@ def test_tensor_contraction_needs_tensor_images(base):
     image = tn.tensor_normalized(base, measure).assembled.gamma(1j)
     with pytest.raises(tr.RepresentationError):
         image.contract(np.eye(4), base.gamma(1j), XS, YS)
+    # a tensor image has no generic (nx, v, dim) sampler, on either side
+    assert not hasattr(image, "values")
+    for left, right in ((image, base.gamma(1j)), (base.gamma(1j), image)):
+        with pytest.raises(tr.RepresentationError):
+            tr.KreinCorrection(1j, np.eye(4), left, right).kernel(XS, YS)
     spinor = build_triplet(dirac_right())
     dirac = tn.tensor_gamma_bounded(spinor.gamma, measure)(1j)
     with pytest.raises(tr.RepresentationError, match="scalar base kernels"):
