@@ -13,8 +13,10 @@ Config files are flat ``key = value`` text with dotted section prefixes
 comment.  A file ending in ``.json`` is read as a JSON object instead
 (nested objects are flattened with dots, so both mirrors of the same
 config are accepted).  Complex numbers are Python literals without
-spaces (``-1+0.5j``); in JSON a two-element ``[re, im]`` array also
-works.
+spaces (``-1+0.5j``); in JSON a two-number ``[re, im]`` array also
+works.  In JSON the list keys ``grid.z_list``, ``gamma.xi`` and
+``krein.entries`` take an array whose items are numbers, literals or
+``[re, im]`` pairs.
 
 Key reference by task (model.* selects a one-dimensional family from
 ``models1d``, jc.* a Jaynes-Cummings dot model from ``jcdot``):
@@ -138,6 +140,10 @@ class ConfigError(ValueError):
 _MAX_BYTES = 2 ** 31
 
 
+# keys whose JSON value may be an array of items, each a number, a string
+# or an [re, im] pair
+_LIST_KEYS = frozenset(["grid.z_list", "gamma.xi", "krein.entries"])
+
 _KNOWN_KEYS = frozenset(
     ["model." + p for factory in FACTORIES.values() for p in inspect.signature(factory).parameters]
     + [
@@ -226,6 +232,17 @@ class Config:
             raise ConfigError("%s: top level must be a JSON object" % path)
         values = {}
 
+        def item(key, val):
+            """One value of ``key`` as config text; two numbers are complex [re, im]."""
+            if isinstance(val, list) and len(val) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
+            ):
+                try:
+                    return repr(complex(val[0], val[1]))
+                except OverflowError:
+                    raise ConfigError("%s: key %r: number out of range in %r" % (path, key, val))
+            return str(val)
+
         def flatten(prefix, node):
             for key, val in node.items():
                 full = "%s.%s" % (prefix, key) if prefix else str(key)
@@ -238,15 +255,10 @@ class Config:
                     raise ConfigError(
                         "%s: duplicate key %r (set both nested and dotted)" % (path, full)
                     )
-                if isinstance(val, list):
-                    if len(val) == 2 and all(
-                        isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
-                    ):
-                        values[full] = repr(complex(val[0], val[1]))
-                    else:
-                        values[full] = ",".join(str(x) for x in val)
+                if full in _LIST_KEYS and isinstance(val, list):
+                    values[full] = ",".join(item(full, x) for x in val)
                 else:
-                    values[full] = str(val)
+                    values[full] = item(full, val)
 
         flatten("", obj)
         return cls(values, {k: 0 for k in values}, path)
@@ -445,7 +457,7 @@ def _task_weyl_sample(cfg, args):
     if has_model:
         weyl = build_triplet(_build_model(cfg, "weyl-sample")).weyl
     else:
-        weyl = jd.lead_weyl(_build_jc(cfg, "weyl-sample", matrices=1))
+        weyl = _build_jc(cfg, "weyl-sample", matrices=1).lead_weyl
     zs = _z_grid(cfg, "weyl-sample", lambda rows: (64 * rows + 80) * (2 + 2 * weyl.dim ** 2))
     header = ["re_z", "im_z"] + ["%s_m_%d_%d" % (part, i, j) for i in range(weyl.dim)
                                  for j in range(weyl.dim) for part in ("re", "im")]
@@ -591,7 +603,7 @@ def _task_jc_run(cfg, args):
         "kernel_equivalence": ke,
         "decoupling": dec,
         "spectrum_CJC": _spectrum_doc(jd.spectrum_report(jd.build_CJC(model))),
-        "spectrum_tilde_CJC": _spectrum_doc(jd.spectrum_tilde_CJC(model)),
+        "spectrum_tilde_CJC": _spectrum_doc(jd.spectrum_report(model.tilde_CJC)),
         "weyl_S_diag": [_complex_pair(v) for v in np.diag(jd.weyl_S(model, z))],
         "correction": {
             "x": [float(x) for x in xs],

@@ -57,14 +57,11 @@ __all__ = [
     "z_value",
     "rq_consistency",
     "build_CJC",
-    "site_CJC",
     "build_R_Q",
     "build_tilde_CJC",
     "jacobi_reorder",
-    "lead_weyl",
     "weyl_S",
     "dot_resolvent_correction",
-    "spectrum_tilde_CJC",
     "spectrum_report",
     "kernel_equivalence",
     "decoupling_report",
@@ -290,20 +287,25 @@ def _read_only(a):
     return a
 
 
+# below this t = k + v, (k+v)^2 stays finite
+_Z_CUTOFF = 1e154
+
+
 def z_value(v, k):
-    """Z(v, k) = sqrt(sqrt(1 + (k+v)^2) + k + v), elementwise in k."""
+    """Z(v, k) = sqrt(sqrt(1 + (k+v)^2) + k + v), elementwise in k.
+
+    Past _Z_CUTOFF, sqrt(1 + t^2) + t rounds to 2t, so Z = sqrt(2) sqrt(t)
+    there, a form that cannot overflow.
+    """
     t = np.asarray(k, dtype=float) + float(v)
-    return np.sqrt(np.sqrt(1.0 + t * t) + t)
+    small, big = np.minimum(t, _Z_CUTOFF), np.maximum(t, _Z_CUTOFF)
+    return np.where(t > _Z_CUTOFF, np.sqrt(2.0) * np.sqrt(big),
+                    np.sqrt(np.sqrt(1.0 + small * small) + small))
 
 
 def build_CJC(model):
     """C_JC in the dot-eigenbasis-outer, Fock-inner ordering (cached)."""
     return model.CJC
-
-
-def site_CJC(model):
-    """C_JC expressed in the site (lead) basis of the dot (cached)."""
-    return model.site_CJC
 
 
 def rq_consistency(model):
@@ -388,13 +390,8 @@ def jacobi_reorder(matrix, model):
     }
 
 
-def lead_weyl(model):
-    """The model's cached ``lead_weyl``."""
-    return model.lead_weyl
-
-
 def weyl_S(model, z):
-    """lead_weyl(model) at one point z."""
+    """The model's cached ``lead_weyl`` at one point z."""
     return model.lead_weyl(z)
 
 
@@ -434,10 +431,6 @@ def spectrum_report(matrix):
         "distinct": np.array(distinct),
         "multiplicities": mult,
     }
-
-
-def spectrum_tilde_CJC(model):
-    return spectrum_report(model.tilde_CJC)
 
 
 def _largest_angle_to_kernel(K, M):

@@ -132,9 +132,17 @@ def _check_speed(spec):
 
 
 def _exp(iw, x0):
-    """x -> e^{iw (x - x0)} and its x-derivative, on 1-D arrays."""
-    e = lambda x: np.exp(iw * (np.asarray(x) - x0))
-    return e, lambda x: iw * e(x)
+    """x -> e^{iw (x - x0)} and its x-derivative, on 1-D arrays.  An overflow
+    gives inf or nan without a warning, for the callers' finiteness checks."""
+    def e(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(iw * (np.asarray(x) - x0))
+
+    def de(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return iw * e(x)
+
+    return e, de
 
 
 def _even_odd(w, spec):

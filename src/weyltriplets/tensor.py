@@ -16,10 +16,11 @@ boundary-map transforms G0 = C^{1/2}, G1 = W, G2 = W S.
 
 Every block sum is assembled by ``spectral.kron_sum`` in the order of
 H (x) T (boundary index outer, atom slot inner); this is part of the
-public contract.  The same structure contracts the Krein correction
-kernel: ``TensorKernelImage.contract`` samples each atom's base kernels
-once per slot and sums over the d boundary columns of a slot, never over
-the d * total columns of gamma^S.
+public contract.  A plain triplet is the one-atom case (T = 0 on C), so
+``TensorKernelImage.slot_samples`` gives the layout of every sampled
+image, one slot per atom slot, and ``KreinCorrection.kernel`` contracts
+it over the d boundary columns of a slot, never over the d * total
+columns of gamma^S.
 """
 
 from dataclasses import dataclass
@@ -67,9 +68,8 @@ class TensorKernelImage:
     Spectral-projection orthogonality makes Gram matrices block-local:
     gamma^S(zeta)* gamma^S(z) = sum_k (gamma_k(zeta)* gamma_k(z)) (x) P_k.
     It also makes every column (i, s) of gamma^S(z) live on the single
-    atom slot s, so ``contract`` forms the Krein correction kernel slot
-    by slot without sampling the zero columns.  There is no ``values``:
-    the spatial samples are read through ``contract`` only.
+    atom slot s, so ``slot_samples`` never samples the zero columns.
+    There is no ``values``: no (nx, v, dim) layout is formed.
     """
 
     measure: SpectralMeasurePP
@@ -79,10 +79,6 @@ class TensorKernelImage:
     @property
     def dim(self):
         return self.boundary_dim * self.measure.total_dim
-
-    @property
-    def value_dim(self):
-        return self.measure.total_dim
 
     def gram(self, other):
         if not isinstance(other, TensorKernelImage):
@@ -94,44 +90,15 @@ class TensorKernelImage:
         grams = [a.gram(b) for a, b in zip(self.images, other.images)]
         return kron_sum(grams, self.measure, self.boundary_dim)
 
-    def _slot_values(self, x):
-        """Sample the kernels slot by slot: shape (nx, total, d).
+    def slot_samples(self, x):
+        """Kernel samples in slot layout, shape (nx, total, v, d).
 
-        Row s holds the base columns of the atom k(s) that owns slot s;
-        column (i, s) of gamma^S(z) is row s, entry i, supported on slot
-        s alone.  Needs scalar-valued base kernels.  This is not the
-        (nx, v, dim) layout of other images' ``values``, so it is read
-        by ``contract`` only.
+        Slot s holds the base columns of the atom that owns it: column
+        (i, s) of gamma^S(z) is entry i of slot s, supported on slot s
+        alone.  ``KreinCorrection.kernel`` contracts this layout.
         """
-        x = np.asarray(x, dtype=float)
-        out = np.empty((len(x), self.measure.total_dim, self.boundary_dim), dtype=complex)
-        for img, sl in zip(self.images, self.measure.slots()):
-            vals = img.values(x)  # (nx, v, d)
-            if vals.shape[1] != 1:
-                raise RepresentationError(
-                    "spatial sampling of tensor images needs scalar base kernels"
-                )
-            out[:, sl, :] = vals
-        return out
-
-    def contract(self, weight, other, xs, ys):
-        """Kernel samples K[x, y, s, t] of gamma^S W gamma'^S*, shape (nx, ny, total, total').
-
-        With g = ``_slot_values(xs)``, h = ``other._slot_values(ys)``
-        and W viewed as (d, total, d', total'): (g W)[x, s, j, t] =
-        sum_i g[x, s, i] W[i, s, j, t], then K = sum_j (g W)[x, s, j, t]
-        conj(h[y, t, j]), in O(nx ny total^2 d), as plain einsum loops.
-        """
-        if not isinstance(other, TensorKernelImage):
-            raise RepresentationError(
-                "cannot contract TensorKernelImage with %r" % other
-            )
-        g, h = self._slot_values(xs), other._slot_values(ys)
-        W = weight.reshape(
-            self.boundary_dim, self.value_dim, other.boundary_dim, other.value_dim
-        )
-        gW = np.einsum("xsi,isjt->xsjt", g, W)
-        return np.einsum("xsjt,ytj->xyst", gW, h.conj())
+        per_atom = np.stack([img.values(x) for img in self.images], axis=1)
+        return np.repeat(per_atom, [dim for _, dim in self.measure.atoms], axis=1)
 
 
 @dataclass(frozen=True)
@@ -318,17 +285,12 @@ def weight_growth_certificates(base_m):
     """
     z0 = 2.0 + 1.0j
     lam = np.logspace(0.0, 4.0, 40)
-    im = np.array([complex(base_m(1j - x)).imag for x in lam])
+    anchors = [complex(base_m(1j - x)) for x in lam]
+    im = np.array([a.imag for a in anchors])
     if (im <= 0).any():
         raise ValueError("Im m(i - lambda) must stay positive")
     L = np.array(
-        [
-            abs(
-                (complex(base_m(z0 - x)) - complex(base_m(1j - x)).real)
-                / complex(base_m(1j - x)).imag
-            )
-            for x in lam
-        ]
+        [abs((complex(base_m(z0 - x)) - a.real) / a.imag) for x, a in zip(lam, anchors)]
     )
     return {
         "im_sqrt": growth_certificate(lam, np.sqrt(im), alpha=1.0),

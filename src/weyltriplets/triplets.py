@@ -195,6 +195,10 @@ class AnalyticKernel:
             return vals
         return vals @ np.asarray(xi, dtype=complex)
 
+    def slot_samples(self, x):
+        """``values(x)`` as a single slot, shape (n, 1, value_dim, d)."""
+        return self.values(x)[:, None]
+
     def postmultiply(self, C):
         C = np.asarray(C, dtype=complex)
         cols = self.columns
@@ -392,36 +396,32 @@ class KreinCorrection:
     def kernel(self, xs, ys):
         """Sample the correction kernel K(x, y) on a grid pair.
 
-        Returns shape (len xs, len ys) for scalar kernels and
-        (len xs, len ys, v, v) for value_dim = v > 1.
+        Both images are read by ``slot_samples``: g = gamma(z) (nx, S, v, d)
+        and h = gamma(conj z) (ny, T, v', d'), one slot for a plain kernel
+        and one per atom slot for a tensor image.  With W viewed as
+        (d, S, d', T), the order of H (x) T,
 
-        Tensor images (``tensor.TensorKernelImage``) contract themselves
-        atom slot by atom slot: for the JC dot (v = N+1, d = 2(N+1)) that
-        is O(nx ny N^2).  They pair only with tensor images and have no
-        ``values``; any other pairing raises RepresentationError.  Other
-        images are sampled as U = gamma(z) (nx, v, d) and V = gamma(conj z)
-        (ny, v, d); U W is formed first, in O(nx v d^2), and then
-        contracted with conj V in O(nx ny v^2 d).
-        Every step is a plain einsum loop, not a BLAS product: BLAS rounds
-        differently and would change the last digits of the 17-digit CLI
-        output.
+            (g W)[x, s, a, j, t] = sum_i g[x, s, a, i] W[i, s, j, t]
+            K[x, y, (s, a), (t, b)] = sum_j (g W)[x, s, a, j, t] conj h[y, t, b, j]
+
+        of shape (nx, ny, S v, T v'), squeezed to (nx, ny) when
+        S v = T v' = 1.  For the JC dot (S = T = N+1, d = 2) this is
+        O(nx ny N^2).  Unsampled or mismatched images raise
+        RepresentationError.  Both steps are plain einsum loops, not BLAS
+        products: BLAS rounds differently and would change the last digits
+        of the 17-digit CLI output.
         """
-        if callable(getattr(self.left, "contract", None)):
-            K = self.left.contract(self.weight, self.right, xs, ys)
-        elif not (
-            callable(getattr(self.left, "values", None))
-            and callable(getattr(self.right, "values", None))
-        ):
+        samplers = [getattr(im, "slot_samples", None) for im in (self.left, self.right)]
+        if not all(callable(f) for f in samplers):
             raise RepresentationError("kernel() needs samplable gamma images")
-        else:
-            U = self.left.values(xs)  # (nx, v, d)
-            V = self.right.values(ys)  # (ny, v, d)
-            # K(x,y)[s,t] = sum_k (U W)[x,s,k] conj(V[y,t,k])
-            UW = np.einsum("xsj,jk->xsk", U, self.weight)
-            K = np.einsum("xsk,ytk->xyst", UW, V.conj())
-        if K.shape[2] == 1 and K.shape[3] == 1:
-            return K[:, :, 0, 0]
-        return K
+        g, h = samplers[0](xs), samplers[1](ys)
+        nx, S, v, d = g.shape
+        ny, T, w, e = h.shape
+        if self.weight.shape != (d * S, e * T):
+            raise RepresentationError("gamma images do not match the weight's shape")
+        gW = np.einsum("xsai,isjt->xsajt", g, self.weight.reshape(d, S, e, T))
+        K = np.einsum("xsajt,ytbj->xysatb", gW, h.conj()).reshape(nx, ny, S * v, T * w)
+        return K[:, :, 0, 0] if K.shape[2:] == (1, 1) else K
 
 
 def krein_correction(triplet, bc, z):

@@ -81,6 +81,44 @@ def test_json_config_mirror_byte_identical(tmp_path, capsys):
     assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
 
+GS_CFG = ("model.family = full-line-contact\ngamma.z = 1j\n"
+          "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n")
+
+
+@pytest.mark.parametrize("task,text,doc", [
+    # a two-number array under a list key is two items, not one complex number
+    ("weyl-sample", "model.family = schrodinger-right\ngrid.z_list = -0.5, -2.0\n",
+     {"model": {"family": "schrodinger-right"}, "grid": {"z_list": [-0.5, -2.0]}}),
+    ("gamma-sample", GS_CFG + "gamma.xi = 1.0, 0.0\n",
+     {"model": {"family": "full-line-contact"}, "gamma": {"z": [0, 1], "xi": [1.0, 0.0]},
+      "grid": {"x_min": -1, "x_max": 1, "x_n": 3}}),
+    # and each item may be an [re, im] pair
+    ("weyl-sample", WS_CFG,
+     {"model": {"family": "schrodinger-right"}, "grid": {"z_list": [[0, 1], [-1, 0.5]]}}),
+], ids=["z-list-reals", "xi-reals", "z-list-pairs"])
+def test_json_list_keys_mirror_text(tmp_path, capsys, task, text, doc):
+    outs = []
+    for name, body in (("a.cfg", text), ("b.json", json.dumps(doc))):
+        out = str(tmp_path / (name + ".csv"))
+        assert cli.main([task, "--config", write(tmp_path, name, body), "--out", out]) == 0
+        outs.append(Path(out).read_bytes())
+    capsys.readouterr()
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("section,key,val", [
+    ("model", "v", [1.0]),  # an array is a list only under a list key
+    ("gamma", "z", [1, 10 ** 400]),  # an integer beyond every double
+], ids=["array-under-scalar-key", "huge-integer-pair"])
+def test_json_arrays_outside_list_rules_rejected(tmp_path, capsys, section, key, val):
+    doc = {"model": {"family": "schrodinger-right"}, "gamma": {"z": "1j"},
+           "grid": {"x_min": 0, "x_max": 1, "x_n": 2}}
+    doc[section][key] = val
+    cfg = write(tmp_path, "bad.json", json.dumps(doc))
+    rc, _, err = run(capsys, ["gamma-sample", "--config", cfg])
+    assert rc == 2 and "bad.json" in err and "key '%s.%s'" % (section, key) in err, err
+
+
 def test_repeat_runs_byte_identical(tmp_path, capsys):
     cfg = write(tmp_path, "ws.cfg", WS_CFG)
     outs = []

@@ -70,6 +70,17 @@ def test_z_value():
     assert jd.z_value(0, 0) == 1.0
 
 
+def test_z_value_past_the_square_overflow():
+    # (k+v)^2 overflows past about 1.3e154: Z is then sqrt(2 (k+v)), with no
+    # warning (tier-1 turns RuntimeWarning into an error)
+    for v in (2e154, 1e200, 1e308):
+        Z = jd.z_value(v, np.arange(3))
+        assert np.abs(Z / (np.sqrt(2.0) * np.sqrt(v)) - 1.0).max() <= 4e-16
+    # below the cutoff the operation order is the closed form's
+    t = 1e153 + np.arange(3.0)
+    assert np.array_equal(jd.z_value(1e153, np.arange(3)), np.sqrt(np.sqrt(1.0 + t * t) + t))
+
+
 def test_dot_eigenbasis():
     dot = jd.TwoLevelDot(0.0, 1.0, 0.3 + 0.2j)
     l0, l1, U = dot.eigen()
@@ -123,12 +134,12 @@ def test_rq_closed_form_matches_generic(models):
 
 def test_boundary_matrices_cached_read_only(models):
     m = models["(1,3)"]
-    for build in (jd.build_CJC, jd.site_CJC, jd.build_tilde_CJC):
+    for build in (jd.build_CJC, lambda m: m.site_CJC, jd.build_tilde_CJC):
         A = build(m)
         assert build(m) is A
         with pytest.raises(ValueError):
             A[0, 0] = 0.0
-    assert jd.lead_weyl(m) is jd.lead_weyl(m)
+    assert m.lead_weyl is m.lead_weyl
 
 
 def test_rq_deviation_raises_on_every_call(monkeypatch):
@@ -162,7 +173,7 @@ def test_rq_matches_scalar_loop(models):
 
 def test_tilde_matrix_hermitian_and_floored(models):
     for m in models.values():
-        site = jd.site_CJC(m)
+        site = m.site_CJC
         assert np.abs(site - site.conj().T).max() < 1e-13
         Ct = jd.build_tilde_CJC(m)
         scale = np.abs(Ct).max()
@@ -383,7 +394,7 @@ def test_fockless_limit_reduces_to_scalar_krein_formula():
     z = -1.0 + 0.5j
     m0 = jd.JCModel(0.0, 0.0, jd.TwoLevelDot(0.1, 0.9, 0.2), 0.7,
                     jd.FockTruncation(0))
-    Ct0 = np.sqrt(2) * jd.site_CJC(m0) + np.eye(2)
+    Ct0 = np.sqrt(2) * m0.site_CJC + np.eye(2)
     assert np.abs(jd.build_tilde_CJC(m0) - Ct0).max() < 1e-14
     K0 = jd.dot_resolvent_correction(m0, z, xs)[:, :, 0, 0]
     base = build_triplet(full_line_contact(0.0, 0.0))
@@ -489,7 +500,7 @@ def test_lead_gamma_weights_are_the_anchor_weights():
 def test_spectrum_tilde_multiplicities():
     m = jd.JCModel(0.5, 2.0, jd.TwoLevelDot(0.3, 1.2), 0.9,
                    jd.FockTruncation(6))
-    st = jd.spectrum_tilde_CJC(m)
+    st = jd.spectrum_report(m.tilde_CJC)
     assert sum(st["multiplicities"]) == m.boundary_dim
 
 

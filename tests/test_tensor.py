@@ -174,6 +174,14 @@ def test_weight_growth_certificates():
     assert abs(wg["l_kernel"]["fitted_exponent"]) < 0.1
 
 
+def test_weight_growth_certificates_evaluate_each_point_once():
+    # one m(i - lambda) and one m(z0 - lambda) per lambda
+    calls = []
+    wg = tn.weight_growth_certificates(
+        lambda z: calls.append(z) or hg.m_schrodinger_halfline(z))
+    assert len(calls) == len(set(calls)) == 2 * len(wg["lambdas"])
+
+
 def test_friedrichs_krein_tensor_check(base):
     m = sp.SpectralMeasurePP.from_levels([0, 1, 2])
     rep = tn.friedrichs_krein_tensor_check(base, m)
@@ -251,8 +259,8 @@ def test_tensor_correction_kernel_matches_dense_oracle(base, build):
         K = corr.kernel(XS, YS)
         assert K.shape == (5, 3, 6, 6)
         assert np.array_equal(K, _dense_kernel(corr, XS, YS))
-        g = corr.left._slot_values(XS)
-        assert g.shape == (5, 6, 2)
+        g = corr.left.slot_samples(XS)
+        assert g.shape == (5, 6, 1, 2)
         assert np.array_equal(g[:, 1:4], np.repeat(g[:, 1:2], 3, axis=1))
 
 
@@ -282,36 +290,40 @@ def test_tensor_correction_kernel_squeezes_one_slot():
     assert np.abs(K - plain).max() <= 1e-14 * np.abs(plain).max()
 
 
-def test_tensor_images_skip_the_generic_route(monkeypatch):
-    # the generic (U W) V* route of KreinCorrection.kernel made to raise:
-    # the JC correction still runs, so it never samples slot-expanded columns
-    model = _jc_dot(6)
-    want = jd.dot_resolvent_correction(model, -1.0 + 0.5j, XS, YS)
-
-    class NoEinsum:
-        def __getattr__(self, name):
-            if name == "einsum":
-                raise AssertionError("generic kernel route taken")
-            return getattr(np, name)
-
-    monkeypatch.setattr(tr, "np", NoEinsum())
-    assert np.array_equal(jd.dot_resolvent_correction(model, -1.0 + 0.5j, XS, YS), want)
-    right = build_triplet(schrodinger_right())
-    with pytest.raises(AssertionError, match="generic"):
-        tr.krein_correction(right, tr.BoundaryCondition.theta1(), 1j).kernel(XS[2:], YS[1:])
-
-
 def test_tensor_contraction_needs_tensor_images(base):
     measure = sp.SpectralMeasurePP.from_levels([0.0, 1.0])
     image = tn.tensor_normalized(base, measure).assembled.gamma(1j)
-    with pytest.raises(tr.RepresentationError):
-        image.contract(np.eye(4), base.gamma(1j), XS, YS)
-    # a tensor image has no generic (nx, v, dim) sampler, on either side
+    # a tensor image has no generic (nx, v, dim) sampler, and a tensor image
+    # paired with a plain one does not match the weight, on either side
     assert not hasattr(image, "values")
     for left, right in ((image, base.gamma(1j)), (base.gamma(1j), image)):
         with pytest.raises(tr.RepresentationError):
             tr.KreinCorrection(1j, np.eye(4), left, right).kernel(XS, YS)
+
+
+def test_dirac_tensor_kernel_matches_per_atom_products():
+    # spinor base kernels (v = 2) over atoms of dimensions 1 and 2: the
+    # kernel block of slots (s, t) is gamma_k(x) W_st gamma_l(y)*, with k, l
+    # the atoms owning s and t and W_st the weight block of that slot pair
     spinor = build_triplet(dirac_right())
-    dirac = tn.tensor_gamma_bounded(spinor.gamma, measure)(1j)
-    with pytest.raises(tr.RepresentationError, match="scalar base kernels"):
-        tr.KreinCorrection(1j, np.eye(2), dirac, dirac).kernel(XS[2:], YS[1:])
+    measure = sp.SpectralMeasurePP.from_levels([0.0, 1.0], dims=[1, 2])
+    triplet = tn.tensor_normalized(spinor, measure).assembled
+    d, total = spinor.dim, measure.total_dim
+    B = np.diag(np.linspace(-0.5, 0.7, d * total)) + 0.2
+    corr = tr.krein_correction(triplet, tr.BoundaryCondition.operator(B), -1.0 + 0.5j)
+    xs, ys = XS[2:], YS[1:]
+    K = corr.kernel(xs, ys)
+    assert K.shape == (3, 2, 6, 6)
+    W = corr.weight.reshape(d, total, d, total)
+    owner = [0, 1, 1]
+    want = np.zeros_like(K)
+    for s in range(total):
+        g = corr.left.images[owner[s]].values(xs)  # (nx, 2, d)
+        for t in range(total):
+            h = corr.right.images[owner[t]].values(ys)  # (ny, 2, d)
+            for a in range(len(xs)):
+                for b in range(len(ys)):
+                    want[a, b, 2 * s:2 * s + 2, 2 * t:2 * t + 2] = (
+                        g[a] @ W[:, s, :, t] @ h[b].conj().T)
+    assert np.abs(want).max() > 0.0
+    assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()

@@ -179,6 +179,35 @@ def test_direct_sum_plain_is_diagnostic_only():
     assert abs(M[2, 2] - hg.m_schrodinger_halfline(1j, 2.0)) < 1e-14
 
 
+@pytest.fixture(scope="module")
+def dense_toys():
+    # dense summands with d = 1 and 2, so their direct sums carry BlockDiagImage
+    return [make_dense_toy(5, 1, seed=3).as_triplet(),
+            make_dense_toy(6, 2, seed=20250814).as_triplet()]
+
+
+@pytest.mark.parametrize("build", ["normalized", "plain-then-normalize"])
+@pytest.mark.parametrize("z,zeta", [(1j, -2 + 0.5j), (1.5 + 2j, 1j)])
+def test_block_diag_gamma_mlambda_identity(dense_toys, build, z, zeta):
+    # the Gram matrix of BlockDiagImage, and in the second build its
+    # postmultiply by normalize's weight, against the Weyl function
+    if build == "normalized":
+        t = tr.direct_sum_normalized(dense_toys)
+    else:
+        t = tr.normalize(tr.direct_sum_plain(dense_toys))
+    assert isinstance(t.gamma(z), tr.BlockDiagImage)
+    assert np.abs(t.weyl(1j) - 1j * np.eye(3)).max() < 1e-10
+    assert tr.herglotz_identity_residual(t, z, zeta) < 1e-10
+
+
+def test_block_diag_image_refuses_coupling_postmultiplier(dense_toys):
+    image = tr.direct_sum_plain(dense_toys).gamma(1j)
+    C = np.eye(3, dtype=complex)
+    C[0, 2] = 0.5
+    with pytest.raises(tr.RepresentationError, match="block-diagonal"):
+        image.postmultiply(C)
+
+
 def test_regularize_at_real_point():
     toys = [make_dense_toy(5, 1, seed=s) for s in (3, 4)]
     a = min(float(np.linalg.eigvalsh(t.A0).min()) for t in toys) - 1.5
