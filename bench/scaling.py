@@ -1,4 +1,4 @@
-"""How the Krein correction stage of the JC dot scales in N and in the grid.
+"""How the JC dot's correction and kernel-check stages scale in N and the grid.
 
     python3 bench/scaling.py [--size {full,tiny}] [--parent DIR] [--out FILE]
 
@@ -6,11 +6,12 @@ Times ``jcdot.dot_resolvent_correction`` and its kernel step
 ``KreinCorrection.kernel`` in one process at one BLAS thread, over the
 Fock truncations N and x-grid sizes nx of ``SIZES`` that ``jc-run``'s
 size guard admits (nx (N + 1) <= 2048), plus two points on the guard's
-edge, (N, nx) = (60, 33) and (200, 10).  Each point uses one model
-whose cached parts (C~_JC, the lead triplet) are built by an untimed
-warm-up call; the size's repeats (5 full, 2 tiny) cycle over all
-points, so drift spreads over them.  Reported per point: median and
-quartiles (inclusive method) of each stage, and per nx the fitted
+edge, (N, nx) = (60, 33) and (200, 10); and ``jcdot.kernel_equivalence``,
+which takes no grid, once per N.  Each N uses one model whose cached
+parts (C~_JC, the lead triplet) are built by untimed warm-up calls; the
+size's repeats (5 full, 2 tiny) cycle over all points, so drift spreads
+over them.  Reported per point: median and quartiles (inclusive method)
+of each stage, and per nx (per N for the kernel check) the fitted
 log-log slope of the median in the Fock dimension N + 1, over all N and
 over the three largest.
 
@@ -46,6 +47,8 @@ SIZES = {
 GUARD = 2048
 Z = -1.0 + 0.5j
 STAGES = ("correction_s", "kernel_s")
+# the stage that takes no x-grid, timed once per N
+CHECK = "kernel_equivalence_s"
 
 
 def points(size):
@@ -61,16 +64,19 @@ def measure(src, size):
     from weyltriplets import jcdot as jd
     from weyltriplets.triplets import BoundaryCondition, krein_correction
 
-    cases = []
+    models, cases = {}, []
     for N, nx in points(size):
-        model = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
-                           jd.FockTruncation(N))
+        model = models.setdefault(N, jd.JCModel(
+            0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7, jd.FockTruncation(N)))
         xs = np.linspace(-1.0, 1.0, nx)
         jd.dot_resolvent_correction(model, Z, xs)
         corr = krein_correction(model.lead_triplet,
                                 BoundaryCondition.operator(model.tilde_CJC), Z)
         cases.append({"N": N, "nx": nx, "model": model, "xs": xs, "corr": corr,
                       "correction_s": [], "kernel_s": []})
+    checks = [{"N": N, "model": models[N], CHECK: []} for N in SIZES[size]["N"]]
+    for check in checks:
+        jd.kernel_equivalence(check["model"])
     for _ in range(SIZES[size]["repeats"]):
         for case in cases:
             t0 = perf_counter()
@@ -80,8 +86,13 @@ def measure(src, size):
             t2 = perf_counter()
             case["correction_s"].append(t1 - t0)
             case["kernel_s"].append(t2 - t1)
+        for check in checks:
+            t0 = perf_counter()
+            jd.kernel_equivalence(check["model"])
+            check[CHECK].append(perf_counter() - t0)
     return {"environment": environment(),
-            "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases]}
+            "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases],
+            "checks": [{k: c[k] for k in ("N", CHECK)} for c in checks]}
 
 
 def run_child(src, size):
@@ -96,30 +107,36 @@ def summary(samples):
     return {"median": q2, "q1": q1, "q3": q3, "n": len(samples)}
 
 
+def fit_slopes(rows, stage):
+    """Log-log slopes of the median in N + 1, over all rows and the last three."""
+    fits = {}
+    for name, sel in (("all", rows), ("top3", rows[-3:])):
+        if len(sel) >= 2:
+            dim = np.log([r["N"] + 1 for r in sel])
+            t = np.log([r[stage]["median"] for r in sel])
+            fits[name] = float(np.polyfit(dim, t, 1)[0])
+    return fits
+
+
 def side_report(runs, size):
     """Pool the samples of one side's child runs; summaries and slopes."""
-    pooled = {}
+    pooled, pooled_checks = {}, {}
     for run in runs:
         for p in run["points"]:
             slot = pooled.setdefault((p["N"], p["nx"]), {s: [] for s in STAGES})
             for s in STAGES:
                 slot[s].extend(p[s])
+        for c in run["checks"]:
+            pooled_checks.setdefault(c["N"], []).extend(c[CHECK])
     table = [dict(N=N, nx=nx, **{s: summary(v[s]) for s in STAGES})
              for (N, nx), v in pooled.items()]
+    checks = [{"N": N, CHECK: summary(v)} for N, v in pooled_checks.items()]
     grid_N = SIZES[size]["N"]
-    slopes = {}
-    for s in STAGES:
-        for nx in SIZES[size]["nx"]:
-            rows = [r for r in table if r["nx"] == nx and r["N"] in grid_N]
-            fits = {}
-            for name, sel in (("all", rows), ("top3", rows[-3:])):
-                if len(sel) >= 2:
-                    dim = np.log([r["N"] + 1 for r in sel])
-                    t = np.log([r[s]["median"] for r in sel])
-                    fits[name] = float(np.polyfit(dim, t, 1)[0])
-            slopes.setdefault(s, {})[str(nx)] = fits
+    slopes = {s: {str(nx): fit_slopes([r for r in table if r["nx"] == nx and r["N"] in grid_N], s)
+                  for nx in SIZES[size]["nx"]} for s in STAGES}
+    slopes[CHECK] = fit_slopes(checks, CHECK)
     return {"environments": [r["environment"] for r in runs], "points": table,
-            "slopes": slopes}
+            "checks": checks, "slopes": slopes}
 
 
 def main(argv=None):
@@ -144,7 +161,7 @@ def main(argv=None):
         runs[name].append(run_child(sides[name], args.size))
     doc = {
         "what": "dot_resolvent_correction and its KreinCorrection.kernel step, "
-                "z = %r, one BLAS thread" % Z,
+                "z = %r, and kernel_equivalence, one BLAS thread" % Z,
         # the parent checkout's path is a local detail, left out
         "command": "python3 bench/scaling.py --size %s%s"
                    % (args.size, " --parent PARENT" if args.parent else ""),
@@ -161,6 +178,9 @@ def main(argv=None):
             print("%-7s N=%-4d nx=%-3d correction %.4g s  kernel %.4g s"
                   % (name, r["N"], r["nx"], r["correction_s"]["median"],
                      r["kernel_s"]["median"]))
+        for r in rep["checks"]:
+            print("%-7s N=%-4d kernel_equivalence %.4g s"
+                  % (name, r["N"], r[CHECK]["median"]))
         print("%-7s slopes in N+1: %s" % (name, json.dumps(rep["slopes"])))
     print(json.dumps(doc))
     return 0

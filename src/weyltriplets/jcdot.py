@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space, svd
+from scipy.linalg import qr
 
 from . import herglotz as hg
 from ._linalg import solve_guarded
@@ -433,22 +433,25 @@ def spectrum_report(matrix):
     }
 
 
-def _largest_angle_to_kernel(K, M):
-    """Largest principal angle between span K and ker M.
+def _row_basis(M):
+    """Orthonormal row-space basis of M from a pivoted QR of M^*, with
+    ``null_space``'s rank rule on R's diagonal: |r_kk| > |r_00| max(M.shape) eps."""
+    Q, R, _ = qr(M.conj().T, mode="economic", pivoting=True)
+    r = np.abs(np.diag(R))
+    return Q[:, :np.sum(r > r.max(initial=0.0) * max(M.shape) * np.finfo(r.dtype).eps)]
 
-    K has orthonormal columns, at most dim ker M of them.  The sines of
-    the principal angles are then the singular values of V K, with V an
-    orthonormal basis of the row space of M (the orthogonal complement of
-    ker M), taken from one reduced SVD of M with ``null_space``'s rank
-    rule.  The largest sine is the square root of the largest eigenvalue
-    of the Gram matrix (V K)(V K)^*, which is as accurate relative to
-    that sine as a singular-value solve.
+
+def _largest_kernel_angle(M1, M2):
+    """Largest principal angle from ker M1 to ker M2, and dim ker M1.
+
+    For row-space bases Q1, Q2 its sine is ||P_row(M2) P_ker(M1)||, the
+    root of the largest eigenvalue of Y^* Y, Y = Q2 - Q1 (Q1^* Q2), for any
+    ranks (1 when ker M1 is the larger); accurate for small angles.
     """
-    _, s, Vh = svd(M, full_matrices=False)
-    rank = np.sum(s > s.max(initial=0.0) * max(M.shape) * np.finfo(s.dtype).eps)
-    X = Vh[:rank] @ K
-    sine2 = np.linalg.eigvalsh(X @ X.conj().T)[-1]
-    return float(np.arcsin(min(1.0, np.sqrt(sine2))))
+    Q1, Q2 = _row_basis(M1), _row_basis(M2)
+    Y = Q2 - Q1 @ (Q1.conj().T @ Q2)
+    sine2 = np.linalg.eigvalsh(Y.conj().T @ Y)[-1]
+    return float(np.arcsin(min(1.0, np.sqrt(sine2)))), M1.shape[1] - Q1.shape[1]
 
 
 def kernel_equivalence(model):
@@ -461,11 +464,10 @@ def kernel_equivalence(model):
     two null spaces, the residual of the exact-transform identity and
     dim ker M1.
 
-    The angle is computed numerically from M1 and M2 as assembled, with
-    two SVDs: ker M1 from ``null_space`` (M1 has full row rank and M2 as
-    many rows, so ker M1 is never larger than ker M2), and the row space
-    of M2 from a reduced SVD.  It uses neither the closed form [I; C] of
-    ker M1 nor the relation M2 = R^{-1} M1, so it stays an independent
+    The angle and dim ker M1 come from M1 and M2 as assembled, through
+    orthonormal row-space bases from two pivoted economic QRs (Bjorck and
+    Golub, Math. Comp. 27, 1973).  It uses neither the closed form [I; C]
+    of ker M1 nor the relation M2 = R^{-1} M1, so it stays an independent
     check of the regularization.
     """
     m = model.boundary_dim
@@ -473,12 +475,10 @@ def kernel_equivalence(model):
     Rinv, Ct = model.Rinv, model.tilde_CJC
     M1 = np.hstack([-model.site_CJC, np.eye(m)])
     M2 = np.hstack([-(Rinv @ Q + Ct @ R), Rinv])
-    K1 = null_space(M1)
-    return {
-        "max_principal_angle": _largest_angle_to_kernel(K1, M2),
-        "transform_residual": float(np.abs(M2 - Rinv @ M1).max()),
-        "null_dim": K1.shape[1],
-    }
+    angle, null_dim = _largest_kernel_angle(M1, M2)
+    return {"max_principal_angle": angle,
+            "transform_residual": float(np.abs(M2 - Rinv @ M1).max()),
+            "null_dim": null_dim}
 
 
 def decoupling_report(model, z=None):

@@ -613,7 +613,7 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
     rc, out, _ = run(capsys, ["jc-run", "--config", cfg])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "81c040bdcab54ca45ad96d86987bc6b79880429bd5c68aeeab47cf4c28cf7ba4")
+        "f0e2a0d7e9bbfc616ebf750b47219cf74881c5090f92cf532e76a2a4c67e2e08")
 
 
 @pytest.mark.parametrize("N", [0, 3])

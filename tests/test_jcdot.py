@@ -320,12 +320,10 @@ def _unitary(rng, n):
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-@pytest.mark.parametrize("m", [6, 60])
-@pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-6, 1e-2, 0.7, np.pi / 2 - 1e-3])
-def test_largest_angle_to_kernel_planted(m, theta):
+def _planted(m, theta):
     # m-dimensional A, B in C^{2m} with principal angles in [0, theta], the
-    # largest exactly theta; each given in a random unitary frame, B as the
-    # kernel of a matrix whose rows span its complement
+    # largest exactly theta; each given in a random unitary frame, and each
+    # as the kernel of a matrix whose rows span its complement, M1 and M2
     rng = np.random.default_rng(int(1e3 * m + 1e6 * theta))
     U = _unitary(rng, 2 * m)
     angles = rng.uniform(0.0, theta, m)
@@ -333,13 +331,45 @@ def test_largest_angle_to_kernel_planted(m, theta):
     c, s = np.cos(angles), np.sin(angles)
     A = U[:, :m] @ _unitary(rng, m)
     B = (U[:, :m] * c + U[:, m:] * s) @ _unitary(rng, m)
-    M = _unitary(rng, m) @ (U[:, m:] * c - U[:, :m] * s).conj().T
-    assert np.abs(M @ B).max() < 1e-14
+    M2 = _unitary(rng, m) @ (U[:, m:] * c - U[:, :m] * s).conj().T
+    M1 = _unitary(rng, m) @ U[:, m:].conj().T
+    assert np.abs(M1 @ A).max() < 1e-14
+    assert np.abs(M2 @ B).max() < 1e-14
+    return A, B, M1, M2
+
+
+_THETAS = [0.0, 1e-12, 1e-6, 1e-2, 0.7, np.pi / 2 - 1e-3]
+
+
+@pytest.mark.parametrize("m", [6, 60])
+@pytest.mark.parametrize("theta", _THETAS)
+def test_largest_angle_to_kernel_planted(m, theta):
+    A, B, M1, M2 = _planted(m, theta)
     reference = subspace_angles(A, B).max()
-    got = jd._largest_angle_to_kernel(A, M)
+    got, null_dim = jd._largest_kernel_angle(M1, M2)
+    assert null_dim == m
     assert abs(got - reference) < 1e-12
     assert abs(got - theta) < 1e-12
     assert abs(reference - theta) < 1e-12
+
+
+@pytest.mark.parametrize("m", [6, 60])
+@pytest.mark.parametrize("theta", _THETAS)
+@pytest.mark.parametrize("extra", ["repeated_row", "smaller_kernel"])
+def test_largest_kernel_angle_planted_ranks(m, theta, extra):
+    # M1 with a repeated row (rank m, m + 1 rows), or with one more row
+    # from A, so that dim ker M1 = m - 1 < dim ker M2; the oracle's kernel
+    # bases come from scipy's SVD-based null_space
+    A, B, M1, M2 = _planted(m, theta)
+    row = M1[:1] if extra == "repeated_row" else A[:, :1].conj().T
+    M1 = np.vstack([M1, row])
+    K1 = scipy.linalg.null_space(M1)
+    assert K1.shape[1] == (m if extra == "repeated_row" else m - 1)
+    reference = subspace_angles(K1, scipy.linalg.null_space(M2)).max()
+    got, null_dim = jd._largest_kernel_angle(M1, M2)
+    assert null_dim == K1.shape[1]
+    assert abs(got - reference) < 1e-12
+    assert got <= theta + 1e-12
 
 
 def test_kernel_equivalence_detects_shifted_Q(models, monkeypatch):
@@ -357,10 +387,10 @@ def test_kernel_equivalence_detects_shifted_Q(models, monkeypatch):
         assert jd.kernel_equivalence(m)["max_principal_angle"] > 1e-10
 
 
-def test_kernel_equivalence_makes_at_most_two_svds(models, monkeypatch):
-    # every binding of svd that kernel_equivalence can reach: the public
+def test_kernel_equivalence_makes_no_svd(models, monkeypatch):
+    # every binding of svd that kernel_equivalence could reach: the public
     # names, the ones scipy's null_space/orth/svdvals and numpy's norm call,
-    # and jcdot's own import
+    # and any import of jcdot's own
     calls = []
     for mod in dict.fromkeys((scipy.linalg, scipy.linalg._decomp_svd, np.linalg,
                               getattr(np.linalg, "_linalg", np.linalg), jd)):
@@ -372,7 +402,7 @@ def test_kernel_equivalence_makes_at_most_two_svds(models, monkeypatch):
     for m in models.values():
         calls.clear()
         jd.kernel_equivalence(m)
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 0
 
 
 def test_correction_shape_and_adjoint_symmetry():
