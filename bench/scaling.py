@@ -39,7 +39,7 @@ import numpy as np  # noqa: E402  (after the BLAS thread count is fixed)
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = {
-    "full": {"N": (10, 20, 40, 80, 160), "nx": (2, 8, 32), "edges": ((60, 33), (200, 10)),
+    "full": {"N": (10, 20, 40, 80, 160, 320), "nx": (2, 8, 32), "edges": ((60, 33), (200, 10)),
              "repeats": 5},
     "tiny": {"N": (2, 4), "nx": (2,), "edges": (), "repeats": 2},
 }

@@ -31,7 +31,8 @@ krein-kernel    model.* (scalar-kernel family);  krein.z;
                 krein.variant = theta0 | theta1 | operator with
                 krein.theta (d = 1 shortcut) or krein.entries
                 (row-major, comma-separated);  grid.x_min/x_max/x_n
-validate        no required keys (runs the built-in invariant suite)
+validate        no required keys (runs the built-in invariant suite);
+                an aligned text table, or csv with --format csv
 jc-run          jc.*;  optional jc.z;  optional grid.x_min/x_max/x_n
 ==============  =====================================================
 
@@ -905,7 +906,8 @@ def _parse_args(argv):
     parser.add_argument("--config", required=True, help="key = value or .json config")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="table format (default csv; jc-run is always json)")
+                        help="table format (default csv; validate: default an aligned "
+                        "table, or csv; jc-run: json only)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser.parse_args(argv)
 
@@ -918,6 +920,8 @@ def main(argv=None):
     try:
         cfg = Config.from_file(args.config)
         if args.task == "validate":
+            if args.format == "json":
+                raise ConfigError("validate emits a table; json is not available")
             text, n_fail = _validate_text(_validate_checks(args.seed), args.format)
             _write_out(text, args.out)
             return EXIT_OK if n_fail == 0 else EXIT_VALIDATION

@@ -49,6 +49,15 @@ POLE_GUARD = 1e-10
 # |argument| below which tan/cot removable points are evaluated by series.
 _SERIES_CUTOFF = 1e-6
 
+# d m2/du = d sum_{n>=1} c_n x^(2n-2) (u = z - v, x = w d), c_n = n 4^n |B_2n| / (2n)!
+# with B_2n the Bernoulli numbers; below |x| = 1/2, where the closed form
+# cancels (error ~ eps / |x|^2), these twelve terms leave under 1e-18.
+_DM2_TAYLOR = (1 / 3, 2 / 45, 2 / 315, 4 / 4725, 2 / 18711, 2764 / 212837625,
+               4 / 2606175, 28936 / 162820783125, 87734 / 4331032831125,
+               698444 / 306265893058125, 310732 / 1222532449149375,
+               1890912728 / 67306523987918840625)
+_DM2_SERIES_CUTOFF = 0.5
+
 # Beyond this |Im argument| the trig functions have saturated to +-i at
 # double precision (tanh(20) differs from 1 by ~2e-18); evaluating them
 # directly would overflow for very large arguments.
@@ -175,7 +184,9 @@ def dm_interval(z, v=0.0, d=1.0, branch_index=1):
         m1'(z) = [tan(w d) + w d sec^2(w d)] / (2 w)
         m2'(z) = [-cot(w d) + w d csc^2(w d)] / (2 w)
 
-    with removable limits d and d/3 respectively as w -> 0.
+    with removable limits d and d/3 respectively as w -> 0.  Below
+    |w d| = 1/2 branch 2 is summed from its Taylor series, since the
+    closed form cancels there.
     """
     if branch_index not in (1, 2):
         raise ValueError("branch_index must be 1 or 2")
@@ -189,8 +200,11 @@ def dm_interval(z, v=0.0, d=1.0, branch_index=1):
             raise PoleError("w*d = %s too close to a pole of tan" % arg)
         t = _tan(arg)
         return (t + arg * (1.0 + t * t)) / (2.0 * w)
-    if abs(arg) < _SERIES_CUTOFF:
-        return d / 3.0 * (1.0 + 2.0 * arg * arg / 5.0)
+    if abs(arg) < _DM2_SERIES_CUTOFF:
+        x2, total = arg * arg, 0j
+        for c in reversed(_DM2_TAYLOR):
+            total = total * x2 + c
+        return d * total
     if _pole_distance(arg, 0.0) < POLE_GUARD:
         raise PoleError("w*d = %s too close to a pole of cot" % arg)
     ct = _cot(arg)

@@ -160,10 +160,10 @@ class JCModel:
 
     The model owns its derived objects, each built on first use and
     cached (``functools.cached_property``) for every function below:
-    ``CJC``, ``site_CJC``, ``anchors``, ``rq``, ``Rinv``, ``tilde_CJC``,
-    ``lead_weyl`` and ``lead_triplet``.  Cached arrays are read-only.  An
-    exception is never cached, so ``Rinv`` and ``tilde_CJC`` raise on
-    every access while the closed-form R, Q is inconsistent.
+    ``CJC``, ``site_CJC``, ``anchors``, ``rq``, ``tilde_CJC``, ``lead_weyl``
+    and ``lead_triplet``.  Cached arrays are read-only.  An exception is
+    never cached, so ``tilde_CJC`` raises on every access while the
+    closed-form R, Q is inconsistent (see ``build_R_Q``).
     """
 
     v_l: float
@@ -219,23 +219,14 @@ class JCModel:
         return _read_only(r), _read_only(q), float(np.fmax.reduce(dev, initial=0.0))
 
     @cached_property
-    def Rinv(self):
-        """Dense R^{-1}; raises if ``rq`` deviates above 1e-10."""
-        r, _, worst = self.rq
-        if worst > 1e-10:
-            raise ArithmeticError(
-                "closed-form R/Q deviate from the generic normalization path "
-                "by %.3g (branch inconsistency)" % worst
-            )
-        return _read_only(np.diag(1.0 / r))
-
-    @cached_property
     def tilde_CJC(self):
-        """C~_JC = R^{-1}(C_JC - Q)R^{-1} in the site basis."""
-        Rinv, Q = self.Rinv, np.diag(self.rq[1])
+        """C~_JC = R^{-1}(C_JC - Q)R^{-1} in the site basis, as a row and a
+        column scaling by the diagonal of R^{-1}."""
+        r, q = build_R_Q(self)
+        rinv = 1.0 / r
         # an overflow here is reported by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            ct = Rinv @ (self.site_CJC - Q) @ Rinv
+            ct = rinv[:, None] * (self.site_CJC - np.diag(q)) * rinv
         if not np.isfinite(ct).all():
             raise ArithmeticError("C~_JC is not finite (overflow in R^-1 (C_JC - Q) R^-1)")
         return _read_only(ct)
@@ -314,11 +305,16 @@ def rq_consistency(model):
 
 
 def build_R_Q(model):
-    """The closed-form pair (R, Q); ``ArithmeticError`` if it
-    deviates from sqrt(Im m(i - k; v)), Re m(i - k; v) by more than 1e-10."""
-    model.Rinv  # the generic-path check
-    r, q, _ = model.rq
-    return np.diag(r), np.diag(q)
+    """The diagonals (r, q) of the closed-form R and Q over (side, Fock
+    level).  Raises ``ArithmeticError`` on every call while they deviate
+    from sqrt(Im m(i - k; v)), Re m(i - k; v) by more than 1e-10."""
+    r, q, worst = model.rq
+    if worst > 1e-10:
+        raise ArithmeticError(
+            "closed-form R/Q deviate from the generic normalization path "
+            "by %.3g (branch inconsistency)" % worst
+        )
+    return r, q
 
 
 def build_tilde_CJC(model):
@@ -327,9 +323,12 @@ def build_tilde_CJC(model):
 
 
 def tilde_T_part(model):
-    """The boson part of C~_JC: R^{-1}(I (x) T - Q)R^{-1} = diag(sqrt2 T Z + Z^2)."""
-    Rinv, Q = model.Rinv, np.diag(model.rq[1])
-    return Rinv @ (np.kron(np.eye(2), model.fock.T) - Q) @ Rinv
+    """The boson part of C~_JC, R^{-1}(I (x) T - Q)R^{-1} = diag(sqrt2 T Z + Z^2),
+    as a dense matrix built from the diagonals of R and Q."""
+    r, q = build_R_Q(model)
+    rinv = 1.0 / r
+    k = np.tile(np.arange(model.fock.dim, dtype=float), 2)
+    return np.diag(rinv * (k - q) * rinv)
 
 
 def _chain_permutation(N):
@@ -462,7 +461,8 @@ def kernel_equivalence(model):
     acting on stacked boundary data; M2 equals R^{-1} M1 exactly, so their
     null spaces coincide.  Reports the largest principal angle between the
     two null spaces, the residual of the exact-transform identity and
-    dim ker M1.
+    dim ker M1.  R and Q are diagonal, so M2 and R^{-1} M1 are row and
+    column scalings by the diagonals from ``build_R_Q``.
 
     The angle and dim ker M1 come from M1 and M2 as assembled, through
     orthonormal row-space bases from two pivoted economic QRs (Bjorck and
@@ -470,34 +470,32 @@ def kernel_equivalence(model):
     of ker M1 nor the relation M2 = R^{-1} M1, so it stays an independent
     check of the regularization.
     """
-    m = model.boundary_dim
-    R, Q = build_R_Q(model)
-    Rinv, Ct = model.Rinv, model.tilde_CJC
-    M1 = np.hstack([-model.site_CJC, np.eye(m)])
-    M2 = np.hstack([-(Rinv @ Q + Ct @ R), Rinv])
+    r, q = build_R_Q(model)
+    rinv, Ct = 1.0 / r, model.tilde_CJC
+    M1 = np.hstack([-model.site_CJC, np.eye(model.boundary_dim)])
+    M2 = np.hstack([-(np.diag(rinv * q) + Ct * r), np.diag(rinv)])
     angle, null_dim = _largest_kernel_angle(M1, M2)
     return {"max_principal_angle": angle,
-            "transform_residual": float(np.abs(M2 - Rinv @ M1).max()),
+            "transform_residual": float(np.abs(M2 - rinv[:, None] * M1).max()),
             "null_dim": null_dim}
 
 
-def decoupling_report(model, z=None):
-    """Zero-pattern diagnostics of the lead coupling.
+def decoupling_report(model, z):
+    """Zero-pattern diagnostics of the lead coupling at a point z off the
+    lead spectrum.
 
-    With gamma = 0 and tau = 0 both C~_JC and the correction weight are
-    block-diagonal across (l, r); with a diagonal dot and tau != 0 the
-    cross-side block only carries the boson ladder (entries at Fock
-    distance exactly 1).
+    With gamma = 0 and tau = 0 both C~_JC and the correction weight
+    (C~_JC - M^S(z))^{-1} are block-diagonal across (l, r); with a diagonal
+    dot and tau != 0 the cross-side block of C~_JC only carries the boson
+    ladder (entries at Fock distance exactly 1).
     """
     n = model.fock.dim
     Ct = model.tilde_CJC
     cross = Ct[:n, n:]
     ladder = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
-    report = {
+    W = solve_guarded(Ct - weyl_S(model, z), np.eye(2 * n), context="C~ - M^S(z)")
+    return {
         "cross_block_max": float(np.abs(cross).max()),
         "cross_off_ladder_max": float(np.abs(cross[~ladder]).max()),
+        "weight_cross_max": float(np.abs(W[:n, n:]).max()),
     }
-    if z is not None:
-        W = solve_guarded(Ct - weyl_S(model, z), np.eye(2 * n), context="C~ - M^S(z)")
-        report["weight_cross_max"] = float(np.abs(W[:n, n:]).max())
-    return report

@@ -731,7 +731,7 @@ _GRID_SWEEP_SHA256 = {
     ("model-weyl", "csv"): "2aa1af5716ce6761d8027ecf87e1bedde22ca2f19a0afad79d38753e3fcefa57",
     ("model-weyl", "json"): "c026628e3f1562ce9368af64f41f30cb157fa3642fd46b05c9a57a1b28b4aafb",
     ("validate", "csv"): "3b885d58c1adf2970412857522471de3b38bd3f42f279cec1b6a96ac84261189",
-    ("validate", "json"): "4fe1f0f37a950213b420aefb7976aeb303213fc00b7742b6917a58a24d7e4bd8",
+    ("validate", "table"): "4fe1f0f37a950213b420aefb7976aeb303213fc00b7742b6917a58a24d7e4bd8",
     ("krein-kernel", "csv"): "1c061d2546893f4119c18a83919de52da397c4dbc603fa52ae306f8ea0bc08c1",
     ("krein-kernel", "json"): "c443f90a1fa11afc3b0cffa479dc1772c1d369f3ae9c7632f28d3c7ca4bae59b",
     ("gamma-sample", "csv"): "bc93bfb560b0361e27b98411194f2942d9e0a3a234ec4f337181289f8c0bdc7c",
@@ -811,17 +811,18 @@ _GRID_SWEEP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("op", list(_GRID_SWEEP_OPS))
+# "table" is validate's default format, an aligned text table
+@pytest.mark.parametrize("op, fmt", list(_GRID_SWEEP_SHA256))
 def test_grid_sweep_frozen_bytes(tmp_path, capsys, op, fmt):
     task, extra, text = _GRID_SWEEP_OPS[op]
     cfg, out = write(tmp_path, op + ".cfg", text), str(tmp_path / ("out." + fmt))
-    rc, stdout, err = run(capsys, [task, "--config", cfg, "--out", out, "--format", fmt] + extra)
+    fmt_args = [] if fmt == "table" else ["--format", fmt]
+    rc, stdout, err = run(capsys, [task, "--config", cfg, "--out", out] + fmt_args + extra)
     assert (rc, stdout, err) == (0, "", "")
     blob = Path(out).read_bytes()
     if task == "validate":
-        # the null-space SVD residual of jc-kernel-equivalence changes with
-        # the BLAS thread count; its row is pinned without that one field
+        # the pivoted-QR principal angle of jc-kernel-equivalence changes
+        # with the BLAS thread count; its row is pinned without that one field
         blob = re.sub(rb"(?m)^(jc-kernel-equivalence[ ,]+)[^ ,]+ *", rb"\1*", blob)
     assert hashlib.sha256(blob).hexdigest() == _GRID_SWEEP_SHA256[op, fmt]
 
@@ -835,6 +836,12 @@ def test_validate_all_checks_pass(tmp_path, capsys):
     n_checks = int(summary.split()[0])
     assert n_checks >= 25
     assert "%d passed, 0 failed" % n_checks in summary
+
+
+def test_validate_rejects_json(tmp_path, capsys):
+    cfg = write(tmp_path, "v.cfg", "\n")
+    rc, out, err = run(capsys, ["validate", "--config", cfg, "--format", "json"])
+    assert (rc, out) == (2, "") and "json" in err
 
 
 def test_validate_csv_format(tmp_path, capsys):

@@ -98,6 +98,25 @@ def test_derivative_matches_difference_quotient(fn, dfn, z0):
     assert abs(der - quot) < 1e-7 * max(1.0, abs(der))
 
 
+@pytest.mark.parametrize("branch", [1, 2])
+@pytest.mark.parametrize("d, v", [(1.0, 0.0), (0.4, -0.7), (2.5, 1.3)])
+def test_interval_derivative_matches_cauchy_integral(branch, d, v):
+    # oracle: f'(z0) = (1 / 2 pi i) int f(z) / (z - z0)^2 dz by the trapezoid
+    # rule on a circle halfway to the nearest pole (u = (pi / 2d)^2 for
+    # branch 1, (pi / d)^2 for branch 2, u = z - v), where it converges
+    # geometrically; it reads m_interval only
+    pole = (np.pi / (2 * d if branch == 1 else d)) ** 2
+    nodes = np.exp(2j * np.pi * np.arange(128) / 128)
+    for x_abs in np.logspace(-8, 0, 17):
+        for phase in (0.0, 0.4, 1.3, 2.2, np.pi, -0.9):
+            u = (x_abs * cmath.exp(1j * phase) / d) ** 2
+            rho = (pole - abs(u)) / 2
+            ref = sum(hg.m_interval(v + u + rho * e, v, d, branch) / e
+                      for e in nodes) / (128 * rho)
+            got = hg.dm_interval(v + u, v, d, branch)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (x_abs, phase)
+
+
 def test_cut_and_pole_rejection():
     with pytest.raises(hg.BranchCutError):
         hg.m_schrodinger_halfline(2.0)  # on the essential-spectrum cut

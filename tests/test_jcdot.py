@@ -127,9 +127,8 @@ def test_cjc_spectrum_closed_form(model):
 def test_rq_closed_form_matches_generic(models):
     for m in models.values():
         assert jd.rq_consistency(m) < 1e-12
-        R, Q = jd.build_R_Q(m)
-        assert np.abs(R - np.diag(np.diag(R))).max() == 0.0
-        assert np.abs(Q - np.diag(np.diag(Q))).max() == 0.0
+        r, q = jd.build_R_Q(m)
+        assert np.array_equal(r, m.rq[0]) and np.array_equal(q, m.rq[1])
 
 
 def test_boundary_matrices_cached_read_only(models):
@@ -314,6 +313,40 @@ def test_kernel_equivalence(models):
         assert ke["null_dim"] == m.boundary_dim
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("N", [0, 1, 20, 60])
+@pytest.mark.parametrize("dot, tau", [
+    (jd.TwoLevelDot(0.7, 0.7), 2.5),
+    (jd.TwoLevelDot(-0.3, 1.1), 0.9),
+    (jd.TwoLevelDot(0.2, 1.4, 0.3 - 0.25j), 0.0),
+], ids=["degenerate", "gamma0", "tau0"])
+def test_regularization_scalings_match_dense_products(N, dot, tau, monkeypatch):
+    # the oracle: R, R^{-1} and Q as dense diagonal matrices, every product
+    # with them a matmul; the scalings must give the same bits, signs of
+    # zeros included
+    m = jd.JCModel(1.0, 0.5, dot, tau, jd.FockTruncation(N))
+    r, q, _ = m.rq
+    R, Rinv, Q = np.diag(r), np.diag(1.0 / r), np.diag(q)
+    Ct = Rinv @ (m.site_CJC - Q) @ Rinv
+    T = Rinv @ (np.kron(np.eye(2), m.fock.T) - Q) @ Rinv
+    M1 = np.hstack([-m.site_CJC, np.eye(m.boundary_dim)])
+    M2 = np.hstack([-(Rinv @ Q + Ct @ R), Rinv])
+    assert _same_bits(m.tilde_CJC, Ct)
+    assert _same_bits(jd.tilde_T_part(m), T)
+    seen = []
+    angle = jd._largest_kernel_angle
+    monkeypatch.setattr(jd, "_largest_kernel_angle",
+                        lambda A, B: seen.append((A, B)) or angle(A, B))
+    ke = jd.kernel_equivalence(m)
+    assert _same_bits(seen[0][0], M1) and _same_bits(seen[0][1], M2)
+    assert _same_bits(ke["transform_residual"], float(np.abs(M2 - Rinv @ M1).max()))
+
+
 def _unitary(rng, n):
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(Z)
@@ -379,8 +412,8 @@ def test_kernel_equivalence_detects_shifted_Q(models, monkeypatch):
     build = jd.build_R_Q
 
     def shifted(model):
-        R, Q = build(model)
-        return R, Q + 1e-6 * np.eye(model.boundary_dim)
+        r, q = build(model)
+        return r, q + 1e-6
 
     monkeypatch.setattr(jd, "build_R_Q", shifted)
     for m in models.values():

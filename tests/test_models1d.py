@@ -87,6 +87,7 @@ def test_weyl_conjugate_symmetry(spec):
     "spec,grid",
     [
         (m1.schrodinger_right(v=0.5), np.linspace(0.0, 20.0, 4001)),
+        (m1.schrodinger_left(v=-0.2, a=0.25), np.linspace(-19.75, 0.25, 4001)),
         (m1.schrodinger_interval(v=0.0, a=0.0, b=1.0),
          np.linspace(0.0, 1.0, 2001)),
         (m1.dirac_right(c=1.0), np.linspace(0.0, 20.0, 4001)),
@@ -94,7 +95,7 @@ def test_weyl_conjugate_symmetry(spec):
          np.linspace(-1.0, 1.0, 2001)),
         (m1.full_line_contact(1.0, 0.0), np.linspace(-15.0, 15.0, 6001)),
     ],
-    ids=["halfline", "interval", "dirac", "dirac-interval", "full-line"],
+    ids=["halfline", "halfline-left", "interval", "dirac", "dirac-interval", "full-line"],
 )
 def test_defect_equation(spec, grid):
     assert m1.verify_defect_equation(spec, 2 + 1j, grid) < 1e-4
@@ -107,8 +108,9 @@ def test_defect_equation_needs_uniform_grid():
 
 
 @pytest.mark.parametrize(
-    "spec", [m1.schrodinger_right(v=0.3), m1.full_line_contact(1.0, 0.5)],
-    ids=["halfline", "full-line"],
+    "spec", [m1.schrodinger_right(v=0.3), m1.schrodinger_left(v=-0.2, a=0.25),
+             m1.full_line_contact(1.0, 0.5)],
+    ids=["halfline", "halfline-left", "full-line"],
 )
 def test_mlambda_identity_by_quadrature(spec):
     t = m1.build_triplet(spec)
