@@ -24,7 +24,7 @@ print("\nclosed-form R, Q vs the generic normalization path: %.2e"
 Ct = jd.build_tilde_CJC(model)
 print("transformed coupling matrix Hermiticity: %.2e"
       % np.abs(Ct - Ct.conj().T).max())
-floor = np.min(np.real(np.diag(jd.tilde_T_part(model))))
+floor = jd.tilde_T_part(model).min()
 print("photon-part diagonal floor %.6f (>= 1, closed form Z(v_min,0)^2)"
       % floor)
 

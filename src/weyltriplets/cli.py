@@ -36,6 +36,10 @@ validate        no required keys (runs the built-in invariant suite);
 jc-run          jc.*;  optional jc.z;  optional grid.x_min/x_max/x_n
 ==============  =====================================================
 
+A grid axis (re, im or x) needs all three keys grid.<axis>_min/_max/_n,
+with n >= 1 and a finite difference max - min; a missing key is reported
+by its name.
+
 Every numeric is emitted with 17 significant digits so that a written
 value round-trips to the same double.  Outputs are byte-identical for
 the same config, seed, BLAS build and BLAS thread count (the thread
@@ -170,26 +174,26 @@ def _fmt(x):
 
 
 class Config:
-    """Parsed config: string values plus the source line of every key."""
+    """Parsed config for one task: string values plus the source line of every key."""
 
-    def __init__(self, values, lines, path):
+    def __init__(self, values, lines, path, task):
         self.values = values
         self.lines = lines
         self.path = path
+        self.task = task
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, task):
         try:
             with open(path, "r") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError("cannot read config %r: %s" % (path, exc))
-        if path.endswith(".json"):
-            return cls._from_json(text, path)
-        return cls._from_text(text, path)
+        parse = cls._from_json if path.endswith(".json") else cls._from_text
+        return cls(*parse(text, path), path, task)
 
-    @classmethod
-    def _from_text(cls, text, path):
+    @staticmethod
+    def _from_text(text, path):
         values, lines = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -211,10 +215,10 @@ class Config:
                 raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
             values[key] = val
             lines[key] = lineno
-        return cls(values, lines, path)
+        return values, lines
 
-    @classmethod
-    def _from_json(cls, text, path):
+    @staticmethod
+    def _from_json(text, path):
         def unique(pairs):
             obj = {}
             for key, val in pairs:
@@ -262,7 +266,7 @@ class Config:
                     values[full] = item(full, val)
 
         flatten("", obj)
-        return cls(values, {k: 0 for k in values}, path)
+        return values, {k: 0 for k in values}
 
     # -- typed getters ------------------------------------------------
 
@@ -273,16 +277,14 @@ class Config:
     def has(self, key):
         return key in self.values
 
-    def require(self, key, task):
+    def require(self, key):
+        """The text of ``key``; a ConfigError naming the task if the config lacks it."""
         if key not in self.values:
-            raise ConfigError(
-                "%s: task %r needs key %r" % (self.path, task, key)
-            )
+            raise ConfigError("%s: task %r needs key %r" % (self.path, self.task, key))
+        return self.values[key]
 
     def str(self, key, default=None, choices=None):
-        val = self.values.get(key, default)
-        if val is None:
-            raise ConfigError("%s: missing key %r" % (self.path, key))
+        val = self.require(key) if default is None else self.values.get(key, default)
         if choices is not None and val not in choices:
             raise ConfigError(
                 "%s: key %r must be one of %s, got %r"
@@ -306,11 +308,9 @@ class Config:
         return val
 
     def _get(self, key, default, kind, convert):
-        if key in self.values:
-            return self._parse(key, self.values[key], kind, convert)
-        if default is None:
-            raise ConfigError("%s: missing key %r" % (self.path, key))
-        return default
+        if default is not None and key not in self.values:
+            return default
+        return self._parse(key, self.require(key), kind, convert)
 
     def float(self, key, default=None):
         return self._get(key, default, "real number", float)
@@ -335,8 +335,7 @@ class Config:
 # -- model builders ----------------------------------------------------
 
 
-def _build_model(cfg, task):
-    cfg.require("model.family", task)
+def _build_model(cfg):
     family = cfg.str("model.family", choices=FAMILIES)
     params = inspect.signature(FACTORIES[family]).parameters
     for key in cfg.values:
@@ -350,11 +349,9 @@ def _build_model(cfg, task):
         raise ConfigError("%s: %s" % (cfg.path, exc))
 
 
-def _build_jc(cfg, task, matrices):
+def _build_jc(cfg, matrices):
     """The dot model; the task holds about ``matrices`` dense complex m x m
     matrices at its peak (m = 2 (N + 1)), which bounds jc.N."""
-    for key in ("jc.alpha", "jc.beta", "jc.tau", "jc.N"):
-        cfg.require(key, task)
     dot = jd.TwoLevelDot(
         alpha=cfg.float("jc.alpha"),
         beta=cfg.float("jc.beta"),
@@ -382,20 +379,22 @@ def _check_size(cfg, key, nbytes):
                           % (cfg._where(key), key, nbytes / 1e9, _MAX_BYTES / 1e9))
 
 
-def _grid_count(cfg, key):
-    n = cfg.int(key)
+def _grid_axis(cfg, axis):
+    """(min, max, n) of the keys grid.<axis>_min/_max/_n, with n >= 1 and a
+    finite max - min, so that np.linspace(min, max, n) is finite."""
+    lo_key, hi_key, n_key = ("grid.%s_%s" % (axis, end) for end in ("min", "max", "n"))
+    lo, hi, n = cfg.float(lo_key), cfg.float(hi_key), cfg.int(n_key)
     if n < 1:
-        raise ConfigError("%s: %s must be >= 1" % (cfg._where(key), key))
-    return n
+        raise ConfigError("%s: %s must be >= 1" % (cfg._where(n_key), n_key))
+    if not isfinite(hi - lo):
+        raise ConfigError("%s: key %r: the span %s - %s overflows"
+                          % (cfg._where(hi_key), hi_key, hi_key, lo_key))
+    return lo, hi, n
 
 
-def _z_grid(cfg, task, nbytes):
+def _z_grid(cfg, nbytes):
     """The z-grid; ``nbytes(rows)`` estimates what the task needs for that many points."""
-    rect_keys = (
-        "grid.re_min", "grid.re_max", "grid.re_n",
-        "grid.im_min", "grid.im_max", "grid.im_n",
-    )
-    has_rect = any(cfg.has(k) for k in rect_keys)
+    has_rect = any(k.startswith(("grid.re_", "grid.im_")) for k in cfg.values)
     if cfg.has("grid.z_list") and has_rect:
         raise ConfigError(
             "%s: grid.z_list and the grid rectangle keys are mutually exclusive"
@@ -405,34 +404,23 @@ def _z_grid(cfg, task, nbytes):
         zs = cfg.complex_list("grid.z_list")
         _check_size(cfg, "grid.z_list", nbytes(len(zs)))
         return zs
-    if has_rect:
-        for key in rect_keys:
-            cfg.require(key, task)
-        re_lo, re_hi, re_n = (cfg.float("grid.re_min"), cfg.float("grid.re_max"),
-                              _grid_count(cfg, "grid.re_n"))
-        im_lo, im_hi, im_n = (cfg.float("grid.im_min"), cfg.float("grid.im_max"),
-                              _grid_count(cfg, "grid.im_n"))
-        _check_size(cfg, "grid.re_n" if re_n >= im_n else "grid.im_n", nbytes(re_n * im_n))
-        res, ims = np.linspace(re_lo, re_hi, re_n), np.linspace(im_lo, im_hi, im_n)
-        return [complex(re, im) for re in res for im in ims]
-    raise ConfigError(
-        "%s: task %r needs grid.z_list or the grid rectangle keys"
-        % (cfg.path, task)
-    )
+    if not has_rect:
+        raise ConfigError("%s: task %r needs grid.z_list or the grid rectangle keys"
+                          % (cfg.path, cfg.task))
+    re_axis, im_axis = _grid_axis(cfg, "re"), _grid_axis(cfg, "im")
+    _check_size(cfg, "grid.re_n" if re_axis[2] >= im_axis[2] else "grid.im_n",
+                nbytes(re_axis[2] * im_axis[2]))
+    res, ims = np.linspace(*re_axis), np.linspace(*im_axis)
+    return [complex(re, im) for re in res for im in ims]
 
 
-def _x_grid(cfg, task, nbytes, default=None):
+def _x_grid(cfg, nbytes, default=None):
     """The x-grid; ``nbytes(n)`` estimates what the task needs for n points."""
-    keys = ("grid.x_min", "grid.x_max", "grid.x_n")
-    if not any(cfg.has(k) for k in keys):
-        if default is not None:
-            return np.asarray(default, dtype=float)
-        raise ConfigError("%s: task %r needs grid.x_min/x_max/x_n" % (cfg.path, task))
-    for key in keys:
-        cfg.require(key, task)
-    n = _grid_count(cfg, "grid.x_n")
-    _check_size(cfg, "grid.x_n", nbytes(n))
-    return np.linspace(cfg.float("grid.x_min"), cfg.float("grid.x_max"), n)
+    if default is not None and not any(k.startswith("grid.x_") for k in cfg.values):
+        return np.asarray(default, dtype=float)
+    x_axis = _grid_axis(cfg, "x")
+    _check_size(cfg, "grid.x_n", nbytes(x_axis[2]))
+    return np.linspace(*x_axis)
 
 
 def _sample_x_grid(cfg, xs, sample):
@@ -456,10 +444,10 @@ def _task_weyl_sample(cfg, args):
             % cfg.path
         )
     if has_model:
-        weyl = build_triplet(_build_model(cfg, "weyl-sample")).weyl
+        weyl = build_triplet(_build_model(cfg)).weyl
     else:
-        weyl = _build_jc(cfg, "weyl-sample", matrices=1).lead_weyl
-    zs = _z_grid(cfg, "weyl-sample", lambda rows: (64 * rows + 80) * (2 + 2 * weyl.dim ** 2))
+        weyl = _build_jc(cfg, matrices=1).lead_weyl
+    zs = _z_grid(cfg, lambda rows: (64 * rows + 80) * (2 + 2 * weyl.dim ** 2))
     header = ["re_z", "im_z"] + ["%s_m_%d_%d" % (part, i, j) for i in range(weyl.dim)
                                  for j in range(weyl.dim) for part in ("re", "im")]
     # one scalar evaluation per Python complex z: numpy and cmath round differently
@@ -468,10 +456,9 @@ def _task_weyl_sample(cfg, args):
 
 
 def _task_gamma_sample(cfg, args):
-    spec = _build_model(cfg, "gamma-sample")
-    cfg.require("gamma.z", "gamma-sample")
+    spec = _build_model(cfg)
     z = cfg.complex("gamma.z")
-    xs = _x_grid(cfg, "gamma-sample", lambda n: 1024 * n)
+    xs = _x_grid(cfg, lambda n: 1024 * n)
     triplet = build_triplet(spec)
     d = triplet.dim
     if cfg.has("gamma.xi"):
@@ -500,7 +487,7 @@ def _task_gamma_sample(cfg, args):
 
 
 def _task_spectrum(cfg, args):
-    model = _build_jc(cfg, "spectrum", matrices=4)  # 3 measured at N = 100 and 200
+    model = _build_jc(cfg, matrices=4)  # 3 measured at N = 100 and 200
     which = cfg.str("spectrum.which", default="cjc", choices=("cjc", "tilde"))
     mat = jd.build_CJC(model) if which == "cjc" else jd.build_tilde_CJC(model)
     rep = jd.spectrum_report(mat)
@@ -511,15 +498,14 @@ def _task_spectrum(cfg, args):
 
 
 def _task_krein_kernel(cfg, args):
-    spec = _build_model(cfg, "krein-kernel")
+    spec = _build_model(cfg)
     if FAMILY_TABLE[spec.family].value_dim != 1:
         raise ConfigError(
             "%s: krein-kernel emits the scalar x,y,re_K,im_K schema; "
             "model.family %r has a spinor-valued kernel" % (cfg.path, spec.family)
         )
-    cfg.require("krein.z", "krein-kernel")
     z = cfg.complex("krein.z")
-    xs = _x_grid(cfg, "krein-kernel", lambda n: 512 * n * n)
+    xs = _x_grid(cfg, lambda n: 512 * n * n)
     triplet = build_triplet(spec)
     d = triplet.dim
     variant = cfg.str("krein.variant", default="operator",
@@ -574,9 +560,9 @@ def _spectrum_doc(rep):
 
 
 def _task_jc_run(cfg, args):
-    model = _build_jc(cfg, "jc-run", matrices=32)  # 26 measured at N = 100 and 200
+    model = _build_jc(cfg, matrices=32)  # 26 measured at N = 100 and 200
     z = cfg.complex("jc.z", default=-1.0 + 0.5j)
-    xs = _x_grid(cfg, "jc-run", lambda n: 512 * (n * model.fock.dim) ** 2, default=[-1.0, 0.5])
+    xs = _x_grid(cfg, lambda n: 512 * (n * model.fock.dim) ** 2, default=[-1.0, 0.5])
     ct = jd.build_tilde_CJC(model)
     jac = jd.jacobi_reorder(ct, model)
     ke = jd.kernel_equivalence(model)
@@ -594,7 +580,7 @@ def _task_jc_run(cfg, args):
         "seed": args.seed,
         "rq_consistency": jd.rq_consistency(model),
         "tilde_hermiticity": float(np.abs(ct - ct.conj().T).max()),
-        "tilde_T_floor": float(np.min(np.real(np.diag(jd.tilde_T_part(model))))),
+        "tilde_T_floor": float(jd.tilde_T_part(model).min()),
         "jacobi": {
             "off_chain_max": jac["off_chain_max"],
             "chain_block_diagonal": jac["chain_block_diagonal"],
@@ -789,7 +775,7 @@ def _validate_checks(seed):
              for v_l, v_r in ((0.0, 0.0), (0.0, 2.0), (1.0, 3.0))), 1e-12),
         ("jc-tilde-hermiticity", np.abs(ct - ct.conj().T).max(), 1e-12),
         ("jc-tilde-T-floor",
-         1.0 - 1e-12 - np.min(np.real(np.diag(jd.tilde_T_part(model)))), 0.0),
+         1.0 - 1e-12 - jd.tilde_T_part(model).min(), 0.0),
         ("jc-chain-off-diagonal",
          jd.jacobi_reorder(jd.build_CJC(model), model)["off_chain_max"], 0.0),
         ("jc-fock-beyond-band", jd.jacobi_reorder(ct, model)["fock_beyond_band_max"], 1e-14),
@@ -918,7 +904,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = Config.from_file(args.config)
+        cfg = Config.from_file(args.config, args.task)
         if args.task == "validate":
             if args.format == "json":
                 raise ConfigError("validate emits a table; json is not available")

@@ -129,7 +129,9 @@ class TwoLevelDot:
         """(lam0, lam1, U) with U the site <- eigen basis matrix."""
         w, V = np.linalg.eigh(self.B)
         scale = max(1.0, np.abs(w).max())
-        if w[1] - w[0] <= _DEGENERACY_TOL * scale:
+        with np.errstate(over="ignore"):  # an infinite gap is not degenerate
+            gap = w[1] - w[0]
+        if gap <= _DEGENERACY_TOL * scale:
             return w[0], w[1], np.eye(2, dtype=complex)
         for col in range(2):
             j = int(np.argmax(np.abs(V[:, col]) > 1e-12))
@@ -323,12 +325,12 @@ def build_tilde_CJC(model):
 
 
 def tilde_T_part(model):
-    """The boson part of C~_JC, R^{-1}(I (x) T - Q)R^{-1} = diag(sqrt2 T Z + Z^2),
-    as a dense matrix built from the diagonals of R and Q."""
+    """The diagonal of the boson part of C~_JC, R^{-1}(I (x) T - Q)R^{-1}
+    = diag(sqrt2 T Z + Z^2), from the diagonals of R and Q."""
     r, q = build_R_Q(model)
     rinv = 1.0 / r
     k = np.tile(np.arange(model.fock.dim, dtype=float), 2)
-    return np.diag(rinv * (k - q) * rinv)
+    return rinv * (k - q) * rinv
 
 
 def _chain_permutation(N):
@@ -434,20 +436,29 @@ def spectrum_report(matrix):
 
 def _row_basis(M):
     """Orthonormal row-space basis of M from a pivoted QR of M^*, with
-    ``null_space``'s rank rule on R's diagonal: |r_kk| > |r_00| max(M.shape) eps."""
+    ``null_space``'s rank rule on R's diagonal: |r_kk| > |r_00| max(M.shape) eps
+    (the product taken so that it cannot overflow for a finite |r_00|)."""
     Q, R, _ = qr(M.conj().T, mode="economic", pivoting=True)
     r = np.abs(np.diag(R))
-    return Q[:, :np.sum(r > r.max(initial=0.0) * max(M.shape) * np.finfo(r.dtype).eps)]
+    Q = Q[:, :np.sum(r > r.max(initial=0.0) * (max(M.shape) * np.finfo(r.dtype).eps))]
+    if not np.isfinite(Q).all():
+        raise ArithmeticError("kernel equivalence: the pivoted QR of a row space overflowed")
+    return Q
 
 
-def _largest_kernel_angle(M1, M2):
+def _largest_kernel_angle(M1, M2, rank=None):
     """Largest principal angle from ker M1 to ker M2, and dim ker M1.
 
     For row-space bases Q1, Q2 its sine is ||P_row(M2) P_ker(M1)||, the
     root of the largest eigenvalue of Y^* Y, Y = Q2 - Q1 (Q1^* Q2), for any
-    ranks (1 when ker M1 is the larger); accurate for small angles.
+    ranks (1 when ker M1 is the larger); accurate for small angles.  With
+    ``rank`` given, a basis of another rank raises ``ArithmeticError``.
     """
     Q1, Q2 = _row_basis(M1), _row_basis(M2)
+    if rank is not None and not Q1.shape[1] == Q2.shape[1] == rank:
+        raise ArithmeticError(
+            "kernel equivalence: the row spaces of M1 and M2 have numerical rank "
+            "%d and %d, not %d" % (Q1.shape[1], Q2.shape[1], rank))
     Y = Q2 - Q1 @ (Q1.conj().T @ Q2)
     sine2 = np.linalg.eigvalsh(Y.conj().T @ Y)[-1]
     return float(np.arcsin(min(1.0, np.sqrt(sine2)))), M1.shape[1] - Q1.shape[1]
@@ -474,7 +485,8 @@ def kernel_equivalence(model):
     rinv, Ct = 1.0 / r, model.tilde_CJC
     M1 = np.hstack([-model.site_CJC, np.eye(model.boundary_dim)])
     M2 = np.hstack([-(np.diag(rinv * q) + Ct * r), np.diag(rinv)])
-    angle, null_dim = _largest_kernel_angle(M1, M2)
+    # both have full row rank 2 (N + 1) by construction
+    angle, null_dim = _largest_kernel_angle(M1, M2, rank=model.boundary_dim)
     return {"max_principal_angle": angle,
             "transform_residual": float(np.abs(M2 - rinv[:, None] * M1).max()),
             "null_dim": null_dim}

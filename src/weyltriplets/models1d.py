@@ -154,7 +154,9 @@ def _even_odd(w, spec):
     2 e^{iw dd}, which cancels in each kernel ratio and keeps it finite for
     |t| <= dd: cos(w t)/cos(w dd) = (e^{iw(dd+t)} + e^{iw(dd-t)})/(1 + e^{2iw dd}).
     There |e^{2iw dd}| < e^{-700} is below rounding, so the scaled cos(w dd)
-    and sin(w dd) = i (1 - e^{2iw dd}) are exactly 1 and i.
+    and sin(w dd) = i (1 - e^{2iw dd}) are exactly 1 and i.  An overflow,
+    here or in the kernels' columns, gives inf or nan without a warning, for
+    the callers' finiteness checks.
     """
     nu, dd = spec.midpoint, spec.half_length
     small = abs(w) * max(abs(spec.a - nu), abs(spec.b - nu), dd) < _RATIO_CUTOFF
@@ -169,7 +171,8 @@ def _even_odd(w, spec):
 
     if scaled:
         return small, 1.0, 1j, trig
-    return small, np.cos(w * dd), np.sin(w * dd), trig
+    with np.errstate(over="ignore", invalid="ignore"):
+        return small, np.cos(w * dd), np.sin(w * dd), trig
 
 
 def _halfline_kernel(i, end, wave, spec, z):
@@ -200,11 +203,13 @@ def _schrodinger_interval_kernel(spec, z):
     dd = spec.half_length
     small, cd, sd, trig = _even_odd(w, spec)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def cols(x):
         t, co, si = trig(x)
         odd = (t / dd) * (1.0 + w * w * (t * t - dd * dd) / 6.0) if small else si / sd
         return np.stack([co / (_S2 * cd), odd / _S2], axis=-1)[:, None, :]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def cols_dx(x):
         t, co, si = trig(x)
         odd = ((1.0 / dd) * (1.0 + w * w * (3.0 * t * t - dd * dd) / 6.0) if small
@@ -222,6 +227,7 @@ def _dirac_interval_kernel(spec, z):
     dd = spec.half_length
     small, cd, sd, trig = _even_odd(k, spec)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def cols(x):
         t, co, si = trig(x)
         even = [co / (_S2 * cd), 1j * k1 * si / (_S2 * cd)]

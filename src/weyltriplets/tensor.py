@@ -128,14 +128,7 @@ def tensor_weyl_bounded(base_weyl, measure):
     def ev(z):
         return kron_sum([base_weyl(complex(z) - lam) for lam in lams], measure, d)
 
-    deriv = None
-    if base_weyl.derivative is not None:
-        base_d = base_weyl.derivative
-
-        def deriv(z):
-            return kron_sum([base_d(complex(z) - lam) for lam in lams], measure, d)
-
-    return WeylFunction(d * measure.total_dim, ev, derivative=deriv)
+    return WeylFunction(d * measure.total_dim, ev)
 
 
 def tensor_gamma_bounded(base_gamma, measure, weights=None):

@@ -860,7 +860,7 @@ def test_validate_csv_format(tmp_path, capsys):
 # products in the closed forms
 _NUMBERS = st.one_of(
     st.floats(-10, 10, allow_nan=False),
-    st.sampled_from([1e200, -1e200, 1e308, 1e-300]),
+    st.sampled_from([1e200, -1e200, 1e308, -1e308, 1e-300]),
 )
 _COMPLEX = st.builds(complex, _NUMBERS, _NUMBERS)
 
@@ -943,12 +943,73 @@ _SQRT_CUT_UNDERFLOW = ("weyl-sample", {
 # a Fock truncation far beyond memory: a config error, not a MemoryError
 _HUGE_FOCK = ("spectrum", {
     "jc.alpha": "0", "jc.beta": "1", "jc.tau": "1", "jc.N": "1000000000"}, "csv")
+_JC = {"jc.alpha": "0", "jc.beta": "1", "jc.tau": "1", "jc.N": "1"}
+_SPAN = {"grid.x_min": "-1e308", "grid.x_max": "1e308", "grid.x_n": "2"}
+# grid spans whose max - min overflows
+_X_SPAN_JC = ("jc-run", {**_JC, **_SPAN}, "json")
+_X_SPAN_KREIN = ("krein-kernel", {"model.family": "full-line-contact", "krein.z": "1j",
+                                  "krein.variant": "theta0", **_SPAN}, "csv")
+_RE_SPAN = ("weyl-sample", {**_JC, "grid.re_min": "-1e308", "grid.re_max": "1e308",
+                            "grid.re_n": "2", "grid.im_min": "1", "grid.im_max": "2",
+                            "grid.im_n": "1"}, "csv")
+# kernel bases whose rank threshold overflowed
+_KE_HUGE_BETA = ("jc-run", {"jc.alpha": "3", "jc.beta": "1e308", "jc.gamma_re": "1",
+                            "jc.gamma_im": "-1e308", "jc.tau": "2", "jc.N": "0"}, "json")
+_KE_HUGE_ALPHA = ("jc-run", {"jc.alpha": "-1e308", "jc.beta": "0", "jc.tau": "0",
+                             "jc.N": "0"}, "json")
+# a huge rank-one dot, whose M1 = [-C, I] has numerical row rank 1, not 2
+_KE_RANK_ONE = ("jc-run", {"jc.alpha": "1e300", "jc.beta": "1e300", "jc.gamma_re": "1e300",
+                           "jc.tau": "0", "jc.N": "0"}, "json")
+# a pivoted QR that overflows into its Q factor
+_KE_QR_OVERFLOW = ("jc-run", {"jc.alpha": "0", "jc.beta": "-1e308", "jc.gamma_re": "-1e308",
+                              "jc.tau": "0", "jc.N": "0"}, "json")
+# an overflowing dot eigenvalue gap, and overflows in the interval kernels' trig
+_DOT_GAP = ("spectrum", {"jc.alpha": "1", "jc.beta": "-1", "jc.tau": "-1", "jc.N": "0",
+                         "jc.gamma_re": "-1e20", "jc.gamma_im": "1e308"}, "csv")
+_DIRAC_WIDE = ("gamma-sample", {
+    "model.family": "dirac-interval", "model.c": "1e20", "model.a": "-1e308",
+    "model.b": "1e10", "gamma.z": "1+1e-300j", "grid.x_min": "1", "grid.x_max": "1e200",
+    "grid.x_n": "1"}, "csv")
+_DIRAC_SLOW = ("gamma-sample", {
+    "model.family": "dirac-interval", "model.c": "5e-324", "gamma.z": "-1e20+1e-20j",
+    "grid.x_min": "0.5", "grid.x_max": "2", "grid.x_n": "1"}, "csv")
+_SCHRODINGER_FAR = ("gamma-sample", {
+    "model.family": "schrodinger-interval", "model.v": "-1e20", "model.a": "1e200",
+    "model.b": "1e308", "gamma.z": "1+1e-300j", "grid.x_min": "5e-324",
+    "grid.x_max": "-1", "grid.x_n": "2"}, "csv")
+# (case, exit code, text of the message)
+_PINNED = [
+    (_SQRT_CUT_UNDERFLOW, 0, ""),
+    (_HUGE_FOCK, 2, "key 'jc.N'"),
+    (_X_SPAN_JC, 2, "key 'grid.x_max'"),
+    (_X_SPAN_KREIN, 2, "key 'grid.x_max'"),
+    (_RE_SPAN, 2, "key 'grid.re_max'"),
+    (_KE_HUGE_BETA, 3, "C~ - M^S(z)"),
+    (_KE_HUGE_ALPHA, 3, "kernel equivalence: the pivoted QR"),
+    (_KE_RANK_ONE, 3, "numerical rank 1 and 1, not 2"),
+    (_KE_QR_OVERFLOW, 3, "pivoted QR"),
+    (_DOT_GAP, 0, ""),
+    (_DIRAC_WIDE, 0, ""),
+    (_DIRAC_SLOW, 3, "non-finite result"),
+    (_SCHRODINGER_FAR, 2, "key 'grid.x_min'"),
+]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(("validate", {}, "csv"))
 @example(_SQRT_CUT_UNDERFLOW)
 @example(_HUGE_FOCK)
+@example(_X_SPAN_JC)
+@example(_X_SPAN_KREIN)
+@example(_RE_SPAN)
+@example(_KE_HUGE_BETA)
+@example(_KE_HUGE_ALPHA)
+@example(_KE_RANK_ONE)
+@example(_KE_QR_OVERFLOW)
+@example(_DOT_GAP)
+@example(_DIRAC_WIDE)
+@example(_DIRAC_SLOW)
+@example(_SCHRODINGER_FAR)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case
@@ -958,9 +1019,8 @@ def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main([task, "--config", str(cfg), "--format", fmt])
     assert rc in (0, 2, 3), err.getvalue()
-    if case == _SQRT_CUT_UNDERFLOW:
-        assert rc == 0, err.getvalue()
-    if case == _HUGE_FOCK:
-        assert rc == 2 and "key 'jc.N'" in err.getvalue(), err.getvalue()
+    for pinned, code, text in _PINNED:
+        if case == pinned:
+            assert rc == code and text in err.getvalue(), err.getvalue()
     if rc == 0:
         assert all(math.isfinite(x) for x in _numbers(out.getvalue()))

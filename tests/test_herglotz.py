@@ -2,6 +2,7 @@
 
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,42 @@ def test_interval_derivative_matches_cauchy_integral(branch, d, v):
                       for e in nodes) / (128 * rho)
             got = hg.dm_interval(v + u, v, d, branch)
             assert abs(got - ref) <= 1e-13 * abs(ref), (x_abs, phase)
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+@pytest.mark.parametrize("d, v", [(1.0, 0.0), (0.4, -0.7), (2.5, 1.3)])
+def test_interval_series_matches_mpmath(branch, d, v):
+    # below |w d| = 1e-6 m_interval sums a series; the oracle is the closed
+    # form w tan(w d) or -w cot(w d) at 40 digits, even in w, so that the
+    # branch of the root does not matter
+    for x_abs in (9e-7, 1e-7, 3e-8):
+        for phase in (0.0, 0.4, 1.3, np.pi / 2, 2.2, -0.9):
+            z = v + (x_abs * cmath.exp(1j * phase) / d) ** 2
+            with mpmath.workdps(40):
+                w = mpmath.sqrt(mpmath.mpc(z.real, z.imag) - v)
+                ref = complex(w * mpmath.tan(w * d) if branch == 1
+                              else -w * mpmath.cot(w * d))
+            got = hg.m_interval(z, v, d, branch)
+            assert abs(got - ref) <= 1e-15 * abs(ref), (x_abs, phase)
+
+
+@pytest.mark.parametrize("c, d", [(1.0, 1.0), (0.6, 2.5), (2.0, 0.3)])
+def test_dirac_interval_at_the_second_branch_point(c, d):
+    # at z = -c^2/2, k = 0 while k1 is singular: branch 1 is finite, its
+    # limit c k1 tan(k d) -> (z - c^2/2) d = -c^2 d (the oracle evaluates
+    # the closed form 1e-30 above the point at 40 digits), and branch 2 has
+    # a pole there
+    s = 0.5 * c * c
+    assert hg.dirac_k(-s, c) == 0
+    with mpmath.workdps(40):
+        z = mpmath.mpc(-s, 1e-30)
+        k1 = mpmath.sqrt((z - s) / (z + s))
+        ref = complex(c * k1 * mpmath.tan((z + s) * k1 / c * d))
+    got = hg.m_dirac(-s, c, "interval", d, 1)
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+    assert abs(ref + c * c * d) <= 1e-15 * c * c * d
+    with pytest.raises(hg.PoleError):
+        hg.m_dirac(-s, c, "interval", d, 2)
 
 
 def test_cut_and_pole_rejection():
