@@ -36,7 +36,7 @@ def imag_part(M):
     return (M - M.conj().T) / 2j
 
 
-def is_hermitian(M, tol=1e-12):
+def is_hermitian(M, tol):
     M = np.asarray(M)
     scale = max(1.0, np.abs(M).max()) if M.size else 1.0
     return np.abs(M - M.conj().T).max() <= tol * scale if M.size else True

@@ -39,6 +39,7 @@ __all__ = [
     "dirac_k",
     "dirac_k1",
     "m_dirac",
+    "m_dirac_interval",
     "catalogue",
 ]
 
@@ -95,40 +96,25 @@ def sqrt_cut(z):
     return cmath.sqrt(abs(z)) * cmath.exp(0.5j * theta)
 
 
+def _halfline_root(z, v):
+    """sqrt(z - v) of the half-line coefficients; the cut [v, inf) is rejected."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real >= v:
+        raise BranchCutError("z = %s lies on the cut [%g, inf)" % (z, v))
+    return sqrt_cut(z - v)
+
+
 def m_schrodinger_halfline(z, v=0.0):
     """Half-line Schrodinger Weyl coefficient m(z) = i sqrt(z - v).
 
     Real and negative on (-inf, v); the cut [v, inf) is rejected.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= v:
-        raise BranchCutError("z = %s lies on the cut [%g, inf)" % (z, v))
-    return 1j * sqrt_cut(z - v)
+    return 1j * _halfline_root(z, v)
 
 
 def dm_schrodinger_halfline(z, v=0.0):
     """d/dz of the half-line coefficient: i / (2 sqrt(z - v))."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= v:
-        raise BranchCutError("z = %s lies on the cut [%g, inf)" % (z, v))
-    return 0.5j / sqrt_cut(z - v)
-
-
-def _tan(w):
-    # tan with large-|Im| saturation, avoiding overflow in cosh/sinh
-    if w.imag > _TRIG_SATURATION:
-        return 1j
-    if w.imag < -_TRIG_SATURATION:
-        return -1j
-    return cmath.tan(w)
-
-
-def _cot(w):
-    if w.imag > _TRIG_SATURATION:
-        return -1j
-    if w.imag < -_TRIG_SATURATION:
-        return 1j
-    return cmath.cos(w) / cmath.sin(w)
+    return 0.5j / _halfline_root(z, v)
 
 
 def _pole_distance(arg, offset):
@@ -139,6 +125,30 @@ def _pole_distance(arg, offset):
     return min(abs(arg - cmath.pi * (n - 1 + offset)),
                abs(arg - cmath.pi * (n + offset)),
                abs(arg - cmath.pi * (n + 1 + offset)))
+
+
+def _tan(arg, label):
+    """tan(arg): PoleError naming ``label`` within POLE_GUARD of a real pole,
+    +-i past _TRIG_SATURATION."""
+    if _pole_distance(arg, 0.5) < POLE_GUARD:
+        raise PoleError("%s = %s too close to a pole of tan" % (label, arg))
+    if abs(arg.imag) > _TRIG_SATURATION:
+        return 1j if arg.imag > 0 else -1j
+    return cmath.tan(arg)
+
+
+def _cot(arg, label):
+    """cot(arg), guarded and saturated as ``_tan``."""
+    if _pole_distance(arg, 0.0) < POLE_GUARD:
+        raise PoleError("%s = %s too close to a pole of cot" % (label, arg))
+    if abs(arg.imag) > _TRIG_SATURATION:
+        return -1j if arg.imag > 0 else 1j
+    return cmath.cos(arg) / cmath.sin(arg)
+
+
+def _check_branch(branch_index):
+    if branch_index not in (1, 2):
+        raise ValueError("branch_index must be 1 or 2")
 
 
 def m_interval(z, v=0.0, d=1.0, branch_index=1):
@@ -154,26 +164,19 @@ def m_interval(z, v=0.0, d=1.0, branch_index=1):
     """
     if d <= 0:
         raise ValueError("interval half-length d must be positive")
-    if branch_index not in (1, 2):
-        raise ValueError("branch_index must be 1 or 2")
-    z = complex(z)
-    w = sqrt_cut(z - v)
+    _check_branch(branch_index)
+    u = complex(z) - v
+    w = sqrt_cut(u)
     arg = w * d
-    if branch_index == 1:
-        if _pole_distance(arg, 0.5) < POLE_GUARD:
-            raise PoleError("w*d = %s too close to a pole of tan" % arg)
-        if abs(arg) < _SERIES_CUTOFF:
-            # w tan(w d) = w^2 d (1 + (w d)^2/3 + ...) = (z - v) d (1 + ...)
-            return (z - v) * d * (1.0 + arg * arg / 3.0)
-        return w * _tan(arg)
-    # branch 2
     if abs(arg) < _SERIES_CUTOFF:
+        if branch_index == 1:
+            # w tan(w d) = w^2 d (1 + (w d)^2/3 + ...) = (z - v) d (1 + ...)
+            return u * d * (1.0 + arg * arg / 3.0)
         # -w cot(w d) = -1/d + (z-v) d/3 + (z-v)^2 d^3/45 + ...
-        u = z - v
         return -1.0 / d + u * d / 3.0 + u * u * d**3 / 45.0
-    if _pole_distance(arg, 0.0) < POLE_GUARD:
-        raise PoleError("w*d = %s too close to a pole of cot" % arg)
-    return -w * _cot(arg)
+    if branch_index == 1:
+        return w * _tan(arg, "w*d")
+    return -w * _cot(arg, "w*d")
 
 
 def dm_interval(z, v=0.0, d=1.0, branch_index=1):
@@ -188,26 +191,20 @@ def dm_interval(z, v=0.0, d=1.0, branch_index=1):
     |w d| = 1/2 branch 2 is summed from its Taylor series, since the
     closed form cancels there.
     """
-    if branch_index not in (1, 2):
-        raise ValueError("branch_index must be 1 or 2")
-    z = complex(z)
-    w = sqrt_cut(z - v)
+    _check_branch(branch_index)
+    w = sqrt_cut(complex(z) - v)
     arg = w * d
     if branch_index == 1:
         if abs(arg) < _SERIES_CUTOFF:
             return d * (1.0 + 2.0 * arg * arg / 3.0)
-        if _pole_distance(arg, 0.5) < POLE_GUARD:
-            raise PoleError("w*d = %s too close to a pole of tan" % arg)
-        t = _tan(arg)
+        t = _tan(arg, "w*d")
         return (t + arg * (1.0 + t * t)) / (2.0 * w)
     if abs(arg) < _DM2_SERIES_CUTOFF:
         x2, total = arg * arg, 0j
         for c in reversed(_DM2_TAYLOR):
             total = total * x2 + c
         return d * total
-    if _pole_distance(arg, 0.0) < POLE_GUARD:
-        raise PoleError("w*d = %s too close to a pole of cot" % arg)
-    ct = _cot(arg)
+    ct = _cot(arg, "w*d")
     return (-ct + arg * (1.0 + ct * ct)) / (2.0 * w)
 
 
@@ -252,52 +249,40 @@ def dirac_k(z, c=1.0):
     return (z + s) * dirac_k1(z, c) / c
 
 
-def m_dirac(z, c=1.0, geometry="halfline", d=None, branch_index=1):
-    """Dirac Weyl coefficients.
+def m_dirac(z, c=1.0):
+    """Half-line Dirac coefficient m(z) = i c k1(z), real on the gap (-c^2/2, c^2/2)."""
+    return 1j * c * dirac_k1(z, c)
 
-    geometry "halfline":    m(z)  = i c k1(z)
-    geometry "interval":    m1(z) = c k1(z) tan(k(z) d)
-                            m2(z) = -c k1(z) cot(k(z) d)
 
-    The half-line coefficient is real on the spectral gap
-    (-c^2/2, c^2/2).  For the interval functions d is the half-length;
-    m2's removable point at the branch points (k d -> 0) is evaluated by
-    series, real poles are guarded as in ``m_interval``.
+def m_dirac_interval(z, c=1.0, d=1.0, branch_index=1):
+    """Interval Dirac coefficients, half-length ``d``.
+
+    branch_index 1:  m1(z) =  c k1(z) tan(k(z) d)
+    branch_index 2:  m2(z) = -c k1(z) cot(k(z) d)
+
+    The removable point k d -> 0 at the branch points is evaluated by
+    series; real poles are guarded as in ``m_interval``.
     """
     z = complex(z)
-    if geometry == "halfline":
-        return 1j * c * dirac_k1(z, c)
-    if geometry != "interval":
-        raise ValueError("geometry must be 'halfline' or 'interval'")
-    if d is None or d <= 0:
+    if d <= 0:
         raise ValueError("interval geometry needs a positive half-length d")
-    if branch_index not in (1, 2):
-        raise ValueError("branch_index must be 1 or 2")
+    _check_branch(branch_index)
     s = 0.5 * c * c
-    if z.imag == 0.0 and z.real == -s:
-        # k1 blows up but k -> 0; both interval coefficients stay finite,
-        # handled by the same series as the generic small-k case below.
-        k1v = None
-    else:
-        k1v = dirac_k1(z, c)
-    kv = (z + s) * k1v / c if k1v is not None else 0j
-    arg = kv * d
-    if branch_index == 1:
-        if abs(arg) < _SERIES_CUTOFF:
+    # at z = -c^2/2 k1 blows up but k d = 0: the series below applies
+    k1v = None if z.imag == 0.0 and z.real == -s else dirac_k1(z, c)
+    arg = ((z + s) * k1v / c if k1v is not None else 0j) * d
+    if abs(arg) < _SERIES_CUTOFF:
+        if branch_index == 1:
             # c k1 tan(k d) = c k1 k d (1 + ...) = (z - s) d (1 + (kd)^2/3)
             return (z - s) * d * (1.0 + arg * arg / 3.0)
-        if _pole_distance(arg, 0.5) < POLE_GUARD:
-            raise PoleError("k*d = %s too close to a pole of tan" % arg)
-        return c * k1v * _tan(arg)
-    if abs(arg) < _SERIES_CUTOFF:
         if z + s == 0:
             raise PoleError("z = -c^2/2 is a pole of the second Dirac branch")
         # -c k1 cot(k d) = -c^2/((z+s) d) + (z-s) d/3 + (z-s) k^2 d^3/45
         k2 = (z * z - s * s) / (c * c)  # k^2 = (z^2 - c^4/4)/c^2
         return -c * c / ((z + s) * d) + (z - s) * d / 3.0 + (z - s) * k2 * d**3 / 45.0
-    if _pole_distance(arg, 0.0) < POLE_GUARD:
-        raise PoleError("k*d = %s too close to a pole of cot" % arg)
-    return -c * k1v * _cot(arg)
+    if branch_index == 1:
+        return c * k1v * _tan(arg, "k*d")
+    return -c * k1v * _cot(arg, "k*d")
 
 
 @dataclass(frozen=True)
@@ -324,7 +309,7 @@ def catalogue(v=0.0, c=1.0, d=1.0):
         HerglotzScalar("m_hl", lambda z: m_schrodinger_halfline(z, v)),
         HerglotzScalar("m_hc1", lambda z: m_interval(z, v, d, 1)),
         HerglotzScalar("m_hc2", lambda z: m_interval(z, v, d, 2)),
-        HerglotzScalar("m_dr", lambda z: m_dirac(z, c, "halfline")),
-        HerglotzScalar("m_dc1", lambda z: m_dirac(z, c, "interval", d, 1)),
-        HerglotzScalar("m_dc2", lambda z: m_dirac(z, c, "interval", d, 2)),
+        HerglotzScalar("m_dr", lambda z: m_dirac(z, c)),
+        HerglotzScalar("m_dc1", lambda z: m_dirac_interval(z, c, d, 1)),
+        HerglotzScalar("m_dc2", lambda z: m_dirac_interval(z, c, d, 2)),
     ]

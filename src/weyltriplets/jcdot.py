@@ -188,8 +188,13 @@ class JCModel:
         lam0, lam1, _ = self.dot.eigen()
         f, d = self.fock, self.dot
         ladder = np.kron(d.sigma_plus, f.b) + np.kron(d.sigma_minus, f.bdag)
-        return _read_only(np.kron(np.diag([lam0, lam1]), np.eye(f.dim))
-                          + np.kron(np.eye(2), f.T) + self.tau * ladder)
+        # an overflow here is reported by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = (np.kron(np.diag([lam0, lam1]), np.eye(f.dim))
+                 + np.kron(np.eye(2), f.T) + self.tau * ladder)
+        if not np.isfinite(C).all():
+            raise ArithmeticError("C_JC is not finite (overflow in the dot energies or tau)")
+        return _read_only(C)
 
     @cached_property
     def site_CJC(self):
@@ -396,21 +401,20 @@ def weyl_S(model, z):
     return model.lead_weyl(z)
 
 
-def dot_resolvent_correction(model, z, xs, ys=None):
+def dot_resolvent_correction(model, z, xs):
     """Krein correction kernel of the JC boundary condition.
 
     Returns samples of gamma~(z) (C~_JC - M^S(z))^{-1} gamma~(conj z)*
-    of shape (len xs, len ys, N+1, N+1): a Fock-space operator per
+    of shape (len xs, len xs, N+1, N+1): a Fock-space operator per
     spatial pair, with the lead side encoded in the sign of x and y.
     """
     z = complex(z)
     xs = np.asarray(xs, dtype=float)
-    ys = xs if ys is None else np.asarray(ys, dtype=float)
     bc = BoundaryCondition.operator(model.tilde_CJC)
     corr = krein_correction(model.lead_triplet, bc, z)
     n = model.fock.dim
     # undo the scalar squeeze at N = 0 so the shape contract is uniform
-    return np.asarray(corr.kernel(xs, ys)).reshape(len(xs), len(ys), n, n)
+    return np.asarray(corr.kernel(xs, xs)).reshape(len(xs), len(xs), n, n)
 
 
 def spectrum_report(matrix):

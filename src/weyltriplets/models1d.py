@@ -58,6 +58,8 @@ _RATIO_CUTOFF = 1e-6
 # Beyond this Im(w)*dd the interval kernels use their exp-scaled forms;
 # cos and sin of w dd themselves overflow near 710.
 _SCALED_CUTOFF = 350.0
+# Below this half-length dd^2 stays finite.
+_SQUARE_CUTOFF = 1e150
 
 _S2 = np.sqrt(2.0)
 
@@ -203,17 +205,22 @@ def _schrodinger_interval_kernel(spec, z):
     dd = spec.half_length
     small, cd, sd, trig = _even_odd(w, spec)
 
+    def curve(t, k):
+        # w^2 (k t^2 - dd^2), scaled by dd where dd^2 would overflow
+        if dd < _SQUARE_CUTOFF:
+            return w * w * (k * t * t - dd * dd)
+        return (w * dd) * (w * dd) * (k * (t / dd) * (t / dd) - 1.0)
+
     @np.errstate(over="ignore", invalid="ignore")
     def cols(x):
         t, co, si = trig(x)
-        odd = (t / dd) * (1.0 + w * w * (t * t - dd * dd) / 6.0) if small else si / sd
+        odd = (t / dd) * (1.0 + curve(t, 1.0) / 6.0) if small else si / sd
         return np.stack([co / (_S2 * cd), odd / _S2], axis=-1)[:, None, :]
 
     @np.errstate(over="ignore", invalid="ignore")
     def cols_dx(x):
         t, co, si = trig(x)
-        odd = ((1.0 / dd) * (1.0 + w * w * (3.0 * t * t - dd * dd) / 6.0) if small
-               else w * co / sd)
+        odd = (1.0 / dd) * (1.0 + curve(t, 3.0) / 6.0) if small else w * co / sd
         return np.stack([-w * si / (_S2 * cd), odd / _S2], axis=-1)[:, None, :]
 
     return dict(columns=cols, columns_dx=cols_dx, domain=(spec.a, spec.b))
@@ -330,9 +337,8 @@ FAMILY_TABLE = {
         lambda s: [dict(c=s.c)], partial(_halfline_kernel, 1j, "b", _dirac_wave),
         lambda s, f, d: (f[0, :1], (1j * s.c) * f[0, 1:]), _dirac_defect, value_dim=2),
     "dirac-interval": _Family(
-        dirac_interval, (_check_endpoints, _check_speed), "m_dirac", None,
-        lambda s: [dict(c=s.c, geometry="interval", d=s.half_length, branch_index=j)
-                   for j in (1, 2)],
+        dirac_interval, (_check_endpoints, _check_speed), "m_dirac_interval", None,
+        lambda s: [dict(c=s.c, d=s.half_length, branch_index=j) for j in (1, 2)],
         _dirac_interval_kernel,
         lambda s, f, d: _symmetrized(f[:, 0], [1j * s.c * f[0, 1], -1j * s.c * f[1, 1]]),
         _dirac_defect, value_dim=2),
@@ -402,7 +408,7 @@ def eval_gamma_on_grid(triplet, z, boundary_vector, grid):
     return vals[:, 0] if vals.shape[1] == 1 else vals
 
 
-def verify_defect_equation(spec, z, grid, xi=None):
+def verify_defect_equation(spec, z, grid):
     """Finite-difference residual of (A* - z) on a gamma image.
 
     ``grid`` must be uniform and inside the spec's spatial domain.
@@ -418,9 +424,7 @@ def verify_defect_equation(spec, z, grid, xi=None):
         raise ValueError("defect check needs a uniform grid")
     kern = _gamma_kernel(spec, z)
     d = kern.dim
-    if xi is None:
-        xi = np.ones(d) / np.sqrt(d)
-    u = kern.values(grid, np.asarray(xi, dtype=complex))  # (n, value_dim)
+    u = kern.values(grid, np.ones(d) / np.sqrt(d))  # (n, value_dim)
     res = np.abs(FAMILY_TABLE[spec.family].defect(spec, z, grid, u, h))
     keep = np.ones(len(res), dtype=bool)
     for p in kern.split_points:

@@ -137,32 +137,24 @@ def _fd_matrices(grid, theta, z):
     return ab_D, ab_R
 
 
-def _snap_indices(grid, xs, interior_only=True):
+def _snap_indices(grid, xs):
     idx = np.rint(np.asarray(xs, dtype=float) / grid.h).astype(int)
-    lo = 1 if interior_only else 0
-    if (idx < lo).any() or (idx > grid.n - 1).any():
+    if (idx < 1).any() or (idx > grid.n - 1).any():
         raise ValueError("sample points outside the FD grid interior")
     return idx
 
 
-def fd_resolvent_difference(grid, theta, z, xs=None, ys=None):
+def fd_resolvent_difference(grid, theta, z, xs, ys):
     """FD approximation of the Robin-minus-Dirichlet Green kernel.
 
-    Returns the matrix of G_theta(x, y) - G_D(x, y) at the requested
-    sample points (snapped to grid nodes); matrix inverse entries are
-    converted to kernel values by the 1/h quadrature-weight convention.
-    Sampling defaults to every interior node for small grids, otherwise
-    xs/ys must be given explicitly.
+    Returns the matrix of G_theta(x, y) - G_D(x, y) at the sample points
+    xs (rows) and ys (columns), each snapped to an interior grid node;
+    matrix inverse entries are converted to kernel values by the 1/h
+    quadrature-weight convention.
     """
     z = complex(z)
     grid.assert_adequate(z)
     n, h = grid.n, grid.h
-    if xs is None or ys is None:
-        if n > 2000:
-            raise ValueError("grid too large to sample fully; pass xs and ys")
-        nodes = grid.nodes()[1:-1]
-        xs = nodes if xs is None else xs
-        ys = nodes if ys is None else ys
     ix = _snap_indices(grid, xs)
     iy = _snap_indices(grid, ys)
     ab_D, ab_R = _fd_matrices(grid, theta, z)

@@ -193,7 +193,9 @@ class AnalyticKernel:
         vals = self.columns(x)
         if xi is None:
             return vals
-        return vals @ np.asarray(xi, dtype=complex)
+        # an overflow gives inf or nan, for the callers' finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            return vals @ np.asarray(xi, dtype=complex)
 
     def slot_samples(self, x):
         """``values(x)`` as a single slot, shape (n, 1, value_dim, d)."""

@@ -977,6 +977,19 @@ _SCHRODINGER_FAR = ("gamma-sample", {
     "model.family": "schrodinger-interval", "model.v": "-1e20", "model.a": "1e200",
     "model.b": "1e308", "gamma.z": "1+1e-300j", "grid.x_min": "5e-324",
     "grid.x_max": "-1", "grid.x_n": "2"}, "csv")
+# a gamma image contracted with a boundary vector that overflows
+_XI_OVERFLOW = ("gamma-sample", {
+    "model.family": "full-line-contact", "model.v_r": "1.88", "grid.x_min": "2.70",
+    "grid.x_max": "0", "grid.x_n": "2", "gamma.z": "-1e200-1e308j",
+    "gamma.xi": "1e308-4e-94j, 1e308+0j"}, "csv")
+# dot energies and a JC coupling that overflow C_JC
+_CJC_OVERFLOW = ("spectrum", {"jc.alpha": "1e308", "jc.beta": "1e308", "jc.tau": "1e308",
+                              "jc.gamma_re": "1e308", "jc.N": "3"}, "csv")
+# a half-length whose square overflows, at w = 0
+_INTERVAL_FAR = ("krein-kernel", {
+    "model.family": "schrodinger-interval", "model.b": "1e200", "krein.z": "0j",
+    "krein.variant": "theta0", "grid.x_min": "0", "grid.x_max": "0", "grid.x_n": "1"},
+    "csv")
 # (case, exit code, text of the message)
 _PINNED = [
     (_SQRT_CUT_UNDERFLOW, 0, ""),
@@ -992,6 +1005,9 @@ _PINNED = [
     (_DIRAC_WIDE, 0, ""),
     (_DIRAC_SLOW, 3, "non-finite result"),
     (_SCHRODINGER_FAR, 2, "key 'grid.x_min'"),
+    (_XI_OVERFLOW, 3, "non-finite result inf"),
+    (_CJC_OVERFLOW, 3, "C_JC is not finite"),
+    (_INTERVAL_FAR, 0, ""),
 ]
 
 
@@ -1010,6 +1026,9 @@ _PINNED = [
 @example(_DIRAC_WIDE)
 @example(_DIRAC_SLOW)
 @example(_SCHRODINGER_FAR)
+@example(_XI_OVERFLOW)
+@example(_CJC_OVERFLOW)
+@example(_INTERVAL_FAR)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case

@@ -1,6 +1,7 @@
 """Scalar coefficient catalogue: frozen values, symmetry, branch guards."""
 
 import cmath
+import re
 
 import mpmath
 import numpy as np
@@ -30,9 +31,9 @@ FROZEN = [
     ("m_D(i)", lambda: hg.m_dirac(1j, 1.0),
      -0.447213595499958 + 0.8944271909999159j),
     ("m_D(0)", lambda: hg.m_dirac(0.0, 1.0), -1.0 + 0j),
-    ("m_D1(i)", lambda: hg.m_dirac(1j, 1.0, "interval", 1.0, 1),
+    ("m_D1(i)", lambda: hg.m_dirac_interval(1j, 1.0, 1.0, 1),
      -0.36084948920405996 + 0.7216989784081198j),
-    ("m_D2(i)", lambda: hg.m_dirac(1j, 1.0, "interval", 1.0, 2),
+    ("m_D2(i)", lambda: hg.m_dirac_interval(1j, 1.0, 1.0, 2),
      -0.5542477015587524 + 1.1084954031175045j),
 ]
 
@@ -147,11 +148,11 @@ def test_dirac_interval_at_the_second_branch_point(c, d):
         z = mpmath.mpc(-s, 1e-30)
         k1 = mpmath.sqrt((z - s) / (z + s))
         ref = complex(c * k1 * mpmath.tan((z + s) * k1 / c * d))
-    got = hg.m_dirac(-s, c, "interval", d, 1)
+    got = hg.m_dirac_interval(-s, c, d, 1)
     assert abs(got - ref) <= 1e-15 * abs(ref)
     assert abs(ref + c * c * d) <= 1e-15 * c * c * d
     with pytest.raises(hg.PoleError):
-        hg.m_dirac(-s, c, "interval", d, 2)
+        hg.m_dirac_interval(-s, c, d, 2)
 
 
 def test_cut_and_pole_rejection():
@@ -161,6 +162,44 @@ def test_cut_and_pole_rejection():
         hg.dirac_k1(1.0, 1.0)  # |Re z| >= c^2/2 on the real axis
     with pytest.raises(hg.PoleError):
         hg.m_interval((np.pi / 2) ** 2, 0.0, 1.0, 1)  # first tan pole
+
+
+# poles approached on the real axis (Schrodinger) and 1e-12 above it (Dirac,
+# whose real axis beyond |z| = c^2/2 is a cut); c = d = 1, so k^2 = z^2 - 1/4
+_POLES = [
+    ("m2", lambda: hg.m_interval(np.pi ** 2, 0.0, 1.0, 2), "w*d", "cot"),
+    ("dm1", lambda: hg.dm_interval((np.pi / 2) ** 2, 0.0, 1.0, 1), "w*d", "tan"),
+    ("dm2", lambda: hg.dm_interval(np.pi ** 2, 0.0, 1.0, 2), "w*d", "cot"),
+    ("m_D1", lambda: hg.m_dirac_interval(
+        np.sqrt((np.pi / 2) ** 2 + 0.25) + 1e-12j, 1.0, 1.0, 1), "k*d", "tan"),
+    ("m_D2", lambda: hg.m_dirac_interval(
+        np.sqrt(np.pi ** 2 + 0.25) + 1e-12j, 1.0, 1.0, 2), "k*d", "cot"),
+]
+
+
+@pytest.mark.parametrize("name,fn,label,trig", _POLES, ids=[p[0] for p in _POLES])
+def test_interval_pole_names_its_argument(name, fn, label, trig):
+    with pytest.raises(hg.PoleError, match=r"^%s = \(.*\) too close to a pole of %s$"
+                       % (re.escape(label), trig)):
+        fn()
+
+
+@pytest.mark.parametrize("x", [0.3, 1e6])
+@pytest.mark.parametrize("y", [-20.5, -1e300])
+@pytest.mark.parametrize("trig", ["tan", "cot"])
+def test_trig_saturates_below_the_axis(trig, x, y):
+    # Im arg < -20: tan is -i and cot is +i to double precision.  No interval
+    # coefficient reaches this side (Im w, Im k >= 0 and d > 0), so the
+    # guarded helpers are called directly; the oracles are the 40-digit
+    # closed form and the conjugate of the value above the axis
+    fn = {"tan": hg._tan, "cot": hg._cot}[trig]
+    arg = complex(x, y)
+    got = fn(arg, "w*d")
+    with mpmath.workdps(40):
+        ref = complex(getattr(mpmath, trig)(mpmath.mpc(x, y)))
+    assert got == (-1j if trig == "tan" else 1j)
+    assert abs(got - ref) <= 1e-15
+    assert got == fn(arg.conjugate(), "w*d").conjugate()
 
 
 def test_dirac_gap_values_are_purely_imaginary():

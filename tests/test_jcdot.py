@@ -486,24 +486,31 @@ def test_fockless_limit_reduces_to_scalar_krein_formula():
 
 def test_correction_matches_per_pair_products():
     # independent oracle: one small matrix product U(x) W V(y)* per
-    # (x, y) pair, on both leads and with different x- and y-grids; the
-    # complex dot coupling makes the weight non-symmetric
+    # (x, y) pair, on both leads; the complex dot coupling makes the weight
+    # non-symmetric.  The JC kernel samples xs x xs, the correction's own
+    # kernel also different x- and y-grids
     m = jd.JCModel(0.5, 0.2, jd.TwoLevelDot(0.1, 0.9, 0.2 + 0.3j), 0.7,
                    jd.FockTruncation(8))
     z = -1.0 + 0.5j
     xs = np.array([-1.3, -0.4, 0.2, 0.9])
     ys = np.array([-0.8, 0.5, 1.7])
-    K = jd.dot_resolvent_correction(m, z, xs, ys)
     corr = krein_correction(
         _normalized_lead_triplet(m).assembled,
         BoundaryCondition.operator(jd.build_tilde_CJC(m)),
         z,
     )
-    U, V = _dense_values(corr.left, xs), _dense_values(corr.right, ys)
-    oracle = np.array([[U[i] @ corr.weight @ V[j].conj().T
-                        for j in range(len(ys))] for i in range(len(xs))])
-    assert K.shape == oracle.shape == (4, 3, 9, 9)
-    assert np.abs(K - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def oracle(xs, ys):
+        U, V = _dense_values(corr.left, xs), _dense_values(corr.right, ys)
+        return np.array([[U[i] @ corr.weight @ V[j].conj().T
+                          for j in range(len(ys))] for i in range(len(xs))])
+
+    K, want = jd.dot_resolvent_correction(m, z, xs), oracle(xs, xs)
+    assert K.shape == want.shape == (4, 4, 9, 9)
+    assert np.abs(K - want).max() <= 1e-12 * np.abs(want).max()
+    K, want = np.asarray(corr.kernel(xs, ys)), oracle(xs, ys)
+    assert K.shape == want.shape == (4, 3, 9, 9)
+    assert np.abs(K - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_correction_truncation_cauchy_decay():
