@@ -11,9 +11,9 @@ import numpy as np
 from weyltriplets import herglotz as hg
 
 print("catalogue entries (v=0.5, c=1.0, d=1.0):")
-for fn in hg.catalogue(v=0.5, c=1.0, d=1.0):
+for name, fn in hg.catalogue(v=0.5, c=1.0, d=1.0):
     val = fn(1j)
-    print("  %-6s m(i) = %+.6f%+.6fj" % (fn.name, val.real, val.imag))
+    print("  %-6s m(i) = %+.6f%+.6fj" % (name, val.real, val.imag))
 
 print("\nHerglotz invariants for m_hr at a few points:")
 m = lambda z: hg.m_schrodinger_halfline(z, v=0.5)

@@ -75,8 +75,8 @@ def herm_inv_sqrt(M, what="matrix inverse square root"):
     return hermitian_funcm(M, lambda w: 1.0 / np.sqrt(w), floor=EIG_FLOOR, what=what)
 
 
-def solve_guarded(A, B, context=""):
-    """Solve A X = B, refusing ill-conditioned systems.
+def solve_guarded(A, context=""):
+    """Solve A X = I, refusing ill-conditioned systems.
 
     Raises SingularMatrixError when cond_2(A) exceeds ``COND_LIMIT``;
     this signals e.g. an evaluation point approaching the spectrum of
@@ -89,4 +89,4 @@ def solve_guarded(A, B, context=""):
             "matrix %s is numerically singular (cond = %.3g)"
             % (context or "in solve", cond)
         )
-    return np.linalg.solve(A, np.asarray(B, dtype=complex))
+    return np.linalg.solve(A, np.eye(A.shape[0], dtype=complex))

@@ -173,7 +173,7 @@ def _fmt(x):
     return format(x, ".17g")
 
 
-class Config:
+class _Config:
     """Parsed config for one task: string values plus the source line of every key."""
 
     def __init__(self, values, lines, path, task):
@@ -607,7 +607,7 @@ def _task_jc_run(cfg, args):
 def _catalogue_residuals():
     """Worst conjugate-symmetry defect and least Im m(z) over the scalar catalogue."""
     worst_sym, min_im = 0.0, np.inf
-    for fn in hg.catalogue():
+    for _, fn in hg.catalogue():
         for re in np.linspace(-5, 5, 12):
             for im in np.linspace(0.1, 5, 12):
                 z = complex(re, im)
@@ -904,7 +904,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = Config.from_file(args.config, args.task)
+        cfg = _Config.from_file(args.config, args.task)
         if args.task == "validate":
             if args.format == "json":
                 raise ConfigError("validate emits a table; json is not available")

@@ -25,17 +25,17 @@ rejected within a small guard distance.
 """
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BranchCutError",
     "PoleError",
-    "HerglotzScalar",
     "sqrt_cut",
     "m_schrodinger_halfline",
+    "dm_schrodinger_halfline",
     "m_interval",
+    "dm_interval",
     "dirac_k",
     "dirac_k1",
     "m_dirac",
@@ -146,7 +146,9 @@ def _cot(arg, label):
     return cmath.cos(arg) / cmath.sin(arg)
 
 
-def _check_branch(branch_index):
+def _check_interval(d, branch_index):
+    if d <= 0:
+        raise ValueError("interval half-length d must be positive")
     if branch_index not in (1, 2):
         raise ValueError("branch_index must be 1 or 2")
 
@@ -162,9 +164,7 @@ def m_interval(z, v=0.0, d=1.0, branch_index=1):
     removable point with value -1/d, handled by series).  Evaluations
     within POLE_GUARD of a pole raise PoleError.
     """
-    if d <= 0:
-        raise ValueError("interval half-length d must be positive")
-    _check_branch(branch_index)
+    _check_interval(d, branch_index)
     u = complex(z) - v
     w = sqrt_cut(u)
     arg = w * d
@@ -191,7 +191,7 @@ def dm_interval(z, v=0.0, d=1.0, branch_index=1):
     |w d| = 1/2 branch 2 is summed from its Taylor series, since the
     closed form cancels there.
     """
-    _check_branch(branch_index)
+    _check_interval(d, branch_index)
     w = sqrt_cut(complex(z) - v)
     arg = w * d
     if branch_index == 1:
@@ -264,9 +264,7 @@ def m_dirac_interval(z, c=1.0, d=1.0, branch_index=1):
     series; real poles are guarded as in ``m_interval``.
     """
     z = complex(z)
-    if d <= 0:
-        raise ValueError("interval geometry needs a positive half-length d")
-    _check_branch(branch_index)
+    _check_interval(d, branch_index)
     s = 0.5 * c * c
     # at z = -c^2/2 k1 blows up but k d = 0: the series below applies
     k1v = None if z.imag == 0.0 and z.real == -s else dirac_k1(z, c)
@@ -275,8 +273,9 @@ def m_dirac_interval(z, c=1.0, d=1.0, branch_index=1):
         if branch_index == 1:
             # c k1 tan(k d) = c k1 k d (1 + ...) = (z - s) d (1 + (kd)^2/3)
             return (z - s) * d * (1.0 + arg * arg / 3.0)
-        if z + s == 0:
-            raise PoleError("z = -c^2/2 is a pole of the second Dirac branch")
+        if (z + s) * d == 0:  # z = -c^2/2, or (z + s) d underflows next to it
+            raise PoleError("z = %s is numerically the pole -c^2/2 of the "
+                            "second Dirac branch" % z)
         # -c k1 cot(k d) = -c^2/((z+s) d) + (z-s) d/3 + (z-s) k^2 d^3/45
         k2 = (z * z - s * s) / (c * c)  # k^2 = (z^2 - c^4/4)/c^2
         return -c * c / ((z + s) * d) + (z - s) * d / 3.0 + (z - s) * k2 * d**3 / 45.0
@@ -285,31 +284,21 @@ def m_dirac_interval(z, c=1.0, d=1.0, branch_index=1):
     return -c * k1v * _cot(arg, "k*d")
 
 
-@dataclass(frozen=True)
-class HerglotzScalar:
-    """A named scalar Herglotz function; ``eval`` maps complex z to m(z)."""
-
-    name: str
-    eval: object  # callable z -> complex
-
-    def __call__(self, z):
-        return self.eval(z)
-
-
 def catalogue(v=0.0, c=1.0, d=1.0):
     """The seven catalogued scalar coefficients with concrete parameters.
 
     Returns half-line Schrodinger (right and left leads share the same
     coefficient formula; both entries are kept because they parametrize
     different gamma-fields), the two interval Schrodinger branches, the
-    half-line Dirac coefficient and the two interval Dirac branches.
+    half-line Dirac coefficient and the two interval Dirac branches, as
+    (name, function) pairs.
     """
     return [
-        HerglotzScalar("m_hr", lambda z: m_schrodinger_halfline(z, v)),
-        HerglotzScalar("m_hl", lambda z: m_schrodinger_halfline(z, v)),
-        HerglotzScalar("m_hc1", lambda z: m_interval(z, v, d, 1)),
-        HerglotzScalar("m_hc2", lambda z: m_interval(z, v, d, 2)),
-        HerglotzScalar("m_dr", lambda z: m_dirac(z, c)),
-        HerglotzScalar("m_dc1", lambda z: m_dirac_interval(z, c, d, 1)),
-        HerglotzScalar("m_dc2", lambda z: m_dirac_interval(z, c, d, 2)),
+        ("m_hr", lambda z: m_schrodinger_halfline(z, v)),
+        ("m_hl", lambda z: m_schrodinger_halfline(z, v)),
+        ("m_hc1", lambda z: m_interval(z, v, d, 1)),
+        ("m_hc2", lambda z: m_interval(z, v, d, 2)),
+        ("m_dr", lambda z: m_dirac(z, c)),
+        ("m_dc1", lambda z: m_dirac_interval(z, c, d, 1)),
+        ("m_dc2", lambda z: m_dirac_interval(z, c, d, 2)),
     ]

@@ -59,6 +59,7 @@ __all__ = [
     "build_CJC",
     "build_R_Q",
     "build_tilde_CJC",
+    "tilde_T_part",
     "jacobi_reorder",
     "weyl_S",
     "dot_resolvent_correction",
@@ -273,7 +274,7 @@ class JCModel:
         n = self.fock.dim
         scale = 1.0 / np.sqrt(self.anchors.imag)
         gamma = tensor_gamma_bounded(
-            build_triplet(full_line_contact(self.v_l, self.v_r)).gamma,
+            build_triplet(full_line_contact(self.v_l, self.v_r)),
             SpectralMeasurePP.from_levels(range(n)),
             [np.diag(scale[[k, n + k]]) for k in range(n)],
         )
@@ -509,7 +510,7 @@ def decoupling_report(model, z):
     Ct = model.tilde_CJC
     cross = Ct[:n, n:]
     ladder = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
-    W = solve_guarded(Ct - weyl_S(model, z), np.eye(2 * n), context="C~ - M^S(z)")
+    W = solve_guarded(Ct - weyl_S(model, z), context="C~ - M^S(z)")
     return {
         "cross_block_max": float(np.abs(cross).max()),
         "cross_off_ladder_max": float(np.abs(cross[~ladder]).max()),

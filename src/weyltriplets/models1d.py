@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import herglotz as hg
-from .triplets import AnalyticKernel, BoundaryTriplet, GammaField, WeylFunction
+from .triplets import AnalyticKernel, BoundaryTriplet, WeylFunction
 
 __all__ = [
     "ModelSpec",
@@ -374,14 +374,13 @@ def _weyl_matrix(spec):
 def _gamma_kernel(spec, z):
     """AnalyticKernel of the gamma-field columns at z (Gamma0-trace = I)."""
     fam = FAMILY_TABLE[spec.family]
-    return AnalyticKernel(value_dim=fam.value_dim, **fam.kernel(spec, complex(z)))
+    return AnalyticKernel(dim=len(fam.weyl_args(spec)), value_dim=fam.value_dim,
+                          **fam.kernel(spec, complex(z)))
 
 
 def build_triplet(spec):
     """BoundaryTriplet of the catalogue entry ``spec``."""
-    weyl = _weyl_matrix(spec)
-    gamma = GammaField(weyl.dim, lambda z: _gamma_kernel(spec, z))
-    return BoundaryTriplet(weyl=weyl, gamma=gamma)
+    return BoundaryTriplet(weyl=_weyl_matrix(spec), gamma=lambda z: _gamma_kernel(spec, z))
 
 
 def gamma_boundary_data(spec, z):

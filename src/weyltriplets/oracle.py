@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from ._linalg import herm_part
-from .triplets import BoundaryTriplet, DenseMatrix, GammaField, WeylFunction
+from .triplets import BoundaryTriplet, DenseMatrix, WeylFunction
 
 __all__ = [
     "FDGrid",
@@ -290,7 +290,7 @@ class DenseToyTriplet:
 
     def as_triplet(self):
         weyl = WeylFunction(self.d, self.weyl_mat)
-        gamma = GammaField(self.d, lambda z: DenseMatrix(self.gamma_mat(z)))
+        gamma = lambda z: DenseMatrix(self.gamma_mat(z))
         return BoundaryTriplet(weyl=weyl, gamma=gamma, s0=self.A0)
 
 

@@ -31,7 +31,6 @@ from ._linalg import herm_sqrt
 from .spectral import SpectralMeasurePP, kron_sum
 from .triplets import (
     BoundaryTriplet,
-    GammaField,
     LKernel,
     RepresentationError,
     WeylFunction,
@@ -131,23 +130,23 @@ def tensor_weyl_bounded(base_weyl, measure):
     return WeylFunction(d * measure.total_dim, ev)
 
 
-def tensor_gamma_bounded(base_gamma, measure, weights=None):
-    """gamma^S(z) = sum_k gamma^A(z - lambda_k) W_k (x) P_k.
+def tensor_gamma_bounded(base, measure, weights=None):
+    """gamma^S(z) = sum_k gamma^A(z - lambda_k) W_k (x) P_k, gamma^A = base.gamma.
 
     W_k = I, or the per-atom postmultipliers ``weights`` of a rescaled
     construction.
     """
     _require_window(measure, "raw tensor gamma-field")
-    d = base_gamma.dim
+    d = base.dim
     lams = [lam for lam, _ in measure.atoms]
 
     def ev(z):
-        imgs = [base_gamma(complex(z) - lam) for lam in lams]
+        imgs = [base.gamma(complex(z) - lam) for lam in lams]
         if weights is not None:
             imgs = [img.postmultiply(W) for img, W in zip(imgs, weights)]
         return TensorKernelImage(measure, tuple(imgs), d)
 
-    return GammaField(d * measure.total_dim, ev)
+    return ev
 
 
 def _rescaled_tensor(base, measure, lk):
@@ -166,8 +165,8 @@ def _rescaled_tensor(base, measure, lk):
 
     assembled = BoundaryTriplet(
         weyl=WeylFunction(d * total, weyl_ev),
-        gamma=tensor_gamma_bounded(base.gamma, measure, [W for W, _, _ in weights]),
-        normalized=lk.mode == "imag",
+        gamma=tensor_gamma_bounded(base, measure, [W for W, _, _ in weights]),
+        normalized=not lk.real_point,
     )
     return TensorTriplet(
         assembled=assembled,
@@ -186,7 +185,7 @@ def tensor_normalized(base, measure):
     sum_k G_k (x) P_k.
     """
     _require_window(measure, "normalized tensor construction")
-    return _rescaled_tensor(base, measure, LKernel(base.weyl, "imag"))
+    return _rescaled_tensor(base, measure, LKernel(base.weyl))
 
 
 def tensor_positive(base, measure, a):
@@ -202,7 +201,7 @@ def tensor_positive(base, measure, a):
     if measure.lambdas.min() < 0:
         raise ValueError("tensor_positive expects non-negative atoms")
     _require_window(measure, "real-point tensor construction")
-    return _rescaled_tensor(base, measure, LKernel(base.weyl, "real", anchor=a))
+    return _rescaled_tensor(base, measure, LKernel(base.weyl, a))
 
 
 def friedrichs_krein_tensor_check(base, measure, seed=20250814):

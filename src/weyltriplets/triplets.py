@@ -39,7 +39,6 @@ from ._linalg import (
 
 __all__ = [
     "WeylFunction",
-    "GammaField",
     "DenseMatrix",
     "AnalyticKernel",
     "BlockDiagImage",
@@ -47,6 +46,7 @@ __all__ = [
     "BoundaryTriplet",
     "KreinCorrection",
     "krein_correction",
+    "weyl_derivative",
     "LKernel",
     "normalize",
     "direct_sum_normalized",
@@ -115,17 +115,6 @@ class WeylFunction:
 
 
 @dataclass(frozen=True)
-class GammaField:
-    """dim boundary columns; eval(z) returns a gamma-image object."""
-
-    dim: int
-    eval: object  # callable z -> image
-
-    def __call__(self, z):
-        return self.eval(z)
-
-
-@dataclass(frozen=True)
 class DenseMatrix:
     """Gamma image as an explicit n x d matrix."""
 
@@ -147,10 +136,10 @@ class DenseMatrix:
 
 @dataclass(frozen=True)
 class AnalyticKernel:
-    """Gamma image as d explicit functions on a real domain.
+    """Gamma image as d = ``dim`` explicit functions on a real domain.
 
     ``columns`` maps an x-array of shape (n,) to values of shape
-    (n, value_dim, d): one function per boundary coordinate, with
+    (n, value_dim, dim): one function per boundary coordinate, with
     value_dim = 1 for scalar problems and 2 for spinors.  ``decay_rate``
     is a positive lower bound on the exponential decay toward infinite
     domain ends (used to truncate Gram quadrature); ``split_points``
@@ -161,25 +150,11 @@ class AnalyticKernel:
 
     columns: object
     domain: tuple
+    dim: int
     value_dim: int = 1
     decay_rate: float = None
     split_points: tuple = ()
     columns_dx: object = None
-
-    @property
-    def dim(self):
-        x0 = self._probe_point()
-        return self.columns(np.array([x0])).shape[2]
-
-    def _probe_point(self):
-        a, b = self.domain
-        if np.isfinite(a) and np.isfinite(b):
-            return 0.5 * (a + b)
-        if np.isfinite(a):
-            return a + 1.0
-        if np.isfinite(b):
-            return b - 1.0
-        return 0.0
 
     def values(self, x, xi=None):
         """Kernel values on grid x; contracted with boundary vector xi if given.
@@ -207,6 +182,7 @@ class AnalyticKernel:
         dcols = self.columns_dx
         return replace(
             self,
+            dim=C.shape[1],
             columns=lambda x: cols(x) @ C,
             columns_dx=(None if dcols is None else (lambda x: dcols(x) @ C)),
         )
@@ -361,7 +337,7 @@ class BoundaryTriplet:
     """
 
     weyl: WeylFunction
-    gamma: GammaField
+    gamma: object  # callable z -> gamma image
     normalized: bool = False
     s0: np.ndarray = None
     diagnostic_only: bool = False
@@ -449,7 +425,7 @@ def krein_correction(triplet, bc, z):
         return KreinCorrection(z, weight, left, right)
     B = np.zeros((d, d), dtype=complex) if bc.variant == "theta1" else bc.B
     M = triplet.weyl(z)
-    weight = solve_guarded(B - M, np.eye(d), context="B - M(z)")
+    weight = solve_guarded(B - M, context="B - M(z)")
     return KreinCorrection(z, weight, left, right)
 
 
@@ -465,38 +441,37 @@ def weyl_derivative(weyl, a):
 class LKernel:
     """Rescaled difference kernel of a Weyl function, shifted by an atom lam.
 
-    ``at(z, lam)`` evaluates, depending on mode,
+    ``at(z, lam)`` evaluates, for a non-real anchor (i by default) and a
+    real anchor a respectively,
 
-        imag:  W (M(z - lam) - Re M(i - lam)) W,   W = (Im M(i - lam))^{-1/2}
-        real:  W (M(z - lam) - M(a - lam)) W,      W = (M'(a - lam))^{-1/2}
+        W (M(z - lam) - Re M(i - lam)) W,   W = (Im M(i - lam))^{-1/2}
+        W (M(z - lam) - M(a - lam)) W,      W = (M'(a - lam))^{-1/2}
 
-    with the defining exact values L = iI at z = i (imag mode) and
-    L = 0 at z = a (real mode).  This is the one rescaling behind
-    ``normalize``, the direct sums and every tensor construction; lam = 0
-    rescales a single triplet.  Weights are cached per atom shift.
+    with the defining exact values L = iI at z = i and L = 0 at z = a.
+    This is the one rescaling behind ``normalize``, the direct sums and
+    every tensor construction; lam = 0 rescales a single triplet.
+    Weights are cached per atom shift.
     """
 
     weyl: WeylFunction
-    mode: str  # "imag" | "real"
     anchor: complex = 1j
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.mode not in ("imag", "real"):
-            raise ValueError("mode must be 'imag' or 'real'")
-        if self.mode == "real" and complex(self.anchor).imag != 0:
-            raise ValueError("real-point mode needs a real anchor")
+    @property
+    def real_point(self):
+        """Whether the anchor is real: then L vanishes there, else L = iI."""
+        return complex(self.anchor).imag == 0
 
     def weights(self, lam):
         """(W, S, C): C = Im M or M' at the anchor, W = C^{-1/2}, S the subtrahend.
 
-        Real mode needs the anchor in a real resolvent gap: M(a - lam)
-        must be evaluable and Hermitian, else GapViolationError.
+        A real anchor must lie in a real resolvent gap: M(a - lam) must be
+        evaluable and Hermitian, else GapViolationError.
         """
         lam = float(lam)
         if lam not in self._cache:
             w = self.anchor - lam
-            if self.mode == "imag":
+            if not self.real_point:
                 M = self.weyl(w)
                 C = imag_part(M)
                 what = "Im M(i - %g)" % lam
@@ -520,29 +495,29 @@ class LKernel:
     def at(self, z, lam):
         d = self.weyl.dim
         if complex(z) == complex(self.anchor):
-            return 1j * np.eye(d) if self.mode == "imag" else np.zeros((d, d))
+            return np.zeros((d, d)) if self.real_point else 1j * np.eye(d)
         W, S, _ = self.weights(lam)
         return W @ (self.weyl(complex(z) - float(lam)) - S) @ W
 
 
-def _rescaled(triplet, mode, anchor):
+def _rescaled(triplet, anchor):
     """The triplet rescaled by its own LKernel (lam = 0): W (M - S) W, gamma W."""
-    lk = LKernel(triplet.weyl, mode, anchor)
+    lk = LKernel(triplet.weyl, anchor)
     W, _, _ = lk.weights(0.0)
     return BoundaryTriplet(
         weyl=WeylFunction(triplet.dim, lambda z: lk.at(z, 0.0)),
-        gamma=GammaField(triplet.dim, lambda z: triplet.gamma(z).postmultiply(W)),
-        normalized=mode == "imag",
+        gamma=lambda z: triplet.gamma(z).postmultiply(W),
+        normalized=not lk.real_point,
         s0=triplet.s0,
     )
 
 
-def _rescaled_blocks(triplets, mode, anchor):
+def _rescaled_blocks(triplets, anchor):
     """Rescale every summand, naming the block whose weights fail."""
     out = []
     for n, t in enumerate(triplets):
         try:
-            out.append(_rescaled(t, mode, anchor))
+            out.append(_rescaled(t, anchor))
         except (NotPositiveDefiniteError, GapViolationError) as exc:
             raise type(exc)("block %d: %s" % (n, exc)) from exc
     return out
@@ -554,9 +529,7 @@ def _direct_sum(blocks, **flags):
     s0 = [t.s0 for t in blocks]
     return BoundaryTriplet(
         weyl=WeylFunction(total, lambda z: block_diag(*[t.weyl(z) for t in blocks])),
-        gamma=GammaField(
-            total, lambda z: BlockDiagImage(tuple(t.gamma(z) for t in blocks))
-        ),
+        gamma=lambda z: BlockDiagImage(tuple(t.gamma(z) for t in blocks)),
         s0=block_diag(*s0) if all(m is not None for m in s0) else None,
         **flags,
     )
@@ -577,7 +550,7 @@ def normalize(triplet):
     d = triplet.dim
     if np.linalg.norm(triplet.weyl(1j) - 1j * np.eye(d), 2) < 1e-12:
         return replace(triplet, normalized=True)
-    return _rescaled(triplet, "imag", 1j)
+    return _rescaled(triplet, 1j)
 
 
 def direct_sum_normalized(triplets):
@@ -587,7 +560,7 @@ def direct_sum_normalized(triplets):
     direct sum of the adjoints, for any (even infinitely many, here
     finitely truncated) summands.
     """
-    return _direct_sum(_rescaled_blocks(triplets, "imag", 1j), normalized=True)
+    return _direct_sum(_rescaled_blocks(triplets, 1j), normalized=True)
 
 
 def direct_sum_plain(triplets):
@@ -610,7 +583,7 @@ def regularize_at_real_point(triplets, a):
     every block (checked by Hermiticity of Mn(a)) with Mn'(a) positive
     definite.
     """
-    return _direct_sum(_rescaled_blocks(triplets, "real", float(a)), normalized=False)
+    return _direct_sum(_rescaled_blocks(triplets, float(a)), normalized=False)
 
 
 def herglotz_identity_residual(triplet, z, zeta):

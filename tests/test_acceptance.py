@@ -50,7 +50,7 @@ def test_01_herglotz_grid_symmetry_and_positivity():
     res = np.linspace(-5.0, 5.0, 20)
     ims = np.linspace(0.1, 5.0, 20)
     worst_sym, min_im = 0.0, np.inf
-    for fn in hg.catalogue():
+    for _, fn in hg.catalogue():
         for re in res:
             for im in ims:
                 z = complex(re, im)

@@ -990,6 +990,10 @@ _INTERVAL_FAR = ("krein-kernel", {
     "model.family": "schrodinger-interval", "model.b": "1e200", "krein.z": "0j",
     "krein.variant": "theta0", "grid.x_min": "0", "grid.x_max": "0", "grid.x_n": "1"},
     "csv")
+# (z + c^2/2) d underflows to 0 next to the second Dirac branch's pole
+_DIRAC_POLE_UNDERFLOW = ("weyl-sample", {
+    "model.family": "dirac-interval", "model.a": "0", "model.b": "2e-200",
+    "grid.z_list": "-0.5+1e-130j"}, "csv")
 # (case, exit code, text of the message)
 _PINNED = [
     (_SQRT_CUT_UNDERFLOW, 0, ""),
@@ -1008,6 +1012,7 @@ _PINNED = [
     (_XI_OVERFLOW, 3, "non-finite result inf"),
     (_CJC_OVERFLOW, 3, "C_JC is not finite"),
     (_INTERVAL_FAR, 0, ""),
+    (_DIRAC_POLE_UNDERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
 ]
 
 
@@ -1029,6 +1034,7 @@ _PINNED = [
 @example(_XI_OVERFLOW)
 @example(_CJC_OVERFLOW)
 @example(_INTERVAL_FAR)
+@example(_DIRAC_POLE_UNDERFLOW)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case

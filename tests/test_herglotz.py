@@ -66,7 +66,7 @@ def test_sqrt_cut_where_the_phase_underflows(z):
     idx=st.integers(0, 6),
 )
 def test_conjugate_symmetry_and_positivity(re, im, idx):
-    fn = hg.catalogue(v=0.25, c=1.3, d=0.8)[idx]
+    _, fn = hg.catalogue(v=0.25, c=1.3, d=0.8)[idx]
     z = complex(re, im)
     val = fn(z)
     assert val.imag > 0
@@ -155,6 +155,24 @@ def test_dirac_interval_at_the_second_branch_point(c, d):
         hg.m_dirac_interval(-s, c, d, 2)
 
 
+def test_dirac_interval_second_branch_where_the_pole_term_underflows():
+    # (z + c^2/2) d underflows to 0 next to the pole z = -c^2/2: the second
+    # branch names its pole instead of dividing by zero, and the first
+    # branch keeps its series value (z - c^2/2) d
+    z, d = -0.5 + 1e-130j, 1e-200
+    with pytest.raises(hg.PoleError, match="second Dirac branch"):
+        hg.m_dirac_interval(z, 1.0, d, 2)
+    assert hg.m_dirac_interval(z, 1.0, d, 1) == (z - 0.5) * d
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0])
+@pytest.mark.parametrize("fn", [hg.m_interval, hg.dm_interval, hg.m_dirac_interval],
+                         ids=["m_interval", "dm_interval", "m_dirac_interval"])
+def test_interval_half_length_must_be_positive(fn, d):
+    with pytest.raises(ValueError, match="^interval half-length d must be positive$"):
+        fn(-1.0, 1.0, d, 1)
+
+
 def test_cut_and_pole_rejection():
     with pytest.raises(hg.BranchCutError):
         hg.m_schrodinger_halfline(2.0)  # on the essential-spectrum cut
@@ -213,6 +231,6 @@ def test_dirac_gap_values_are_purely_imaginary():
 def test_catalogue_has_seven_named_entries():
     cat = hg.catalogue()
     assert len(cat) == 7
-    assert [f.name for f in cat] == [
+    assert [name for name, _ in cat] == [
         "m_hr", "m_hl", "m_hc1", "m_hc2", "m_dr", "m_dc1", "m_dc2",
     ]

@@ -50,6 +50,23 @@ def test_gamma_boundary_data_is_identity_and_weyl(spec, z):
     assert np.abs(np.asarray(G1) - t.weyl(z)).max() < 1e-12
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+@pytest.mark.parametrize("z", [2 + 1j, -1 - 0.5j])
+def test_kernel_width_is_the_weyl_dimension(spec, z):
+    # a kernel's declared width d, the triplet's and the sampled columns'
+    # agree, also after postmultiplying by a d x d and a d x 1 matrix
+    t = m1.build_triplet(spec)
+    d = t.dim
+    kern = m1._gamma_kernel(spec, z)
+    x = np.clip([-0.5, 0.0, 0.5], *kern.domain)
+    assert kern.dim == t.gamma(z).dim == d
+    assert kern.columns(x).shape[2] == d
+    C = np.arange(1.0, d * d + 1).reshape(d, d) + 1j
+    for post, width in ((C, d), (C[:, :1], 1)):
+        image = kern.postmultiply(post)
+        assert image.dim == image.columns(x).shape[2] == width
+
+
 @pytest.mark.parametrize("spec, z", [
     (m1.schrodinger_interval(v=0.2, a=-1.0, b=1.0), 0.2 + 2j * 349.9 ** 2),
     (m1.schrodinger_interval(v=0.0, a=-3.0, b=0.5), 7 + 2j * (349.9 / 1.75) ** 2),

@@ -57,7 +57,7 @@ def test_raw_weyl_is_the_spectral_integral(base, measure):
 
 def test_raw_gamma_mlambda_identity(base, measure):
     weyl = tn.tensor_weyl_bounded(base.weyl, measure)
-    gamma = tn.tensor_gamma_bounded(base.gamma, measure)
+    gamma = tn.tensor_gamma_bounded(base, measure)
     t = tr.BoundaryTriplet(weyl=weyl, gamma=gamma)
     assert tr.herglotz_identity_residual(t, 1j, -2 + 0.5j) < 1e-10
 
@@ -129,16 +129,16 @@ def test_positive_mode_gap_violation():
     # a base whose Weyl function is not real on the real axis is rejected
     fake = tr.BoundaryTriplet(
         weyl=tr.WeylFunction(1, lambda z: np.array([[1j]])),
-        gamma=tr.GammaField(1, lambda z: tr.DenseMatrix(np.ones((1, 1)))),
+        gamma=lambda z: tr.DenseMatrix(np.ones((1, 1))),
     )
     with pytest.raises(tr.GapViolationError):
         tn.tensor_positive(fake, sp.SpectralMeasurePP.from_levels([0.0]), -1.0)
 
 
 def test_lkernel_exact_short_circuits(base):
-    lk = tn.LKernel(base.weyl, "imag")
+    lk = tn.LKernel(base.weyl)
     assert np.array_equal(lk.at(1j, 2.0), 1j * np.eye(2))
-    lkr = tn.LKernel(base.weyl, "real", anchor=-3.0)
+    lkr = tn.LKernel(base.weyl, anchor=-3.0)
     assert np.array_equal(lkr.at(-3.0, 2.0), np.zeros((2, 2)))
     # consistency off the anchor against the defining formula
     z, lam = -1 + 0.5j, 1.5
@@ -148,10 +148,8 @@ def test_lkernel_exact_short_circuits(base):
     W = herm_inv_sqrt(imag_part(M_i))
     want = W @ (base.weyl(z - lam) - herm_part(M_i)) @ W
     assert np.abs(lk.at(z, lam) - want).max() < 1e-14
-    with pytest.raises(ValueError):
-        tn.LKernel(base.weyl, "neither")
-    with pytest.raises(ValueError):
-        tn.LKernel(base.weyl, "real", anchor=1j)
+    # the anchor alone decides the mode
+    assert not lk.real_point and lkr.real_point
 
 
 def test_growth_certificate_slopes():
@@ -250,7 +248,7 @@ def test_tensor_correction_kernel_matches_dense_oracle(base, build):
     else:
         triplet = tr.BoundaryTriplet(
             weyl=tn.tensor_weyl_bounded(base.weyl, measure),
-            gamma=tn.tensor_gamma_bounded(base.gamma, measure),
+            gamma=tn.tensor_gamma_bounded(base, measure),
         )
     rng = np.random.default_rng(7)
     B = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))

@@ -226,7 +226,7 @@ def test_regularize_rejects_point_outside_gap():
 def _scalar_triplet(m):
     return tr.BoundaryTriplet(
         weyl=tr.WeylFunction(1, lambda z: np.array([[m(z)]])),
-        gamma=tr.GammaField(1, lambda z: tr.DenseMatrix(np.ones((1, 1)))),
+        gamma=lambda z: tr.DenseMatrix(np.ones((1, 1))),
     )
 
 
