@@ -273,12 +273,13 @@ def m_dirac_interval(z, c=1.0, d=1.0, branch_index=1):
         if branch_index == 1:
             # c k1 tan(k d) = c k1 k d (1 + ...) = (z - s) d (1 + (kd)^2/3)
             return (z - s) * d * (1.0 + arg * arg / 3.0)
-        if (z + s) * d == 0:  # z = -c^2/2, or (z + s) d underflows next to it
+        zd = (z + s) * d  # 0 at z = -c^2/2, or where it underflows next to it
+        if zd == 0 or cmath.isinf(pole := -c * c / zd):  # or the pole term overflows
             raise PoleError("z = %s is numerically the pole -c^2/2 of the "
                             "second Dirac branch" % z)
         # -c k1 cot(k d) = -c^2/((z+s) d) + (z-s) d/3 + (z-s) k^2 d^3/45
         k2 = (z * z - s * s) / (c * c)  # k^2 = (z^2 - c^4/4)/c^2
-        return -c * c / ((z + s) * d) + (z - s) * d / 3.0 + (z - s) * k2 * d**3 / 45.0
+        return pole + (z - s) * d / 3.0 + (z - s) * k2 * d**3 / 45.0
     if branch_index == 1:
         return c * k1v * _tan(arg, "k*d")
     return -c * k1v * _cot(arg, "k*d")

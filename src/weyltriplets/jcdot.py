@@ -48,7 +48,8 @@ from ._linalg import solve_guarded
 from .models1d import build_triplet, full_line_contact
 from .spectral import SpectralMeasurePP
 from .tensor import tensor_gamma_bounded
-from .triplets import BoundaryCondition, BoundaryTriplet, WeylFunction, krein_correction
+from .triplets import (BoundaryCondition, BoundaryTriplet, DomainError, WeylFunction,
+                       krein_correction)
 
 __all__ = [
     "FockTruncation",
@@ -268,17 +269,52 @@ class JCModel:
         Per Fock level k the contact's gamma(z - k) is postmultiplied by
         diag((Im a)^{-1/2}) over the two sides, with a the ``anchors``:
         the normalization weight, read from the anchors since Im M(i - k)
-        is diagonal.
+        is diagonal.  Each gamma(z) is a ``_LeadGammaImage``.
         """
         weyl = self.lead_weyl  # first: it rejects a non-positive Im a
         n = self.fock.dim
         scale = 1.0 / np.sqrt(self.anchors.imag)
-        gamma = tensor_gamma_bounded(
+        weights = _read_only(np.array([np.diag(s) for s in scale.reshape(2, n).T], complex))
+        per_atom = tensor_gamma_bounded(
             build_triplet(full_line_contact(self.v_l, self.v_r)),
-            SpectralMeasurePP.from_levels(range(n)),
-            [np.diag(scale[[k, n + k]]) for k in range(n)],
-        )
+            SpectralMeasurePP.from_levels(range(n)), weights)
+
+        def gamma(z):
+            z = complex(z)
+            # the contact's -i w_l and i w_r at z - k, formed as _contact_kernel does
+            iw = [[sign * hg.sqrt_cut(z - k - v) for k in range(n)]
+                  for sign, v in ((-1j, self.v_l), (1j, self.v_r))]
+            return _LeadGammaImage(np.array(iw), weights, lambda: per_atom(z))
+
         return BoundaryTriplet(weyl=weyl, gamma=gamma, normalized=True)
+
+
+@dataclass(frozen=True)
+class _LeadGammaImage:
+    """A lead gamma image whose ``slot_samples`` (nx, N+1, 1, 2) are one array
+    call: the contact columns e^{-i w_l x} (x <= 0) and e^{i w_r x} (x > 0, 1
+    at x = 0) of every Fock level, times the level's weight.  ``gram``
+    integrates the per-level contact images that ``per_atom`` builds."""
+
+    iw: np.ndarray  # (2, N+1): -i w_l and i w_r per level
+    weights: np.ndarray  # (N+1, 2, 2): diag((Im a)^{-1/2}) per level
+    per_atom: object  # () -> the TensorKernelImage of the per-level images
+
+    def gram(self, other):
+        return self.per_atom().gram(other.per_atom())
+
+    def slot_samples(self, x):
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise DomainError(float("nan"), (-np.inf, np.inf))
+        out = np.zeros((len(x), len(self.weights), 1, 2), dtype=complex)
+        neg = x <= 0
+        # an overflow gives inf or nan, for the callers' finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[neg, :, 0, 0] = np.exp(self.iw[0] * x[neg, None])
+            out[~neg, :, 0, 1] = np.exp(self.iw[1] * x[~neg, None])
+            out[x == 0, :, 0, 1] = 1.0
+            return out @ self.weights
 
 
 def _read_only(a):

@@ -234,14 +234,6 @@ class DenseToyTriplet:
     def Y(self):
         return self.G.conj().T @ self.A0 @ self.G - self.Q0
 
-    @property
-    def Gamma0(self):
-        return np.hstack([np.zeros((self.d, self.n)), -np.eye(self.d)])
-
-    @property
-    def Gamma1(self):
-        return np.hstack([self.X, self.Y])
-
     def adjoint_apply(self, g, c):
         return self.A0 @ g + (self.A0 - 1j * np.eye(self.n)) @ self.G @ c
 

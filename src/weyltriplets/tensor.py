@@ -16,11 +16,11 @@ boundary-map transforms G0 = C^{1/2}, G1 = W, G2 = W S.
 
 Every block sum is assembled by ``spectral.kron_sum`` in the order of
 H (x) T (boundary index outer, atom slot inner); this is part of the
-public contract.  A plain triplet is the one-atom case (T = 0 on C), so
-``TensorKernelImage.slot_samples`` gives the layout of every sampled
-image, one slot per atom slot, and ``KreinCorrection.kernel`` contracts
-it over the d boundary columns of a slot, never over the d * total
-columns of gamma^S.
+public contract.  Every sampled image gives ``slot_samples`` in one layout,
+one slot per atom slot (a plain kernel is the one-atom case, T = 0 on C):
+``TensorKernelImage`` samples atom by atom, the JC leads' image (``jcdot``)
+in one array call.  ``KreinCorrection.kernel`` contracts it over the d
+boundary columns of a slot, never over the d * total columns of gamma^S.
 """
 
 from dataclasses import dataclass
@@ -74,10 +74,6 @@ class TensorKernelImage:
     measure: SpectralMeasurePP
     images: tuple  # one base gamma image per atom (weights folded in)
     boundary_dim: int
-
-    @property
-    def dim(self):
-        return self.boundary_dim * self.measure.total_dim
 
     def gram(self, other):
         if not isinstance(other, TensorKernelImage):

@@ -271,15 +271,8 @@ class BlockDiagImage:
             self.blocks
         ):
             raise RepresentationError("Gram needs matching block structures")
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        off = 0
-        for b1, b2 in zip(self.blocks, other.blocks):
-            g = b1.gram(b2)
-            k = g.shape[0]
-            out[off : off + k, off : off + k] = g
-            off += k
-        return out
+        grams = [b1.gram(b2) for b1, b2 in zip(self.blocks, other.blocks)]
+        return np.asarray(block_diag(*grams), dtype=complex)
 
 
 class BoundaryCondition:
@@ -376,8 +369,8 @@ class KreinCorrection:
 
         Both images are read by ``slot_samples``: g = gamma(z) (nx, S, v, d)
         and h = gamma(conj z) (ny, T, v', d'), one slot for a plain kernel
-        and one per atom slot for a tensor image.  With W viewed as
-        (d, S, d', T), the order of H (x) T,
+        and one per atom slot for a tensor image or the JC leads' image.
+        With W viewed as (d, S, d', T), the order of H (x) T,
 
             (g W)[x, s, a, j, t] = sum_i g[x, s, a, i] W[i, s, j, t]
             K[x, y, (s, a), (t, b)] = sum_j (g W)[x, s, a, j, t] conj h[y, t, b, j]

@@ -994,6 +994,10 @@ _INTERVAL_FAR = ("krein-kernel", {
 _DIRAC_POLE_UNDERFLOW = ("weyl-sample", {
     "model.family": "dirac-interval", "model.a": "0", "model.b": "2e-200",
     "grid.z_list": "-0.5+1e-130j"}, "csv")
+# (z + c^2/2) d is subnormal next to that pole, and c^2/((z + c^2/2) d) overflows
+_DIRAC_POLE_OVERFLOW = ("weyl-sample", {
+    "model.family": "dirac-interval", "model.a": "0", "model.b": "2e-180",
+    "grid.z_list": "-0.5+1e-130j"}, "csv")
 # (case, exit code, text of the message)
 _PINNED = [
     (_SQRT_CUT_UNDERFLOW, 0, ""),
@@ -1013,6 +1017,7 @@ _PINNED = [
     (_CJC_OVERFLOW, 3, "C_JC is not finite"),
     (_INTERVAL_FAR, 0, ""),
     (_DIRAC_POLE_UNDERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
+    (_DIRAC_POLE_OVERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
 ]
 
 
@@ -1035,6 +1040,7 @@ _PINNED = [
 @example(_CJC_OVERFLOW)
 @example(_INTERVAL_FAR)
 @example(_DIRAC_POLE_UNDERFLOW)
+@example(_DIRAC_POLE_OVERFLOW)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case

@@ -165,6 +165,18 @@ def test_dirac_interval_second_branch_where_the_pole_term_underflows():
     assert hg.m_dirac_interval(z, 1.0, d, 1) == (z - 0.5) * d
 
 
+def test_dirac_interval_second_branch_where_the_pole_term_overflows():
+    # (z + c^2/2) d = 1e-310j is subnormal but not 0, and -c^2/((z + c^2/2) d)
+    # overflows: the second branch names its pole instead of returning inf;
+    # a little farther from the pole the term is finite and is returned
+    z, d = -0.5 + 1e-130j, 1e-180
+    with pytest.raises(hg.PoleError, match="second Dirac branch"):
+        hg.m_dirac_interval(z, 1.0, d, 2)
+    near = hg.m_dirac_interval(-0.5 + 1e-120j, 1.0, d, 2)
+    assert near == -1.0 / ((-0.5 + 1e-120j + 0.5) * d) + (-1.0 + 1e-120j) * d / 3.0
+    assert cmath.isfinite(near)
+
+
 @pytest.mark.parametrize("d", [0.0, -1.0])
 @pytest.mark.parametrize("fn", [hg.m_interval, hg.dm_interval, hg.m_dirac_interval],
                          ids=["m_interval", "dm_interval", "m_dirac_interval"])

@@ -17,9 +17,12 @@ from weyltriplets.models1d import (
     full_line_contact,
 )
 from weyltriplets._linalg import solve_guarded
+from weyltriplets.oracle import make_dense_toy
 from weyltriplets.triplets import (
     BoundaryCondition,
+    DomainError,
     LKernel,
+    direct_sum_plain,
     herglotz_identity_residual,
     krein_correction,
 )
@@ -32,14 +35,25 @@ def _normalized_lead_triplet(model):
     return tensor_normalized(base, SpectralMeasurePP.from_levels(range(model.fock.dim)))
 
 
-def _dense_values(image, x):
-    """The dense samples of a tensor image gamma^S, shape (nx, total,
-    d*total): entry (s, (j, s)) is base column j of the atom owning slot
-    s, zero off slot s.  Built from the per-atom base images."""
-    d, total = image.boundary_dim, image.measure.total_dim
+def _lead_atom_images(model, z):
+    """The per-atom oracle of the lead gamma image at z: per Fock level k the
+    two-lead contact's gamma(z - k) postmultiplied by diag((Im a)^{-1/2})
+    over the two sides, a = m(i - k; v)."""
+    contact = build_triplet(full_line_contact(model.v_l, model.v_r))
+    n = model.fock.dim
+    scale = 1.0 / np.sqrt(model.anchors.imag)
+    return [contact.gamma(z - k).postmultiply(np.diag(scale[[k, n + k]]))
+            for k in range(n)]
+
+
+def _dense_values(images, x):
+    """The dense samples of a lead image gamma^S over one-dimensional Fock
+    slots, shape (nx, total, d*total): entry (k, (j, k)) is column j of the
+    per-atom image k, zero off slot k."""
+    total, d = len(images), images[0].dim
     out = np.zeros((len(x), total, d, total), dtype=complex)
-    for img, sl in zip(image.images, image.measure.slots()):
-        out[:, sl, :, sl] = img.values(x)[:, 0, :]
+    for k, img in enumerate(images):
+        out[:, k, :, k] = img.values(x)[:, 0, :]
     return out.reshape(len(x), total, d * total)
 
 
@@ -292,6 +306,15 @@ def test_lead_triplet_herglotz_identity():
         assert herglotz_identity_residual(m.lead_triplet, z, zeta) < 1e-10
 
 
+def test_lead_triplet_gram_in_a_direct_sum():
+    # a direct sum takes its Gram's block sizes from the blocks' Grams, so the
+    # lead image, which has no dim, is a block like any other
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(2))
+    t = direct_sum_plain([make_dense_toy(5, 1, seed=3).as_triplet(), m.lead_triplet])
+    assert herglotz_identity_residual(t, -1.0 + 0.5j, 0.3 + 2.0j) < 1e-10
+
+
 def test_weyl_S_truncation_shared_blocks_exact(models):
     m13 = models["(1,3)"]
     m5 = jd.JCModel(1.0, 3.0, m13.dot, m13.tau, jd.FockTruncation(5))
@@ -501,7 +524,8 @@ def test_correction_matches_per_pair_products():
     )
 
     def oracle(xs, ys):
-        U, V = _dense_values(corr.left, xs), _dense_values(corr.right, ys)
+        U = _dense_values(_lead_atom_images(m, z), xs)
+        V = _dense_values(_lead_atom_images(m, np.conj(z)), ys)
         return np.array([[U[i] @ corr.weight @ V[j].conj().T
                           for j in range(len(ys))] for i in range(len(xs))])
 
@@ -561,10 +585,36 @@ def test_lead_gamma_weights_are_the_anchor_weights():
         lk = LKernel(contact.weyl)
         x = np.array([-1.3, -0.2, 0.0, 0.4, 2.0])
         for z in (-1.0 + 0.5j, 1j):
-            got = m.lead_triplet.gamma(z).images
+            got = m.lead_triplet.gamma(z).slot_samples(x)
             for k in range(N + 1):
                 want = contact.gamma(z - k).postmultiply(lk.weights(k)[0])
-                assert np.array_equal(got[k].values(x), want.values(x))
+                assert np.array_equal(got[:, k], want.values(x))
+
+
+_LEAD_XS = np.array([-2.0, -0.7, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.9])
+
+
+@pytest.mark.parametrize("N", [0, 1, 8, 60])
+def test_lead_gamma_samples_match_the_per_atom_contact_images(N):
+    # one array call per image equals the per-level contact images bit for
+    # bit, signed zeros included: z above and below the axis, a conjugate
+    # pair, z next to the cut of level 5, and x at +-0, +-1e-300 and beyond
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(N))
+    for z in (-1.0 + 0.5j, -1.0 - 0.5j, 0.3 + 1e-3j, -2.0 - 0.7j, -5.0 + 1e-8j, 2.0 + 3.0j):
+        got = m.lead_triplet.gamma(z).slot_samples(_LEAD_XS)
+        assert got.shape == (len(_LEAD_XS), N + 1, 1, 2)
+        want = np.stack([img.values(_LEAD_XS) for img in _lead_atom_images(m, z)], axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_lead_gamma_samples_reject_nan():
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9), 0.7, jd.FockTruncation(3))
+    image = m.lead_triplet.gamma(-1.0 + 0.5j)
+    with pytest.raises(DomainError, match="x = nan lies outside"):
+        image.slot_samples(np.array([-1.0, np.nan, 0.5]))
+    with pytest.raises(DomainError, match="x = nan lies outside"):
+        _lead_atom_images(m, -1.0 + 0.5j)[0].values(np.array([-1.0, np.nan, 0.5]))
 
 
 def test_spectrum_tilde_multiplicities():

@@ -196,21 +196,26 @@ def test_friedrichs_krein_tensor_check(base):
 # -- the Krein correction kernel of tensor images ---------------------------
 
 
-def _dense_values(image, x):
+def _dense_values(images, measure, x):
     """The slot-expanded samples of gamma^S(z), shape (nx, total, d*total):
     column (i, s) is base column i of the atom owning slot s, on slot s
-    only.  Built from the base images, not from ``values``."""
-    d, total = image.boundary_dim, image.measure.total_dim
+    only.  Built from the per-atom base images, not from ``slot_samples``."""
+    d, total = images[0].dim, measure.total_dim
     out = np.zeros((len(x), total, d * total), dtype=complex)
     grid = out.reshape(len(x), total, d, total)
-    for img, sl in zip(image.images, image.measure.slots()):
+    for img, sl in zip(images, measure.slots()):
         grid[:, sl, :, sl] = img.values(x)[:, 0, :]
     return out
 
 
-def _dense_kernel(corr, xs, ys):
-    """The oracle: U W V* summed over every weight column of the dense samples."""
-    U, V = _dense_values(corr.left, xs), _dense_values(corr.right, ys)
+def _dense_kernel(corr, xs, ys, atoms=None):
+    """The oracle: U W V* summed over every weight column of the dense samples.
+
+    ``atoms`` holds the (per-atom images, measure) of gamma(z) and of
+    gamma(conj z); by default those of the tensor images themselves.
+    """
+    (li, lm), (ri, rm) = atoms or [(im.images, im.measure) for im in (corr.left, corr.right)]
+    U, V = _dense_values(li, lm, xs), _dense_values(ri, rm, ys)
     UW = np.einsum("xsj,jk->xsk", U, corr.weight)
     K = np.einsum("xsk,ytk->xyst", UW, V.conj())
     return K[:, :, 0, 0] if K.shape[2:] == (1, 1) else K
@@ -225,6 +230,17 @@ def _jc_dot(N):
                       jd.FockTruncation(N))
 
 
+def _jc_atoms(model, z):
+    """The per-atom oracle of the JC lead image at z: per Fock level k the
+    two-lead contact's gamma(z - k) postmultiplied by diag((Im a)^{-1/2}),
+    a = m(i - k; v), over the Fock levels as atoms."""
+    contact = build_triplet(full_line_contact(model.v_l, model.v_r))
+    n = model.fock.dim
+    scale = 1.0 / np.sqrt(model.anchors.imag)
+    images = [contact.gamma(z - k).postmultiply(np.diag(scale[[k, n + k]])) for k in range(n)]
+    return images, sp.SpectralMeasurePP.from_levels(range(n))
+
+
 @pytest.mark.parametrize("N", [0, 1, 8, 40])
 def test_jc_correction_kernel_matches_dense_oracle(N):
     model = _jc_dot(N)
@@ -235,7 +251,8 @@ def test_jc_correction_kernel_matches_dense_oracle(N):
         shape = (len(XS), len(YS)) + ((N + 1, N + 1) if N else ())
         assert K.shape == shape
         assert np.abs(K).max() > 0.0
-        assert np.array_equal(K, _dense_kernel(corr, XS, YS))
+        atoms = [_jc_atoms(model, z), _jc_atoms(model, np.conj(z))]
+        assert np.array_equal(K, _dense_kernel(corr, XS, YS, atoms))
 
 
 @pytest.mark.parametrize("build", ["normalized", "bounded"])
