@@ -19,7 +19,8 @@ works.  In JSON the list keys ``grid.z_list``, ``gamma.xi`` and
 ``[re, im]`` pairs.
 
 Key reference by task (model.* selects a one-dimensional family from
-``models1d``, jc.* a Jaynes-Cummings dot model from ``jcdot``):
+``models1d``, jc.* but jc.z a Jaynes-Cummings dot model from ``jcdot``);
+a key the task does not read is a config error naming the task:
 
 ==============  =====================================================
 weyl-sample     model.* or jc.*;  grid.z_list, or the rectangle keys
@@ -31,8 +32,8 @@ krein-kernel    model.* (scalar-kernel family);  krein.z;
                 krein.variant = theta0 | theta1 | operator with
                 krein.theta (d = 1 shortcut) or krein.entries
                 (row-major, comma-separated);  grid.x_min/x_max/x_n
-validate        no required keys (runs the built-in invariant suite);
-                an aligned text table, or csv with --format csv
+validate        no keys (runs the built-in invariant suite); an
+                aligned text table, or csv with --format csv
 jc-run          jc.*;  optional jc.z;  optional grid.x_min/x_max/x_n
 ==============  =====================================================
 
@@ -105,14 +106,6 @@ from .triplets import (
 __all__ = ["main", "ConfigError", "DEFAULT_SEED", "TASKS"]
 
 DEFAULT_SEED = 20250814
-TASKS = (
-    "weyl-sample",
-    "gamma-sample",
-    "spectrum",
-    "krein-kernel",
-    "validate",
-    "jc-run",
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -149,20 +142,23 @@ _MAX_BYTES = 2 ** 31
 # or an [re, im] pair
 _LIST_KEYS = frozenset(["grid.z_list", "gamma.xi", "krein.entries"])
 
-_KNOWN_KEYS = frozenset(
-    ["model." + p for factory in FACTORIES.values() for p in inspect.signature(factory).parameters]
-    + [
-        "model.family",
-        "jc.alpha", "jc.beta", "jc.gamma_re", "jc.gamma_im", "jc.tau",
-        "jc.N", "jc.v_l", "jc.v_r", "jc.z",
-        "grid.z_list", "grid.re_min", "grid.re_max", "grid.re_n",
-        "grid.im_min", "grid.im_max", "grid.im_n",
-        "grid.x_min", "grid.x_max", "grid.x_n",
-        "gamma.z", "gamma.xi",
-        "krein.z", "krein.variant", "krein.theta", "krein.entries",
-        "spectrum.which",
-    ]
-)
+_MODEL_KEYS = {"model.family", *("model." + p for factory in FACTORIES.values()
+                                  for p in inspect.signature(factory).parameters)}
+_JC_KEYS = {"jc." + k for k in ("alpha", "beta", "gamma_re", "gamma_im", "tau", "N", "v_l", "v_r")}
+_AXIS_KEYS = {axis: {"grid.%s_%s" % (axis, end) for end in ("min", "max", "n")}
+              for axis in ("re", "im", "x")}
+# the keys each task reads; TASKS lists the tasks in this order
+_TASK_KEYS = {
+    "weyl-sample": _MODEL_KEYS | _JC_KEYS | {"grid.z_list"} | _AXIS_KEYS["re"] | _AXIS_KEYS["im"],
+    "gamma-sample": _MODEL_KEYS | _AXIS_KEYS["x"] | {"gamma.z", "gamma.xi"},
+    "spectrum": _JC_KEYS | {"spectrum.which"},
+    "krein-kernel": _MODEL_KEYS | _AXIS_KEYS["x"] | {
+        "krein.z", "krein.variant", "krein.theta", "krein.entries"},
+    "validate": set(),
+    "jc-run": _JC_KEYS | _AXIS_KEYS["x"] | {"jc.z"},
+}
+TASKS = tuple(_TASK_KEYS)
+_KNOWN_KEYS = frozenset().union(*_TASK_KEYS.values())
 
 
 def _fmt(x):
@@ -190,7 +186,12 @@ class _Config:
         except OSError as exc:
             raise ConfigError("cannot read config %r: %s" % (path, exc))
         parse = cls._from_json if path.endswith(".json") else cls._from_text
-        return cls(*parse(text, path), path, task)
+        cfg = cls(*parse(text, path), path, task)
+        for key in cfg.values:
+            if key not in _TASK_KEYS[task]:
+                raise ConfigError("%s: key %r is not read by task %r"
+                                  % (cfg._where(key), key, task))
+        return cfg
 
     @staticmethod
     def _from_text(text, path):

@@ -24,9 +24,10 @@ routes disagree).
 
 The leads have one normalized Weyl function M^S, built from the same
 anchors m(i - k; v) that check R and Q, so ``dot_resolvent_correction``
-and ``decoupling_report`` invert the same C~_JC - M^S(z).  The gamma
-weights (Im m(i - k; v))^{-1/2} come from those anchors too: one
-``jc-run`` evaluates each anchor once.
+and ``decoupling_report`` invert the same C~_JC - M^S(z).  Their gamma
+image is the contact's ``models1d.contact_columns`` at every Fock level,
+weighted by (Im m(i - k; v))^{-1/2} from those anchors too (one
+``jc-run`` evaluates each anchor once); its Gram is closed-form.
 
 Ordering convention: boundary/dot index outer, Fock index inner,
 everywhere; C_JC is emitted in the dot eigenbasis, C~_JC in the site
@@ -45,9 +46,7 @@ from scipy.linalg import qr
 
 from . import herglotz as hg
 from ._linalg import solve_guarded
-from .models1d import build_triplet, full_line_contact
-from .spectral import SpectralMeasurePP
-from .tensor import tensor_gamma_bounded
+from .models1d import contact_columns, contact_waves
 from .triplets import (BoundaryCondition, BoundaryTriplet, DomainError, WeylFunction,
                        krein_correction)
 
@@ -264,57 +263,45 @@ class JCModel:
     @cached_property
     def lead_triplet(self):
         """The normalized two-lead triplet on the Fock ladder: ``lead_weyl``
-        and the tensored gamma-field of the two-lead contact.
-
-        Per Fock level k the contact's gamma(z - k) is postmultiplied by
-        diag((Im a)^{-1/2}) over the two sides, with a the ``anchors``:
-        the normalization weight, read from the anchors since Im M(i - k)
-        is diagonal.  Each gamma(z) is a ``_LeadGammaImage``.
-        """
+        and a ``_LeadGammaImage`` gamma-field, weighted at each Fock level k
+        by the normalization weight diag((Im a)^{-1/2}) over the two sides, a
+        the ``anchors`` (Im M(i - k) is diagonal)."""
         weyl = self.lead_weyl  # first: it rejects a non-positive Im a
         n = self.fock.dim
         scale = 1.0 / np.sqrt(self.anchors.imag)
         weights = _read_only(np.array([np.diag(s) for s in scale.reshape(2, n).T], complex))
-        per_atom = tensor_gamma_bounded(
-            build_triplet(full_line_contact(self.v_l, self.v_r)),
-            SpectralMeasurePP.from_levels(range(n)), weights)
-
-        def gamma(z):
-            z = complex(z)
-            # the contact's -i w_l and i w_r at z - k, formed as _contact_kernel does
-            iw = [[sign * hg.sqrt_cut(z - k - v) for k in range(n)]
-                  for sign, v in ((-1j, self.v_l), (1j, self.v_r))]
-            return _LeadGammaImage(np.array(iw), weights, lambda: per_atom(z))
-
-        return BoundaryTriplet(weyl=weyl, gamma=gamma, normalized=True)
+        waves = lambda z: contact_waves([complex(z) - k for k in range(n)], self.v_l, self.v_r)
+        return BoundaryTriplet(weyl=weyl, gamma=lambda z: _LeadGammaImage(waves(z), weights),
+                               normalized=True)
 
 
 @dataclass(frozen=True)
 class _LeadGammaImage:
-    """A lead gamma image whose ``slot_samples`` (nx, N+1, 1, 2) are one array
-    call: the contact columns e^{-i w_l x} (x <= 0) and e^{i w_r x} (x > 0, 1
-    at x = 0) of every Fock level, times the level's weight.  ``gram``
-    integrates the per-level contact images that ``per_atom`` builds."""
+    """gamma^S(z) = sum_k gamma^A(z - k) W_k (x) P_k, gamma^A the two-lead
+    contact's: at each Fock level k its ``contact_columns`` at z - k times
+    the level's weight W_k.  ``slot_samples`` (nx, N+1, 1, 2) is one array
+    call.  ``gram`` is closed-form and diagonal over (side, level), since
+    int_0^inf e^{i (w(z) - conj w(zeta)) t} dt = i / (w(z) - conj w(zeta))."""
 
     iw: np.ndarray  # (2, N+1): -i w_l and i w_r per level
     weights: np.ndarray  # (N+1, 2, 2): diag((Im a)^{-1/2}) per level
-    per_atom: object  # () -> the TensorKernelImage of the per-level images
 
     def gram(self, other):
-        return self.per_atom().gram(other.per_atom())
+        # with a = iw: 1 / (a + conj a') on x <= 0 and -1 / (a + conj a') on x > 0
+        den = other.iw + self.iw.conj()
+        if (den.real == 0).any():
+            raise ArithmeticError("the lead Gram diverges: both points lie on a lead spectrum")
+        w = lambda img: img.weights.diagonal(axis1=1, axis2=2).T
+        return np.diag((np.array([[1.0], [-1.0]]) / den * w(self).conj() * w(other)).ravel())
 
     def slot_samples(self, x):
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise DomainError(float("nan"), (-np.inf, np.inf))
-        out = np.zeros((len(x), len(self.weights), 1, 2), dtype=complex)
-        neg = x <= 0
-        # an overflow gives inf or nan, for the callers' finiteness checks
+        # the weights as a stacked matmul: an elementwise product would flip
+        # the signed zeros of underflowed samples
         with np.errstate(over="ignore", invalid="ignore"):
-            out[neg, :, 0, 0] = np.exp(self.iw[0] * x[neg, None])
-            out[~neg, :, 0, 1] = np.exp(self.iw[1] * x[~neg, None])
-            out[x == 0, :, 0, 1] = 1.0
-            return out @ self.weights
+            return contact_columns(self.iw, x) @ self.weights
 
 
 def _read_only(a):

@@ -6,9 +6,9 @@ full-line point contact.  Each family is declared once, as one entry
 of ``FAMILY_TABLE``: its factory and parameter checks, its Weyl
 diagonal (scalar coefficients from :mod:`herglotz`), its gamma-field
 columns (explicit solutions of the defect equation whose Gamma0-traces
-are the standard basis, built from one half-line exponential and one
-even/odd interval helper), its Gamma0/Gamma1 endpoint trace map and its
-defect-equation residual.
+are the standard basis, from one half-line exponential, one even/odd
+interval helper and ``contact_columns``, shared with the JC leads), its
+Gamma0/Gamma1 endpoint trace map and its defect-equation residual.
 
 Sign conventions (documented, part of the public contract):
 
@@ -42,6 +42,8 @@ __all__ = [
     "dirac_right",
     "dirac_interval",
     "full_line_contact",
+    "contact_waves",
+    "contact_columns",
     "build_triplet",
     "gamma_boundary_data",
     "eval_gamma_on_grid",
@@ -248,26 +250,35 @@ def _dirac_interval_kernel(spec, z):
     return dict(columns=cols, domain=(spec.a, spec.b))
 
 
+def contact_waves(zs, v_l, v_r):
+    """-i w_l and i w_r, w = sqrt_cut(z - v), per point z of zs: shape (2, len zs)."""
+    return np.array([[sign * hg.sqrt_cut(z - v) for z in zs]
+                     for sign, v in ((-1j, v_l), (1j, v_r))])
+
+
+def contact_columns(iw, x, dx=False):
+    """The contact's columns, or with ``dx`` their x-derivatives, at the P
+    points of ``iw = contact_waves(...)``, shape (len x, P, 1, 2): e^{-i w_l x}
+    on x <= 0, e^{i w_r x} on x > 0 and, at x = 0, the right column's contact
+    value 1 (i w_r).  An overflow gives inf or nan without a warning, for the
+    callers' finiteness checks."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((len(x), iw.shape[1], 1, 2), dtype=complex)
+    neg = x <= 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side, on in enumerate((neg, ~neg)):
+            e = np.exp(iw[side] * x[on, None])
+            out[on, :, 0, side] = iw[side] * e if dx else e
+    out[x == 0, :, 0, 1] = iw[1] if dx else 1.0
+    return out
+
+
 def _contact_kernel(spec, z):
-    wl = hg.sqrt_cut(z - spec.v_l)
-    wr = hg.sqrt_cut(z - spec.v_r)
-
-    def sides(left, right, at_zero):
-        # the left lead's column on x <= 0, the right lead's on x > 0
-        def cols(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros((len(x), 1, 2), dtype=complex)
-            neg = x <= 0
-            out[neg, 0, 0] = left(x[neg])
-            out[~neg, 0, 1] = right(x[~neg])
-            # both columns share the contact value at x = 0
-            out[x == 0, 0, 1] = at_zero
-            return out
-        return cols
-
-    (el, del_), (er, der) = _exp(-1j * wl, 0.0), _exp(1j * wr, 0.0)
-    return dict(columns=sides(el, er, 1.0), columns_dx=sides(del_, der, 1j * wr),
-                domain=(-np.inf, np.inf), decay_rate=min(wl.imag, wr.imag),
+    iw = contact_waves([z], spec.v_l, spec.v_r)
+    return dict(columns=lambda x: contact_columns(iw, x)[:, 0],
+                columns_dx=lambda x: contact_columns(iw, x, dx=True)[:, 0],
+                # the real parts of -i w_l and i w_r are Im w_l and -Im w_r
+                domain=(-np.inf, np.inf), decay_rate=min(iw[0, 0].real, -iw[1, 0].real),
                 split_points=(0.0,))
 
 

@@ -308,6 +308,33 @@ def test_unknown_key_reports_line(tmp_path, capsys):
     assert "bad.cfg:2" in err and "model.bogus" in err
 
 
+_GRID_X = "grid.x_min = 0\ngrid.x_max = 1\ngrid.x_n = 2\n"
+
+
+@pytest.mark.parametrize("task, name, text, key, line", [
+    ("weyl-sample", "w.cfg", "model.family = schrodinger-right\ngrid.z_list = 1j\n"
+     "grid.x_n = 5\ngamma.z = 2j\n", "grid.x_n", 3),
+    ("gamma-sample", "g.cfg", "model.family = schrodinger-right\ngamma.z = 1j\n" + _GRID_X
+     + "krein.z = 1j\n", "krein.z", 6),
+    ("spectrum", "s.cfg", "jc.alpha = 0\njc.beta = 1\njc.tau = 1\njc.N = 1\njc.z = 1+1j\n"
+     "grid.x_min = 0\n", "jc.z", 5),
+    ("krein-kernel", "k.cfg", "model.family = schrodinger-right\nkrein.z = -1\n"
+     "krein.variant = theta1\n" + _GRID_X + "grid.z_list = 1j\n", "grid.z_list", 7),
+    ("validate", "v.cfg", "model.family = schrodinger-right\n", "model.family", 1),
+    ("jc-run", "j.cfg", "jc.alpha = 0\njc.beta = 1\njc.tau = 1\njc.N = 1\n"
+     "spectrum.which = tilde\n", "spectrum.which", 5),
+    ("spectrum", "s.json", '{"jc": {"alpha": 0, "beta": 1, "tau": 1, "N": 1, "z": "1+1j"}}',
+     "jc.z", 0),
+], ids=["weyl-sample", "gamma-sample", "spectrum", "krein-kernel", "validate", "jc-run",
+        "spectrum-json"])
+def test_key_of_another_task_rejected(tmp_path, capsys, task, name, text, key, line):
+    cfg = write(tmp_path, name, text)
+    rc, out, err = run(capsys, [task, "--config", cfg])
+    assert rc == 2 and out == ""
+    where = "%s:%d" % (cfg, line) if line else cfg
+    assert "config error: %s: key %r is not read by task %r\n" % (where, key, task) == err
+
+
 def test_duplicate_key_reports_both_lines(tmp_path, capsys):
     cfg = write(tmp_path, "dup.cfg",
                 "model.family = schrodinger-right\n"

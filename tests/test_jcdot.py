@@ -300,10 +300,11 @@ def test_krein_weight_is_decoupling_solve(N):
 
 
 def test_lead_triplet_herglotz_identity():
-    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
-                   jd.FockTruncation(3))
-    for z, zeta in ((-1.0 + 0.5j, 0.3 + 2.0j), (2.0 - 1.0j, -0.5 + 0.25j)):
-        assert herglotz_identity_residual(m.lead_triplet, z, zeta) < 1e-10
+    for N in (3, 20):
+        m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                       jd.FockTruncation(N))
+        for z, zeta in ((-1.0 + 0.5j, 0.3 + 2.0j), (2.0 - 1.0j, -0.5 + 0.25j)):
+            assert herglotz_identity_residual(m.lead_triplet, z, zeta) <= 1e-13
 
 
 def test_lead_triplet_gram_in_a_direct_sum():
@@ -594,18 +595,70 @@ def test_lead_gamma_weights_are_the_anchor_weights():
 _LEAD_XS = np.array([-2.0, -0.7, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.9])
 
 
+def _contact_columns_by_hand(points, v_l, v_r, x, dx=False):
+    """The contact's columns at each point p, written out: e^{-i w_l x} on
+    x <= 0, e^{i w_r x} on x > 0 and 1 (i w_r for the x-derivative) in the
+    right column at x == 0, w = sqrt_cut(p - v); shape (len x, len points, 1, 2)."""
+    out = np.zeros((len(x), len(points), 1, 2), dtype=complex)
+    for k, p in enumerate(points):
+        a, b = -1j * hg.sqrt_cut(p - v_l), 1j * hg.sqrt_cut(p - v_r)
+        left, right = np.exp(a * x), np.exp(b * x)
+        if dx:
+            left, right = a * left, b * right
+        out[x <= 0, k, 0, 0] = left[x <= 0]
+        out[x > 0, k, 0, 1] = right[x > 0]
+        out[x == 0, k, 0, 1] = b if dx else 1.0
+    return out
+
+
 @pytest.mark.parametrize("N", [0, 1, 8, 60])
 def test_lead_gamma_samples_match_the_per_atom_contact_images(N):
-    # one array call per image equals the per-level contact images bit for
-    # bit, signed zeros included: z above and below the axis, a conjugate
-    # pair, z next to the cut of level 5, and x at +-0, +-1e-300 and beyond
+    # the lead image and the contact's columns and x-derivatives equal the
+    # exponentials written out, bit for bit, signed zeros included: z above
+    # and below the axis, a conjugate pair, z next to the cut of level 5, and
+    # x at +-0, +-1e-300 and beyond
     m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
                    jd.FockTruncation(N))
+    contact = build_triplet(full_line_contact(m.v_l, m.v_r))
+    scale = 1.0 / np.sqrt(m.anchors.imag)
+    same = lambda a, b: np.array_equal(a.view(np.uint64), b.view(np.uint64))
     for z in (-1.0 + 0.5j, -1.0 - 0.5j, 0.3 + 1e-3j, -2.0 - 0.7j, -5.0 + 1e-8j, 2.0 + 3.0j):
+        points = [z - k for k in range(N + 1)]
+        cols, dx = (_contact_columns_by_hand(points, m.v_l, m.v_r, _LEAD_XS, dx=d)
+                    for d in (False, True))
         got = m.lead_triplet.gamma(z).slot_samples(_LEAD_XS)
         assert got.shape == (len(_LEAD_XS), N + 1, 1, 2)
-        want = np.stack([img.values(_LEAD_XS) for img in _lead_atom_images(m, z)], axis=1)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for k, p in enumerate(points):
+            assert same(got[:, k], cols[:, k] @ np.diag(scale[[k, N + 1 + k]]))
+            kern = contact.gamma(p)
+            assert same(kern.columns(_LEAD_XS), cols[:, k])
+            assert same(kern.columns_dx(_LEAD_XS), dx[:, k])
+
+
+@pytest.mark.parametrize("N", [0, 3, 20])
+def test_lead_gram_matches_the_per_level_quadrature(N):
+    # the closed-form Gram against the quadrature Grams of the per-level
+    # contact images: a conjugate pair, and z at Im z = 1e-3 next to the
+    # lowest lead threshold k + v_r = 0.25
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(N))
+    n = N + 1
+    for z, zeta in ((-1.0 + 0.5j, -1.0 - 0.5j), (0.25 + 1e-3j, 0.3 + 2.0j),
+                    (2.0 - 1.0j, 0.25 + 1e-3j)):
+        got = m.lead_triplet.gamma(zeta).gram(m.lead_triplet.gamma(z))
+        want = np.zeros((2 * n, 2 * n), dtype=complex)
+        for k, (a, b) in enumerate(zip(_lead_atom_images(m, zeta), _lead_atom_images(m, z))):
+            want[k::n, k::n] = a.gram(b)
+        assert np.abs(np.diag(got) / np.diag(want) - 1.0).max() <= 1e-10
+        assert np.array_equal(got, np.diag(np.diag(got)))
+
+
+def test_lead_gram_diverges_on_the_lead_spectrum():
+    # at real points above the threshold of level 0 (v_l = 0.5) neither column
+    # decays, and the Gram integral diverges
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9), 0.7, jd.FockTruncation(3))
+    with pytest.raises(ArithmeticError, match="the lead Gram diverges"):
+        m.lead_triplet.gamma(3.0).gram(m.lead_triplet.gamma(2.0))
 
 
 def test_lead_gamma_samples_reject_nan():
