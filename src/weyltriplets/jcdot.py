@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr
 
 from . import herglotz as hg
 from ._linalg import solve_guarded
@@ -466,6 +465,7 @@ def _row_basis(M):
     """Orthonormal row-space basis of M from a pivoted QR of M^*, with
     ``null_space``'s rank rule on R's diagonal: |r_kk| > |r_00| max(M.shape) eps
     (the product taken so that it cannot overflow for a finite |r_00|)."""
+    from scipy.linalg import qr  # imported here: costly to import, and only jc-run needs it
     Q, R, _ = qr(M.conj().T, mode="economic", pivoting=True)
     r = np.abs(np.diag(R))
     Q = Q[:, :np.sum(r > r.max(initial=0.0) * (max(M.shape) * np.finfo(r.dtype).eps))]

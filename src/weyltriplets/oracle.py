@@ -14,7 +14,6 @@ that they share no code path with the analytic machinery they check:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ._linalg import herm_part
 from .triplets import BoundaryTriplet, DenseMatrix, WeylFunction
@@ -152,6 +151,7 @@ def fd_resolvent_difference(grid, theta, z, xs, ys):
     matrix inverse entries are converted to kernel values by the 1/h
     quadrature-weight convention.
     """
+    from scipy.linalg import solve_banded  # imported here: costly, and only validate needs it
     z = complex(z)
     grid.assert_adequate(z)
     n, h = grid.n, grid.h
@@ -184,6 +184,7 @@ def fd_resolvent_apply(grid):
     """
 
     def apply(u_values, z, xs):
+        from scipy.linalg import solve_banded
         z = complex(z)
         ix = _snap_indices(grid, xs)
         nodes = np.asarray(xs, dtype=float)

@@ -25,7 +25,6 @@ two-point kernel.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from ._linalg import (
     NotPositiveDefiniteError,
@@ -236,6 +235,15 @@ class AnalyticKernel:
         return total
 
 
+def _block_diag(*blocks):
+    """``scipy.linalg.block_diag`` of 2-D blocks, without importing scipy."""
+    ends = np.cumsum([b.shape for b in blocks], axis=0)
+    out = np.zeros(ends[-1], dtype=np.result_type(*blocks))
+    for b, (r, c) in zip(blocks, ends):
+        out[r - b.shape[0] : r, c - b.shape[1] : c] = b
+    return out
+
+
 @dataclass(frozen=True)
 class BlockDiagImage:
     """Direct-sum gamma image: per-summand images, block-outer ordering."""
@@ -272,7 +280,7 @@ class BlockDiagImage:
         ):
             raise RepresentationError("Gram needs matching block structures")
         grams = [b1.gram(b2) for b1, b2 in zip(self.blocks, other.blocks)]
-        return np.asarray(block_diag(*grams), dtype=complex)
+        return np.asarray(_block_diag(*grams), dtype=complex)
 
 
 class BoundaryCondition:
@@ -521,9 +529,9 @@ def _direct_sum(blocks, **flags):
     total = sum(t.dim for t in blocks)
     s0 = [t.s0 for t in blocks]
     return BoundaryTriplet(
-        weyl=WeylFunction(total, lambda z: block_diag(*[t.weyl(z) for t in blocks])),
+        weyl=WeylFunction(total, lambda z: _block_diag(*[t.weyl(z) for t in blocks])),
         gamma=lambda z: BlockDiagImage(tuple(t.gamma(z) for t in blocks)),
-        s0=block_diag(*s0) if all(m is not None for m in s0) else None,
+        s0=_block_diag(*s0) if all(m is not None for m in s0) else None,
         **flags,
     )
 

@@ -6,7 +6,10 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -598,6 +601,46 @@ def test_krein_kernel_rejects_spinor_families(tmp_path, capsys):
     rc, _, err = run(capsys, ["krein-kernel", "--config", cfg])
     assert rc == 2
     assert "model.family" in err
+
+
+# CI's tiny configs; every task but jc-run and validate must run on numpy alone
+_X3 = "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n"
+_JC = "jc.alpha = 0\njc.beta = 1\njc.tau = 0.5\njc.N = 2\n"
+_COLD_TASKS = {
+    "weyl-sample": WS_CFG,
+    "gamma-sample": "model.family = full-line-contact\ngamma.z = 1j\n" + _X3,
+    "spectrum": _JC,
+    "krein-kernel": ("model.family = full-line-contact\nkrein.z = -1+0.5j\n"
+                     "krein.variant = theta1\n" + _X3),
+    "jc-run": _JC,
+}
+# runs each task in turn, reporting its exit code and the scipy modules
+# loaded once it is done
+_COLD_SCRIPT = """
+import json, sys
+from weyltriplets import cli
+for task, cfg, out in zip(*[iter(sys.argv[1:])] * 3):
+    rc = cli.main([task, "--config", cfg, "--out", out])
+    print(json.dumps([task, rc, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_jc_run(tmp_path):
+    argv = []
+    for task, text in _COLD_TASKS.items():
+        argv += [task, write(tmp_path, task + ".cfg", text), str(tmp_path / (task + ".out"))]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r[0] for r in report] == list(_COLD_TASKS)
+    assert all(rc == 0 for _, rc, _ in report), report
+    # no scipy module until jc-run's pivoted QR
+    assert all(loaded == [] for _, _, loaded in report[:-1]), report
+    assert "scipy.linalg" in report[-1][2]
 
 
 def test_unknown_task_exits_config(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from weyltriplets import herglotz as hg
 from weyltriplets import triplets as tr
@@ -198,6 +199,22 @@ def test_block_diag_gamma_mlambda_identity(dense_toys, build, z, zeta):
     assert isinstance(t.gamma(z), tr.BlockDiagImage)
     assert np.abs(t.weyl(1j) - 1j * np.eye(3)).max() < 1e-10
     assert tr.herglotz_identity_residual(t, z, zeta) < 1e-10
+
+
+_NONFINITE = np.array([[-0.0, np.inf], [np.nan, -np.inf]])
+
+
+@pytest.mark.parametrize("blocks", [
+    [_NONFINITE, np.array([[1.5]]), np.arange(6.0).reshape(2, 3)],
+    [_NONFINITE * (1 - 1j), np.array([[-0.0j]]), np.full((3, 1), complex(-0.0, np.nan))],
+    [_NONFINITE, np.array([[2 - 0.0j]]), np.ones((1, 2), dtype=np.float32)],
+    [np.array([[np.nan]], dtype=np.float32), np.array([[-0.0]], dtype=np.complex64)],
+    [np.array([[-0.0]])],
+], ids=["real", "complex", "mixed", "single-precision", "one-1x1"])
+def test_numpy_block_diag_matches_scipy_bitwise(blocks):
+    ours, ref = tr._block_diag(*blocks), block_diag(*blocks)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert np.array_equal(ours.view(np.uint8), ref.view(np.uint8))
 
 
 def test_block_diag_image_refuses_coupling_postmultiplier(dense_toys):
