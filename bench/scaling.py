@@ -1,4 +1,5 @@
-"""How the JC dot's correction and kernel-check stages scale in N and the grid.
+"""How the JC dot's correction and kernel-check stages scale in N and the grid,
+and what Weyl-matrix evaluation costs per z.
 
     python3 bench/scaling.py [--size {full,tiny}] [--parent DIR] [--out FILE]
 
@@ -14,6 +15,14 @@ over them.  Reported per point: median and quartiles (inclusive method)
 of each stage, and per nx (per N for the kernel check) the fitted
 log-log slope of the median in the Fock dimension N + 1, over all N and
 over the three largest.
+
+The Weyl-matrix evaluation stage times ``WeylFunction.grid`` alone, with
+no rendering, for the ``WEYL_FAMILIES`` (default parameters) and the JC
+lead at N = 20, on square z-grids of n x n points over Re z in [-3, 3],
+Im z in [0.3, 2.3], as Python complex numbers like ``weyl-sample``'s.  A
+checkout without ``grid`` is timed on the stack of ``weyl(z)`` that its
+``weyl-sample`` built.  Reported per function and grid: median and
+quartiles, and the median in microseconds per z.
 
 With ``--parent DIR`` the checkout at DIR (its ``src/``) is measured too,
 in child processes alternating with this one (parent, change, change,
@@ -40,15 +49,19 @@ import numpy as np  # noqa: E402  (after the BLAS thread count is fixed)
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = {
     "full": {"N": (10, 20, 40, 80, 160, 320), "nx": (2, 8, 32), "edges": ((60, 33), (200, 10)),
-             "repeats": 5},
-    "tiny": {"N": (2, 4), "nx": (2,), "edges": (), "repeats": 2},
+             "weyl_n": (16, 64, 130), "repeats": 5},
+    "tiny": {"N": (2, 4), "nx": (2,), "edges": (), "weyl_n": (4,), "repeats": 2},
 }
+WEYL_FAMILIES = ("schrodinger-interval", "dirac-interval", "full-line-contact")
+WEYL_JC_N = 20
 # jc-run refuses x-grids whose estimate 512 (nx (N + 1))^2 bytes passes 2 GiB
 GUARD = 2048
 Z = -1.0 + 0.5j
 STAGES = ("correction_s", "kernel_s")
 # the stage that takes no x-grid, timed once per N
 CHECK = "kernel_equivalence_s"
+# the Weyl-matrix evaluation stage, timed per function and z-grid
+WEYL = "weyl_s"
 
 
 def points(size):
@@ -62,6 +75,7 @@ def measure(src, size):
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from worker import environment
     from weyltriplets import jcdot as jd
+    from weyltriplets import models1d as m1
     from weyltriplets.triplets import BoundaryCondition, krein_correction
 
     models, cases = {}, []
@@ -77,6 +91,16 @@ def measure(src, size):
     checks = [{"N": N, "model": models[N], CHECK: []} for N in SIZES[size]["N"]]
     for check in checks:
         jd.kernel_equivalence(check["model"])
+    weyls = {name: m1.build_triplet(m1.FACTORIES[name]()).weyl for name in WEYL_FAMILIES}
+    weyls["jc-lead-N%d" % WEYL_JC_N] = jd.JCModel(
+        0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+        jd.FockTruncation(WEYL_JC_N)).lead_weyl
+    evals = [{"weyl": name, "n_z": n * n, "fn": weyl_grid(w),
+              "zs": [complex(re, im) for re in np.linspace(-3.0, 3.0, n)
+                     for im in np.linspace(0.3, 2.3, n)], WEYL: []}
+             for name, w in weyls.items() for n in SIZES[size]["weyl_n"]]
+    for ev in evals:
+        ev["fn"](ev["zs"])
     for _ in range(SIZES[size]["repeats"]):
         for case in cases:
             t0 = perf_counter()
@@ -90,9 +114,21 @@ def measure(src, size):
             t0 = perf_counter()
             jd.kernel_equivalence(check["model"])
             check[CHECK].append(perf_counter() - t0)
+        for ev in evals:
+            t0 = perf_counter()
+            ev["fn"](ev["zs"])
+            ev[WEYL].append(perf_counter() - t0)
     return {"environment": environment(),
             "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases],
-            "checks": [{k: c[k] for k in ("N", CHECK)} for c in checks]}
+            "checks": [{k: c[k] for k in ("N", CHECK)} for c in checks],
+            "weyl": [{k: ev[k] for k in ("weyl", "n_z", WEYL)} for ev in evals]}
+
+
+def weyl_grid(weyl):
+    """zs -> the (len(zs), dim, dim) Weyl matrices: ``grid``, or the per-z stack."""
+    if hasattr(weyl, "grid"):
+        return weyl.grid
+    return lambda zs: np.array([weyl(z) for z in zs], dtype=complex)
 
 
 def run_child(src, size):
@@ -120,7 +156,7 @@ def fit_slopes(rows, stage):
 
 def side_report(runs, size):
     """Pool the samples of one side's child runs; summaries and slopes."""
-    pooled, pooled_checks = {}, {}
+    pooled, pooled_checks, pooled_weyl = {}, {}, {}
     for run in runs:
         for p in run["points"]:
             slot = pooled.setdefault((p["N"], p["nx"]), {s: [] for s in STAGES})
@@ -128,15 +164,20 @@ def side_report(runs, size):
                 slot[s].extend(p[s])
         for c in run["checks"]:
             pooled_checks.setdefault(c["N"], []).extend(c[CHECK])
+        for w in run["weyl"]:
+            pooled_weyl.setdefault((w["weyl"], w["n_z"]), []).extend(w[WEYL])
     table = [dict(N=N, nx=nx, **{s: summary(v[s]) for s in STAGES})
              for (N, nx), v in pooled.items()]
     checks = [{"N": N, CHECK: summary(v)} for N, v in pooled_checks.items()]
+    weyl = [{"weyl": name, "n_z": n_z, WEYL: summary(v),
+             "us_per_z": 1e6 * statistics.median(v) / n_z}
+            for (name, n_z), v in pooled_weyl.items()]
     grid_N = SIZES[size]["N"]
     slopes = {s: {str(nx): fit_slopes([r for r in table if r["nx"] == nx and r["N"] in grid_N], s)
                   for nx in SIZES[size]["nx"]} for s in STAGES}
     slopes[CHECK] = fit_slopes(checks, CHECK)
     return {"environments": [r["environment"] for r in runs], "points": table,
-            "checks": checks, "slopes": slopes}
+            "checks": checks, "slopes": slopes, "weyl": weyl}
 
 
 def main(argv=None):
@@ -161,7 +202,8 @@ def main(argv=None):
         runs[name].append(run_child(sides[name], args.size))
     doc = {
         "what": "dot_resolvent_correction and its KreinCorrection.kernel step, "
-                "z = %r, and kernel_equivalence, one BLAS thread" % Z,
+                "z = %r, kernel_equivalence, and WeylFunction.grid per z-grid, "
+                "one BLAS thread" % Z,
         # the parent checkout's path is a local detail, left out
         "command": "python3 bench/scaling.py --size %s%s"
                    % (args.size, " --parent PARENT" if args.parent else ""),
@@ -182,6 +224,9 @@ def main(argv=None):
             print("%-7s N=%-4d kernel_equivalence %.4g s"
                   % (name, r["N"], r[CHECK]["median"]))
         print("%-7s slopes in N+1: %s" % (name, json.dumps(rep["slopes"])))
+        for r in rep["weyl"]:
+            print("%-7s %-20s n_z=%-6d weyl grid %.4g s  %.3g us/z"
+                  % (name, r["weyl"], r["n_z"], r[WEYL]["median"], r["us_per_z"]))
     print(json.dumps(doc))
     return 0
 

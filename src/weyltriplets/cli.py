@@ -452,7 +452,7 @@ def _task_weyl_sample(cfg, args):
     header = ["re_z", "im_z"] + ["%s_m_%d_%d" % (part, i, j) for i in range(weyl.dim)
                                  for j in range(weyl.dim) for part in ("re", "im")]
     # one scalar evaluation per Python complex z: numpy and cmath round differently
-    ms = np.array([weyl(z) for z in zs], dtype=complex).reshape(len(zs), -1)
+    ms = weyl.grid(zs).reshape(len(zs), -1)
     return header, np.column_stack([np.real(zs), np.imag(zs), ms.view(float)])
 
 

@@ -117,20 +117,23 @@ def dm_schrodinger_halfline(z, v=0.0):
     return 0.5j / _halfline_root(z, v)
 
 
-def _pole_distance(arg, offset):
-    """Distance of ``arg`` to the lattice {pi (n + offset) : n integer}."""
+def _near_pole(arg, offset):
+    """Whether ``arg`` is within POLE_GUARD of {pi (n + offset)}; ArithmeticError
+    if it is not finite.  The lattice is real and complex - float keeps Im arg,
+    so each distance (a hypot) is >= |Im arg|: exact to test only below it."""
     if not cmath.isfinite(arg):
         raise ArithmeticError("tan/cot argument %s is not finite" % arg)
+    if abs(arg.imag) >= POLE_GUARD:
+        return False
     n = round(arg.real / cmath.pi - offset)
-    return min(abs(arg - cmath.pi * (n - 1 + offset)),
-               abs(arg - cmath.pi * (n + offset)),
-               abs(arg - cmath.pi * (n + 1 + offset)))
+    return min(abs(arg - cmath.pi * (k + offset)) for k in (n - 1, n, n + 1)) < POLE_GUARD
 
 
 def _tan(arg, label):
-    """tan(arg): PoleError naming ``label`` within POLE_GUARD of a real pole,
+    """tan(arg): ArithmeticError if arg is not finite, PoleError naming ``label``
+    within POLE_GUARD of a real pole (one comparison where |Im arg| >= POLE_GUARD),
     +-i past _TRIG_SATURATION."""
-    if _pole_distance(arg, 0.5) < POLE_GUARD:
+    if _near_pole(arg, 0.5):
         raise PoleError("%s = %s too close to a pole of tan" % (label, arg))
     if abs(arg.imag) > _TRIG_SATURATION:
         return 1j if arg.imag > 0 else -1j
@@ -138,8 +141,8 @@ def _tan(arg, label):
 
 
 def _cot(arg, label):
-    """cot(arg), guarded and saturated as ``_tan``."""
-    if _pole_distance(arg, 0.0) < POLE_GUARD:
+    """cot(arg), checked, guarded and saturated as ``_tan``."""
+    if _near_pole(arg, 0.0):
         raise PoleError("%s = %s too close to a pole of cot" % (label, arg))
     if abs(arg.imag) > _TRIG_SATURATION:
         return -1j if arg.imag > 0 else 1j

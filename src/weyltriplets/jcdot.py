@@ -252,12 +252,10 @@ class JCModel:
 
         def ev(z):
             z = complex(z)
-            if z == 1j:
-                return 1j * np.eye(len(a), dtype=complex)
-            return np.diag([(hg.m_schrodinger_halfline(z - k, v) - w.real) / w.imag
-                            for (v, k), w in zip(levels, a)])
+            return [(hg.m_schrodinger_halfline(z - k, v) - w.real) / w.imag
+                    for (v, k), w in zip(levels, a)]
 
-        return WeylFunction(len(a), ev)
+        return WeylFunction(len(a), ev, diagonal=True)
 
     @cached_property
     def lead_triplet(self):

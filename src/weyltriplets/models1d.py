@@ -366,20 +366,14 @@ FACTORIES = {name: fam.factory for name, fam in FAMILY_TABLE.items()}
 FAMILIES = tuple(FAMILY_TABLE)
 
 
-def _diagonal(fns):
-    """z -> the diagonal matrix of the scalars f(z), f in fns (one or two)."""
-    if len(fns) == 1:
-        (f,) = fns
-        return lambda z: np.array([[f(z)]])
-    f1, f2 = fns
-    return lambda z: np.array([[f1(z), 0j], [0j, f2(z)]])
-
-
 def _weyl_matrix(spec):
     fam = FAMILY_TABLE[spec.family]
     args = fam.weyl_args(spec)
-    diag = lambda name: _diagonal([partial(getattr(hg, name), **kw) for kw in args])
-    return WeylFunction(len(args), diag(fam.m), derivative=fam.dm and diag(fam.dm))
+
+    def diag(name):  # z -> the family's scalars, one per boundary coordinate
+        fns = [partial(getattr(hg, name), **kw) for kw in args]
+        return lambda z: [f(z) for f in fns]
+    return WeylFunction(len(args), diag(fam.m), fam.dm and diag(fam.dm), diagonal=True)
 
 
 def _gamma_kernel(spec, z):

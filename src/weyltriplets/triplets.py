@@ -97,19 +97,33 @@ class DiagnosticTripletError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeylFunction:
-    """Matrix Weyl function: dim, an eval map, optional analytic derivative."""
+    """Matrix Weyl function: dim, an eval map, optional analytic derivative;
+    with ``diagonal`` both maps return the dim scalars of a diagonal."""
 
     dim: int
-    eval: object  # callable z -> (dim, dim) array
-    derivative: object = None  # optional callable z -> (dim, dim) array
+    eval: object  # callable z -> (dim, dim) array, or its diagonal's dim scalars
+    derivative: object = None  # optional callable, same form as eval
+    diagonal: bool = False
 
     def __call__(self, z):
-        out = np.atleast_2d(np.asarray(self.eval(z), dtype=complex))
+        out = np.asarray(self.eval(z), dtype=complex)
+        out = np.diag(out) if self.diagonal else np.atleast_2d(out)
         if out.shape != (self.dim, self.dim):
             raise ValueError(
                 "Weyl function returned shape %s, expected (%d, %d)"
                 % (out.shape, self.dim, self.dim)
             )
+        return out
+
+    def grid(self, zs):
+        """M(z) at each z of ``zs``, shape (len(zs), dim, dim), bit for bit the
+        stacked self(z); a diagonal one costs its scalar calls and one scatter."""
+        n, d = len(zs), self.dim
+        if not self.diagonal:
+            return np.array([self(z) for z in zs], dtype=complex).reshape(n, d, d)
+        vals = np.array([self.eval(z) for z in zs], dtype=complex).reshape(n, d)
+        out = np.zeros((n, d, d), dtype=complex)
+        out.reshape(n, d * d)[:, :: d + 1] = vals
         return out
 
 
@@ -433,7 +447,7 @@ def krein_correction(triplet, bc, z):
 def weyl_derivative(weyl, a):
     """M'(a): analytic when the model provides it, else central difference."""
     if weyl.derivative is not None:
-        return np.atleast_2d(np.asarray(weyl.derivative(a), dtype=complex))
+        return WeylFunction(weyl.dim, weyl.derivative, diagonal=weyl.diagonal)(a)
     h = 1e-6 * (1.0 + abs(a))
     return (weyl(a + h) - weyl(a - h)) / (2.0 * h)
 

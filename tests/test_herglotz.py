@@ -1,6 +1,7 @@
 """Scalar coefficient catalogue: frozen values, symmetry, branch guards."""
 
 import cmath
+import math
 import re
 
 import mpmath
@@ -230,6 +231,47 @@ def test_trig_saturates_below_the_axis(trig, x, y):
     assert got == (-1j if trig == "tan" else 1j)
     assert abs(got - ref) <= 1e-15
     assert got == fn(arg.conjugate(), "w*d").conjugate()
+
+
+# The pole guard by hand: float lattice points pi (n + 1/2) of tan and pi n of
+# cot, offsets straddling the guard, and the distance as math.hypot of the
+# offsets that survive rounding; no herglotz code is used to place them
+_GUARD = 1e-10
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 7, 1000, -1000, 10 ** 6, -(10 ** 6)])
+@pytest.mark.parametrize("trig,half,other", [("tan", 0.5, "cot"), ("cot", 0.0, "tan")])
+def test_pole_guard_is_the_hand_computed_distance(trig, half, other, n):
+    assert hg.POLE_GUARD == _GUARD
+    fn = {"tan": hg._tan, "cot": hg._cot}
+    pole = math.pi * (n + half)
+    raised = 0
+    for dx in (-5e-11, 0.0, 5e-11):
+        for dy in (0.0, _GUARD * (1 - 1e-6), _GUARD, _GUARD * (1 + 1e-6)):
+            for arg in (complex(pole + dx, dy), complex(pole + dx, -dy)):
+                if math.hypot(arg.real - pole, arg.imag) < _GUARD:
+                    with pytest.raises(hg.PoleError):
+                        fn[trig](arg, "w*d")
+                    raised += 1
+                else:
+                    assert cmath.isfinite(fn[trig](arg, "w*d"))
+                # pi/2 from every pole of the other function
+                assert cmath.isfinite(fn[other](arg, "w*d"))
+    assert raised >= 4  # dy < guard at dx = 0 raises, on both sides
+
+
+_NON_FINITE = [complex(0.3, math.inf), complex(0.3, -math.inf), complex(math.inf, 0.5),
+               complex(-math.inf, 25.0), complex(math.nan, 30.0), complex(0.3, math.nan),
+               complex(math.nan, math.nan), complex(math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("arg", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("trig", ["tan", "cot"])
+def test_trig_rejects_a_non_finite_argument(trig, arg):
+    # an inf or nan part is an error, never a saturated +-i
+    fn = {"tan": hg._tan, "cot": hg._cot}[trig]
+    with pytest.raises(ArithmeticError, match=r"^tan/cot argument .* is not finite$"):
+        fn(arg, "w*d")
 
 
 def test_dirac_gap_values_are_purely_imaginary():

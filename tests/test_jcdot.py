@@ -287,6 +287,32 @@ def test_lead_weyl_scalar_normalization():
         assert abs(entry - want) == 0.0
 
 
+@pytest.mark.parametrize("sides", ["left", "right"])
+@pytest.mark.parametrize("v", [0.0, 1e-300, 1e6])
+@pytest.mark.parametrize("N", [0, 3, 60])
+def test_lead_weyl_is_exactly_i_at_i(N, v, sides):
+    # the general route (a - Re a)/Im a with a the anchors, bit for bit iI
+    # with +0.0 off the diagonal, at z = i and at -0.0 + i
+    v_l, v_r = (v, 0.0) if sides == "left" else (0.0, v)
+    m = jd.JCModel(v_l, v_r, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7, jd.FockTruncation(N))
+    want = np.diag(np.full(2 * (N + 1), 1j)).view(np.uint64)
+    for z in (1j, complex(-0.0, 1.0)):
+        assert np.array_equal(m.lead_weyl(z).view(np.uint64), want)
+        assert np.array_equal(m.lead_weyl.grid([z])[0].view(np.uint64), want)
+
+
+@pytest.mark.parametrize("N", [0, 3])
+def test_lead_weyl_grid_matches_pointwise_bitwise(N):
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7, jd.FockTruncation(N))
+    zs = [1j, -1 + 0.5j, 2.3 + 1e-3j, 0.25 + 1e-300j, -1e6 + 2j, 1e6j, 4 - 0.5j, -3 + 0j]
+    weyl = m.lead_weyl
+    assert weyl.diagonal
+    got = weyl.grid(zs)
+    want = np.array([weyl(z) for z in zs])
+    assert got.shape == want.shape == (len(zs), 2 * (N + 1), 2 * (N + 1))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("N", [3, 20, 60])
 def test_krein_weight_is_decoupling_solve(N):
     # the correction and the decoupling report invert one C~ - M^S(z)

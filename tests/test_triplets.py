@@ -1,5 +1,7 @@
 """Boundary triplets: Krein formula, normalization, probes, direct sums."""
 
+import cmath
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -7,6 +9,7 @@ from scipy.linalg import block_diag
 from weyltriplets import herglotz as hg
 from weyltriplets import triplets as tr
 from weyltriplets.oracle import make_dense_toy
+from weyltriplets import models1d as m1
 from weyltriplets.models1d import (
     build_triplet,
     schrodinger_right,
@@ -279,6 +282,89 @@ def test_kernel_values_check_domain():
     assert np.isfinite(box.values(np.array([-1.0, 0.0, 1.0]))).all()
     with pytest.raises(tr.DomainError):
         box.values(np.array([1.0 + 1e-12]))
+
+
+def _trig_arg(spec, z):
+    """+-(w d), or +-(k d) for Dirac: the tan/cot argument, by cmath."""
+    if spec.family == "dirac-interval":
+        s = 0.5 * spec.c ** 2
+        return cmath.sqrt(z * z - s * s) / spec.c * spec.half_length
+    return cmath.sqrt(z - spec.v) * spec.half_length
+
+
+def _at_trig_arg(spec, arg):
+    """A z whose tan/cot argument is ``arg``; off the real axis for Dirac."""
+    k = arg / spec.half_length
+    if spec.family == "dirac-interval":
+        return cmath.sqrt((spec.c * k) ** 2 + (0.5 * spec.c ** 2) ** 2) + 1e-300j
+    return spec.v + k * k
+
+
+_GRID_Z = [1j, -2 + 0.5j, 1.5 + 2j, 3 - 1e-3j, -1e6 + 1e-300j]
+_GRID_SPECS = {
+    "schrodinger-right": m1.schrodinger_right(v=0.3),
+    "schrodinger-left": m1.schrodinger_left(v=0.3),
+    "schrodinger-interval": m1.schrodinger_interval(v=0.2, a=0.0, b=1.0),
+    "dirac-right": m1.dirac_right(c=1.2),
+    "dirac-interval": m1.dirac_interval(c=1.2, a=-1.0, b=1.0),
+    "full-line-contact": m1.full_line_contact(1.0, 0.5),
+}
+# per family: the points of its own branches, besides _GRID_Z
+_GRID_EXTRA = {
+    "schrodinger-right": [0.3 - 1e-12j, 7 + 1e-300j, -5 + 0j],
+    "schrodinger-left": [0.3 - 1e-12j, 7 + 1e-300j, -5 + 0j],
+    "full-line-contact": [0.75 + 1e-300j, 0.5 - 1e-12j, -5 + 0j],
+    # the gap, with its branch point c^2/2, where k1 is a numpy scalar
+    "dirac-right": [0.3 + 0j, -0.5 + 0j, 0.72 + 0j],
+    # series, saturation and just outside the pole guard, sorted below
+    "schrodinger-interval": [0.2 + 1e-13j, 0.2 + 0j, 0.2 + 1e-12, 0.2 - 1e-13j,
+                             -1e4 + 1j, 1e8j, -1e300 + 0j, -5 + 0j],
+    "dirac-interval": [0.72 + 1e-13j, -0.72 + 1e-13j, 0.72 + 0j, 100j, 1e6 + 1e6j,
+                       -1e3 + 1e3j],
+}
+_POLE_ARGS = [np.pi / 2 + 1.5e-10j, np.pi / 2 + 1.5e-10, np.pi - 1.5e-10j,
+              5 * np.pi / 2 + 1.5e-10j, 2 * np.pi - 1.5e-10]
+
+
+@pytest.mark.parametrize("family", m1.FAMILY_TABLE)
+def test_weyl_grid_matches_pointwise_bitwise(family):
+    spec = _GRID_SPECS[family]
+    zs = _GRID_Z + _GRID_EXTRA[family]
+    if spec.family.endswith("interval"):
+        zs += [_at_trig_arg(spec, a) for a in _POLE_ARGS]
+        branch = {"series": 0, "saturated": 0, "near pole": 0}
+        for z in zs:
+            arg = _trig_arg(spec, z)
+            dist = abs(arg - np.pi / 2 * round(arg.real / (np.pi / 2)))
+            branch["series"] += abs(arg) < hg._SERIES_CUTOFF
+            branch["saturated"] += abs(arg.imag) > 20.0
+            branch["near pole"] += hg.POLE_GUARD < dist < 2 * hg.POLE_GUARD
+        assert min(branch.values()) >= 3, branch
+    weyl = build_triplet(spec).weyl
+    assert weyl.diagonal
+    got = weyl.grid(zs)
+    want = np.array([weyl(z) for z in zs])
+    assert got.shape == want.shape == (len(zs), weyl.dim, weyl.dim)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_weyl_grid_of_a_dense_weyl_function_stacks_the_points(toy):
+    weyl = toy.as_triplet().weyl
+    assert not weyl.diagonal
+    zs = list(Z_POINTS) + [-0.5 - 3j]
+    got = weyl.grid(zs)
+    want = np.array([weyl(z) for z in zs])
+    assert got.shape == (len(zs), 2, 2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_diagonal_weyl_function_checks_its_length():
+    weyl = tr.WeylFunction(2, lambda z: [z], diagonal=True)
+    with pytest.raises(ValueError, match=r"returned shape \(1, 1\), expected \(2, 2\)"):
+        weyl(1j)
+    with pytest.raises(ValueError):
+        weyl.grid([1j, 2j])
+    assert weyl.grid([]).shape == (0, 2, 2)
 
 
 def test_friedrichs_and_lsb_probes():
