@@ -37,7 +37,7 @@ try:
 except hg.BranchCutError as exc:
     print("  cut:  %s" % exc)
 try:
-    hg.m_interval((np.pi / 2) ** 2, 0.0, 1.0, 1)
+    hg.m_interval((np.pi / 2) ** 2, 0.0, 1.0)
 except hg.PoleError as exc:
     print("  pole: %s" % exc)
 

@@ -724,7 +724,7 @@ def _validate_checks(seed):
          abs(hg.m_schrodinger_halfline(1j) - complex(-1, 1) / np.sqrt(2)), 1e-15),
         ("dirac-k1-gap-value", abs(hg.dirac_k1(0.25, 1.0) - 0.5773502691896257j), 1e-15),
         ("dirac-interval-branch2-at-s",
-         abs(hg.m_dirac_interval(0.5, 1.0, 1.0, 2) + 1.0), 1e-12),
+         abs(hg.m_dirac_interval(0.5, 1.0, 1.0)[1] + 1.0), 1e-12),
         ("fd-m-function-value", abs(m_h + 1.0), 1e-4),
         ("fd-m-convergence-ratio", abs(abs(m_h + 1.0) / abs(m_h2 + 1.0) - 4.0), 0.5),
         ("krein-vs-fd-kernel", np.abs(K_fd - K_an).max() / np.abs(K_an).max(), 1e-2),

@@ -3,11 +3,13 @@
 All Weyl coefficients of the 1-D model catalogue live here:
 
 * half-line Schrodinger           m(z)      = i sqrt(z - v)
-* interval Schrodinger            m1(z)     = w tan(w d),   w = sqrt(z - v)
-                                  m2(z)     = -w cot(w d)
+* interval Schrodinger      (m1, m2)(z)     = (w tan(w d), -w cot(w d)),
+                                              w = sqrt(z - v)
 * half-line Dirac                 m(z)      = i c k1(z)
-* interval Dirac                  m1(z)     = c k1 tan(k d)
-                                  m2(z)     = -c k1 cot(k d)
+* interval Dirac            (m1, m2)(z)     = (c k1 tan(k d), -c k1 cot(k d))
+
+An interval's Weyl function is the diagonal diag(m1, m2), so each interval
+function returns that pair, built from one wave number.
 
 with the square root cut along the positive semi-axis (sqrt 1 = 1) for
 the Schrodinger family, and the doubly-cut functions
@@ -149,66 +151,61 @@ def _cot(arg, label):
     return cmath.cos(arg) / cmath.sin(arg)
 
 
-def _check_interval(d, branch_index):
+def _check_interval(d):
     if d <= 0:
         raise ValueError("interval half-length d must be positive")
-    if branch_index not in (1, 2):
-        raise ValueError("branch_index must be 1 or 2")
 
 
-def m_interval(z, v=0.0, d=1.0, branch_index=1):
-    """Interval Schrodinger coefficients, half-length ``d``.
+def m_interval(z, v=0.0, d=1.0):
+    """Interval Schrodinger coefficients (m1, m2), half-length ``d``:
 
-    branch_index 1:  m1(z) =  w tan(w d)
-    branch_index 2:  m2(z) = -w cot(w d)         (w = sqrt(z - v))
+        m1(z) =  w tan(w d),    m2(z) = -w cot(w d)    (w = sqrt(z - v))
 
-    Both are Herglotz and meromorphic with real poles; m1 has poles at
-    w d = pi(n + 1/2) and m2 at w d = pi n (n >= 1; w d = 0 is a
-    removable point with value -1/d, handled by series).  Evaluations
-    within POLE_GUARD of a pole raise PoleError.
+    both from one root w.  They are Herglotz and meromorphic with real
+    poles; m1 has poles at w d = pi(n + 1/2) and m2 at w d = pi n (n >= 1;
+    w d = 0 is a removable point with value -1/d, handled by series).  An
+    evaluation within POLE_GUARD of a pole of either raises PoleError, tan's
+    first.
     """
-    _check_interval(d, branch_index)
+    _check_interval(d)
     u = complex(z) - v
     w = sqrt_cut(u)
     arg = w * d
     if abs(arg) < _SERIES_CUTOFF:
-        if branch_index == 1:
-            # w tan(w d) = w^2 d (1 + (w d)^2/3 + ...) = (z - v) d (1 + ...)
-            return u * d * (1.0 + arg * arg / 3.0)
+        # w tan(w d) = w^2 d (1 + (w d)^2/3 + ...) = (z - v) d (1 + ...),
         # -w cot(w d) = -1/d + (z-v) d/3 + (z-v)^2 d^3/45 + ...
-        return -1.0 / d + u * d / 3.0 + u * u * d**3 / 45.0
-    if branch_index == 1:
-        return w * _tan(arg, "w*d")
-    return -w * _cot(arg, "w*d")
+        return (u * d * (1.0 + arg * arg / 3.0),
+                -1.0 / d + u * d / 3.0 + u * u * d**3 / 45.0)
+    return w * _tan(arg, "w*d"), -w * _cot(arg, "w*d")
 
 
-def dm_interval(z, v=0.0, d=1.0, branch_index=1):
-    """Analytic z-derivative of ``m_interval`` (used by regularization).
+def dm_interval(z, v=0.0, d=1.0):
+    """Analytic z-derivatives (m1', m2') of ``m_interval`` (used by regularization).
 
     From dw/dz = 1/(2w):
 
         m1'(z) = [tan(w d) + w d sec^2(w d)] / (2 w)
         m2'(z) = [-cot(w d) + w d csc^2(w d)] / (2 w)
 
-    with removable limits d and d/3 respectively as w -> 0.  Below
-    |w d| = 1/2 branch 2 is summed from its Taylor series, since the
-    closed form cancels there.
+    with removable limits d and d/3 respectively as w -> 0.  m1' takes its
+    series below |w d| = _SERIES_CUTOFF; m2' is summed from its Taylor
+    series below |w d| = 1/2, since the closed form cancels there.
     """
-    _check_interval(d, branch_index)
+    _check_interval(d)
     w = sqrt_cut(complex(z) - v)
     arg = w * d
-    if branch_index == 1:
-        if abs(arg) < _SERIES_CUTOFF:
-            return d * (1.0 + 2.0 * arg * arg / 3.0)
+    if abs(arg) < _SERIES_CUTOFF:
+        dm1 = d * (1.0 + 2.0 * arg * arg / 3.0)
+    else:
         t = _tan(arg, "w*d")
-        return (t + arg * (1.0 + t * t)) / (2.0 * w)
+        dm1 = (t + arg * (1.0 + t * t)) / (2.0 * w)
     if abs(arg) < _DM2_SERIES_CUTOFF:
         x2, total = arg * arg, 0j
         for c in reversed(_DM2_TAYLOR):
             total = total * x2 + c
-        return d * total
+        return dm1, d * total
     ct = _cot(arg, "w*d")
-    return (-ct + arg * (1.0 + ct * ct)) / (2.0 * w)
+    return dm1, (-ct + arg * (1.0 + ct * ct)) / (2.0 * w)
 
 
 def dirac_k1(z, c=1.0):
@@ -257,35 +254,33 @@ def m_dirac(z, c=1.0):
     return 1j * c * dirac_k1(z, c)
 
 
-def m_dirac_interval(z, c=1.0, d=1.0, branch_index=1):
-    """Interval Dirac coefficients, half-length ``d``.
+def m_dirac_interval(z, c=1.0, d=1.0):
+    """Interval Dirac coefficients (m1, m2), half-length ``d``:
 
-    branch_index 1:  m1(z) =  c k1(z) tan(k(z) d)
-    branch_index 2:  m2(z) = -c k1(z) cot(k(z) d)
+        m1(z) =  c k1(z) tan(k(z) d),    m2(z) = -c k1(z) cot(k(z) d)
 
-    The removable point k d -> 0 at the branch points is evaluated by
-    series; real poles are guarded as in ``m_interval``.
+    from one k1(z), with k = (z + c^2/2) k1 / c.  The removable point
+    k d -> 0 at the branch points is evaluated by series; real poles are
+    guarded as in ``m_interval``.  At z = -c^2/2, where k d = 0 but k1 is
+    singular, m2 has a pole and the pair raises PoleError.
     """
     z = complex(z)
-    _check_interval(d, branch_index)
+    _check_interval(d)
     s = 0.5 * c * c
-    # at z = -c^2/2 k1 blows up but k d = 0: the series below applies
-    k1v = None if z.imag == 0.0 and z.real == -s else dirac_k1(z, c)
-    arg = ((z + s) * k1v / c if k1v is not None else 0j) * d
+    # k1 is singular at z = -c^2/2, where k d = 0: the series below names m2's pole
+    k1v = 0j if z == -s else dirac_k1(z, c)
+    arg = (z + s) * k1v / c * d
     if abs(arg) < _SERIES_CUTOFF:
-        if branch_index == 1:
-            # c k1 tan(k d) = c k1 k d (1 + ...) = (z - s) d (1 + (kd)^2/3)
-            return (z - s) * d * (1.0 + arg * arg / 3.0)
         zd = (z + s) * d  # 0 at z = -c^2/2, or where it underflows next to it
         if zd == 0 or cmath.isinf(pole := -c * c / zd):  # or the pole term overflows
             raise PoleError("z = %s is numerically the pole -c^2/2 of the "
                             "second Dirac branch" % z)
+        # c k1 tan(k d) = c k1 k d (1 + ...) = (z - s) d (1 + (kd)^2/3),
         # -c k1 cot(k d) = -c^2/((z+s) d) + (z-s) d/3 + (z-s) k^2 d^3/45
         k2 = (z * z - s * s) / (c * c)  # k^2 = (z^2 - c^4/4)/c^2
-        return pole + (z - s) * d / 3.0 + (z - s) * k2 * d**3 / 45.0
-    if branch_index == 1:
-        return c * k1v * _tan(arg, "k*d")
-    return -c * k1v * _cot(arg, "k*d")
+        return ((z - s) * d * (1.0 + arg * arg / 3.0),
+                pole + (z - s) * d / 3.0 + (z - s) * k2 * d**3 / 45.0)
+    return c * k1v * _tan(arg, "k*d"), -c * k1v * _cot(arg, "k*d")
 
 
 def catalogue(v=0.0, c=1.0, d=1.0):
@@ -293,16 +288,17 @@ def catalogue(v=0.0, c=1.0, d=1.0):
 
     Returns half-line Schrodinger (right and left leads share the same
     coefficient formula; both entries are kept because they parametrize
-    different gamma-fields), the two interval Schrodinger branches, the
-    half-line Dirac coefficient and the two interval Dirac branches, as
-    (name, function) pairs.
+    different gamma-fields), the two entries of the interval Schrodinger
+    pair, the half-line Dirac coefficient and the two entries of the
+    interval Dirac pair, as (name, function) pairs.  An entry raises where
+    either of its pair has a pole.
     """
     return [
         ("m_hr", lambda z: m_schrodinger_halfline(z, v)),
         ("m_hl", lambda z: m_schrodinger_halfline(z, v)),
-        ("m_hc1", lambda z: m_interval(z, v, d, 1)),
-        ("m_hc2", lambda z: m_interval(z, v, d, 2)),
+        ("m_hc1", lambda z: m_interval(z, v, d)[0]),
+        ("m_hc2", lambda z: m_interval(z, v, d)[1]),
         ("m_dr", lambda z: m_dirac(z, c)),
-        ("m_dc1", lambda z: m_dirac_interval(z, c, d, 1)),
-        ("m_dc2", lambda z: m_dirac_interval(z, c, d, 2)),
+        ("m_dc1", lambda z: m_dirac_interval(z, c, d)[0]),
+        ("m_dc2", lambda z: m_dirac_interval(z, c, d)[1]),
     ]

@@ -3,8 +3,9 @@
 Families: Schrodinger half-lines and interval (constant potential),
 Dirac half-line and interval (mass s = c^2/2), and the two-lead
 full-line point contact.  Each family is declared once, as one entry
-of ``FAMILY_TABLE``: its factory and parameter checks, its Weyl
-diagonal (scalar coefficients from :mod:`herglotz`), its gamma-field
+of ``FAMILY_TABLE``: its factory and parameter checks, its boundary
+dimension and Weyl diagonal (scalar coefficients from :mod:`herglotz`; an
+interval's pair (m1, m2) is one call per z), its gamma-field
 columns (explicit solutions of the defect equation whose Gamma0-traces
 are the standard basis, from one half-line exponential, one even/odd
 interval helper and ``contact_columns``, shared with the JC leads), its
@@ -126,6 +127,8 @@ def full_line_contact(v_l=0.0, v_r=0.0):
 def _check_endpoints(spec):
     if spec.a is None or spec.b is None or not spec.a < spec.b:
         raise ValueError("interval families need endpoints a < b")
+    if not np.isfinite(spec.b - spec.a):
+        raise ValueError("interval length b - a overflows")
 
 
 def _check_speed(spec):
@@ -322,7 +325,8 @@ class _Family:
     # up when a triplet is built, so wrappers installed on herglotz see calls
     m: str
     dm: str
-    weyl_args: object  # spec -> one keyword dict for m and dm per diagonal entry
+    dim: int  # boundary dimension
+    diagonal: object  # (spec, m or dm) -> z -> the dim scalars of the diagonal
     kernel: object  # (spec, z) -> AnalyticKernel fields of the gamma columns
     traces: object  # (spec, values, x-derivatives at the boundary points) -> G0, G1
     defect: object  # (spec, z, x, u, h) -> residual of (A* - z) u at x[1:-1]
@@ -331,31 +335,31 @@ class _Family:
 
 FAMILY_TABLE = {
     "schrodinger-right": _Family(
-        schrodinger_right, (), "m_schrodinger_halfline", "dm_schrodinger_halfline",
-        lambda s: [dict(v=s.v)], partial(_halfline_kernel, 1j, "b", _schrodinger_wave),
+        schrodinger_right, (), "m_schrodinger_halfline", "dm_schrodinger_halfline", 1,
+        lambda s, m: lambda z: [m(z, s.v)],
+        partial(_halfline_kernel, 1j, "b", _schrodinger_wave),
         lambda s, f, d: (f[0, :1], d[0, :1]), _constant_v_defect),
     "schrodinger-left": _Family(
-        schrodinger_left, (), "m_schrodinger_halfline", "dm_schrodinger_halfline",
-        lambda s: [dict(v=s.v)], partial(_halfline_kernel, -1j, "a", _schrodinger_wave),
+        schrodinger_left, (), "m_schrodinger_halfline", "dm_schrodinger_halfline", 1,
+        lambda s, m: lambda z: [m(z, s.v)],
+        partial(_halfline_kernel, -1j, "a", _schrodinger_wave),
         lambda s, f, d: (f[0, :1], -d[0, :1]), _constant_v_defect),
     "schrodinger-interval": _Family(
-        schrodinger_interval, (_check_endpoints,), "m_interval", "dm_interval",
-        lambda s: [dict(v=s.v, d=s.half_length, branch_index=j) for j in (1, 2)],
-        _schrodinger_interval_kernel,
+        schrodinger_interval, (_check_endpoints,), "m_interval", "dm_interval", 2,
+        lambda s, m: partial(m, v=s.v, d=s.half_length), _schrodinger_interval_kernel,
         lambda s, f, d: _symmetrized(f[:, 0], [d[0, 0], -d[1, 0]]), _constant_v_defect),
     "dirac-right": _Family(
-        dirac_right, (_check_speed,), "m_dirac", None,
-        lambda s: [dict(c=s.c)], partial(_halfline_kernel, 1j, "b", _dirac_wave),
+        dirac_right, (_check_speed,), "m_dirac", None, 1,
+        lambda s, m: lambda z: [m(z, s.c)], partial(_halfline_kernel, 1j, "b", _dirac_wave),
         lambda s, f, d: (f[0, :1], (1j * s.c) * f[0, 1:]), _dirac_defect, value_dim=2),
     "dirac-interval": _Family(
-        dirac_interval, (_check_endpoints, _check_speed), "m_dirac_interval", None,
-        lambda s: [dict(c=s.c, d=s.half_length, branch_index=j) for j in (1, 2)],
-        _dirac_interval_kernel,
+        dirac_interval, (_check_endpoints, _check_speed), "m_dirac_interval", None, 2,
+        lambda s, m: partial(m, c=s.c, d=s.half_length), _dirac_interval_kernel,
         lambda s, f, d: _symmetrized(f[:, 0], [1j * s.c * f[0, 1], -1j * s.c * f[1, 1]]),
         _dirac_defect, value_dim=2),
     "full-line-contact": _Family(
-        full_line_contact, (), "m_schrodinger_halfline", "dm_schrodinger_halfline",
-        lambda s: [dict(v=s.v_l), dict(v=s.v_r)], _contact_kernel,
+        full_line_contact, (), "m_schrodinger_halfline", "dm_schrodinger_halfline", 2,
+        lambda s, m: lambda z: [m(z, s.v_l), m(z, s.v_r)], _contact_kernel,
         # one-sided traces at the contact: the kernel holds the left column's
         # -0 limit and the right column's +0 limit at x = 0
         lambda s, f, d: (np.diag(f[0, 0]), np.diag([-d[0, 0, 0], d[0, 0, 1]])),
@@ -368,18 +372,16 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 def _weyl_matrix(spec):
     fam = FAMILY_TABLE[spec.family]
-    args = fam.weyl_args(spec)
 
     def diag(name):  # z -> the family's scalars, one per boundary coordinate
-        fns = [partial(getattr(hg, name), **kw) for kw in args]
-        return lambda z: [f(z) for f in fns]
-    return WeylFunction(len(args), diag(fam.m), fam.dm and diag(fam.dm), diagonal=True)
+        return name and fam.diagonal(spec, getattr(hg, name))
+    return WeylFunction(fam.dim, diag(fam.m), diag(fam.dm), diagonal=True)
 
 
 def _gamma_kernel(spec, z):
     """AnalyticKernel of the gamma-field columns at z (Gamma0-trace = I)."""
     fam = FAMILY_TABLE[spec.family]
-    return AnalyticKernel(dim=len(fam.weyl_args(spec)), value_dim=fam.value_dim,
+    return AnalyticKernel(dim=fam.dim, value_dim=fam.value_dim,
                           **fam.kernel(spec, complex(z)))
 
 

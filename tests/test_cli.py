@@ -745,6 +745,16 @@ _GRID_SWEEP_OPS = {
     "weyl-dirac-interval": ("weyl-sample", [], (
         "model.family = dirac-interval\nmodel.c = 1.0\nmodel.a = -1.0\nmodel.b = 1.0\n"
         "grid.z_list = 1j, -1+0.5j, 2-1j, 0.5, 0.2\n")),
+    # series at z = v and v + 1e-14 i, 1.5e-10 off a tan pole and (1.5e-10 i) off
+    # a cot pole, and saturated tan and cot at 1e5 i
+    "weyl-schrodinger-interval": ("weyl-sample", [], (
+        "model.family = schrodinger-interval\nmodel.v = 0.2\nmodel.a = -1.0\nmodel.b = 1.0\n"
+        "grid.z_list = 0.2, 0.2+1e-14j, 2.6674011007435787, "
+        "10.069604401089357+9.42477796076938e-10j, 100000j\n")),
+    # the series of the second Dirac entry next to its pole -c^2/2
+    "weyl-dirac-interval-near-minus-s": ("weyl-sample", [], (
+        "model.family = dirac-interval\nmodel.c = 1.0\nmodel.a = -1.0\nmodel.b = 1.0\n"
+        "grid.z_list = -0.5+1e-14j\n")),
     "weyl-full-line-contact": ("weyl-sample", [], (
         "model.family = full-line-contact\nmodel.v_l = 1.0\nmodel.v_r = 0.5\n"
         "grid.z_list = 1j, -1+0.5j, 2-1j, -0.7\n")),
@@ -822,6 +832,14 @@ _GRID_SWEEP_SHA256 = {
         "ce2b9847b5554e70568a291f46e37af08d67e938ed8885db1fafeb53f86f4edb",
     ("weyl-dirac-interval", "json"):
         "78f0bd944e44ddafc4331f328893fc3d3a37be922a7d00a87fd2144c487d30d1",
+    ("weyl-schrodinger-interval", "csv"):
+        "6121db0e3152f11d1f828efa16f109e21f3bb8986fd10b99b2a2b0457e750ca5",
+    ("weyl-schrodinger-interval", "json"):
+        "e63b350075b4d0fe1e200b5e9680dfbabffdd55b0f18ee45b4531f0b201e0789",
+    ("weyl-dirac-interval-near-minus-s", "csv"):
+        "f7aeb62a712a37f73ff2427b469a0f194399bc1c6f478b77891bca70650f0ba4",
+    ("weyl-dirac-interval-near-minus-s", "json"):
+        "1fe10ddc423087e397acfc8029f39d0f698c919df297188cc57732d4bd9161c2",
     ("weyl-full-line-contact", "csv"):
         "282b97f8586a4222c71b8a1c49625e469fdbabb1f73ef256f3af21c52f5c7dc5",
     ("weyl-full-line-contact", "json"):
@@ -1068,6 +1086,10 @@ _DIRAC_POLE_UNDERFLOW = ("weyl-sample", {
 _DIRAC_POLE_OVERFLOW = ("weyl-sample", {
     "model.family": "dirac-interval", "model.a": "0", "model.b": "2e-180",
     "grid.z_list": "-0.5+1e-130j"}, "csv")
+# interval endpoints whose length b - a overflows
+_INTERVAL_SPAN = ("gamma-sample", {
+    "model.family": "schrodinger-interval", "model.a": "-1e308", "model.b": "1e308",
+    "gamma.z": "1j", "grid.x_min": "-1", "grid.x_max": "1", "grid.x_n": "3"}, "csv")
 # (case, exit code, text of the message)
 _PINNED = [
     (_SQRT_CUT_UNDERFLOW, 0, ""),
@@ -1088,6 +1110,7 @@ _PINNED = [
     (_INTERVAL_FAR, 0, ""),
     (_DIRAC_POLE_UNDERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
     (_DIRAC_POLE_OVERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
+    (_INTERVAL_SPAN, 2, "fuzz.cfg: interval length b - a overflows"),
 ]
 
 
@@ -1111,6 +1134,7 @@ _PINNED = [
 @example(_INTERVAL_FAR)
 @example(_DIRAC_POLE_UNDERFLOW)
 @example(_DIRAC_POLE_OVERFLOW)
+@example(_INTERVAL_SPAN)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case

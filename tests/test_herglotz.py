@@ -22,9 +22,9 @@ FROZEN = [
     ("m(-1)", lambda: hg.m_schrodinger_halfline(-1.0), -1.0 + 0j),
     ("m(i-3; v=1)", lambda: hg.m_schrodinger_halfline(-3 + 1j, v=1.0),
      -2.0153294551533825 + 0.24809839340235632j),
-    ("m1(-1)", lambda: hg.m_interval(-1.0, 0.0, 1.0, 1),
+    ("m1(-1)", lambda: hg.m_interval(-1.0, 0.0, 1.0)[0],
      -0.7615941559557649 + 0j),
-    ("m2(-1)", lambda: hg.m_interval(-1.0, 0.0, 1.0, 2),
+    ("m2(-1)", lambda: hg.m_interval(-1.0, 0.0, 1.0)[1],
      -1.3130352854993315 + 0j),
     ("k1 in gap", lambda: hg.dirac_k1(0.25, 1.0), 0.5773502691896257j),
     ("k1(i)", lambda: hg.dirac_k1(1j, 1.0),
@@ -32,9 +32,9 @@ FROZEN = [
     ("m_D(i)", lambda: hg.m_dirac(1j, 1.0),
      -0.447213595499958 + 0.8944271909999159j),
     ("m_D(0)", lambda: hg.m_dirac(0.0, 1.0), -1.0 + 0j),
-    ("m_D1(i)", lambda: hg.m_dirac_interval(1j, 1.0, 1.0, 1),
+    ("m_D1(i)", lambda: hg.m_dirac_interval(1j, 1.0, 1.0)[0],
      -0.36084948920405996 + 0.7216989784081198j),
-    ("m_D2(i)", lambda: hg.m_dirac_interval(1j, 1.0, 1.0, 2),
+    ("m_D2(i)", lambda: hg.m_dirac_interval(1j, 1.0, 1.0)[1],
      -0.5542477015587524 + 1.1084954031175045j),
 ]
 
@@ -78,8 +78,8 @@ def test_interval_branches_tend_to_halfline():
     # far from the real axis the interval coefficients forget the far endpoint
     z = 1.0 + 300.0j
     w = 1j * hg.sqrt_cut(z)
-    assert abs(hg.m_interval(z, 0.0, 1.0, 1) - w) / abs(w) < 1e-3
-    assert abs(hg.m_interval(z, 0.0, 1.0, 2) - w) / abs(w) < 1e-3
+    for m in hg.m_interval(z, 0.0, 1.0):
+        assert abs(m - w) / abs(w) < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -87,10 +87,10 @@ def test_interval_branches_tend_to_halfline():
     [
         (lambda z: hg.m_schrodinger_halfline(z, 0.5),
          lambda z: hg.dm_schrodinger_halfline(z, 0.5), -2.0 + 0.7j),
-        (lambda z: hg.m_interval(z, 0.0, 1.0, 1),
-         lambda z: hg.dm_interval(z, 0.0, 1.0, 1), -1.0 + 0.3j),
-        (lambda z: hg.m_interval(z, 0.0, 1.0, 2),
-         lambda z: hg.dm_interval(z, 0.0, 1.0, 2), 0.5 + 1.1j),
+        (lambda z: hg.m_interval(z, 0.0, 1.0)[0],
+         lambda z: hg.dm_interval(z, 0.0, 1.0)[0], -1.0 + 0.3j),
+        (lambda z: hg.m_interval(z, 0.0, 1.0)[1],
+         lambda z: hg.dm_interval(z, 0.0, 1.0)[1], 0.5 + 1.1j),
     ],
     ids=["halfline", "interval-1", "interval-2"],
 )
@@ -114,9 +114,9 @@ def test_interval_derivative_matches_cauchy_integral(branch, d, v):
         for phase in (0.0, 0.4, 1.3, 2.2, np.pi, -0.9):
             u = (x_abs * cmath.exp(1j * phase) / d) ** 2
             rho = (pole - abs(u)) / 2
-            ref = sum(hg.m_interval(v + u + rho * e, v, d, branch) / e
+            ref = sum(hg.m_interval(v + u + rho * e, v, d)[branch - 1] / e
                       for e in nodes) / (128 * rho)
-            got = hg.dm_interval(v + u, v, d, branch)
+            got = hg.dm_interval(v + u, v, d)[branch - 1]
             assert abs(got - ref) <= 1e-13 * abs(ref), (x_abs, phase)
 
 
@@ -133,37 +133,72 @@ def test_interval_series_matches_mpmath(branch, d, v):
                 w = mpmath.sqrt(mpmath.mpc(z.real, z.imag) - v)
                 ref = complex(w * mpmath.tan(w * d) if branch == 1
                               else -w * mpmath.cot(w * d))
-            got = hg.m_interval(z, v, d, branch)
+            got = hg.m_interval(z, v, d)[branch - 1]
             assert abs(got - ref) <= 1e-15 * abs(ref), (x_abs, phase)
+
+
+# (m1', m2') at v = 0.2, d = 1 as uint64 (re, im, re, im), pinned from an
+# implementation that took each entry in a call of its own: at z = v and
+# v + 1e-14 i (both series), |w d| ~ 0.32 (m2' Taylor sum, m1' closed form),
+# 1.5e-10 off a tan pole, 1.5e-10 i off a cot pole and at 1e5 i (saturated)
+_DM_BITS = [
+    (0.2, (0x3ff0000000000000, 0x0000000000000000, 0x3fd5555555555555, 0x0000000000000000)),
+    (0.2 + 1e-14j,
+     (0x3ff0000000000000, 0x3cfe0624b3818f79, 0x3fd5555555555555, 0x3cc00346c622f730)),
+    (0.3 + 0.05j,
+     (0x3ff11d8da7adaa9d, 0x3fa3468065b68575, 0x3fd59eef47d6801f, 0x3f62bbf723d5aabf)),
+    (2.6674011007435787,
+     (0x43f34653e86f4308, 0x0000000000000000, 0x3fe0000000068fee, 0x0000000000000000)),
+    (10.069604401089357 + 9.42477796076938e-10j,
+     (0x3fe0000000000000, 0x3dba3fb8577e075e, 0xc3f3465315f68b2d, 0x42c08059a8497089)),
+    (100000j,
+     (0x3f5251610e0acde9, 0x3f52515ea7658244, 0x3f5251610e0acde9, 0x3f52515ea7658244)),
+]
+
+
+@pytest.mark.parametrize("z, bits", _DM_BITS, ids=[str(z) for z, _ in _DM_BITS])
+def test_interval_derivative_pair_is_pinned_bitwise(z, bits):
+    got = np.array(hg.dm_interval(z, 0.2, 1.0), dtype=complex).view(np.uint64)
+    assert [hex(b) for b in got] == [hex(b) for b in bits]
+
+
+def _dirac_m1_near_the_pole(c, d):
+    """z = -c^2/2 + 1e-14 i, inside the series range |k d| < 1e-6 for the d
+    used here, and m1 = c k1 tan(k d) there at 40 digits."""
+    s = 0.5 * c * c
+    z = complex(-s, 1e-14)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        k1 = mpmath.sqrt((zm - s) / (zm + s))
+        return z, complex(c * k1 * mpmath.tan((zm + s) * k1 / c * d))
 
 
 @pytest.mark.parametrize("c, d", [(1.0, 1.0), (0.6, 2.5), (2.0, 0.3)])
 def test_dirac_interval_at_the_second_branch_point(c, d):
-    # at z = -c^2/2, k = 0 while k1 is singular: branch 1 is finite, its
-    # limit c k1 tan(k d) -> (z - c^2/2) d = -c^2 d (the oracle evaluates
-    # the closed form 1e-30 above the point at 40 digits), and branch 2 has
-    # a pole there
+    # at z = -c^2/2, k = 0 while k1 is singular: m2 has a pole there, so the
+    # pair raises; just above the point m2 is finite and m1 matches its
+    # closed form
     s = 0.5 * c * c
     assert hg.dirac_k(-s, c) == 0
-    with mpmath.workdps(40):
-        z = mpmath.mpc(-s, 1e-30)
-        k1 = mpmath.sqrt((z - s) / (z + s))
-        ref = complex(c * k1 * mpmath.tan((z + s) * k1 / c * d))
-    got = hg.m_dirac_interval(-s, c, d, 1)
-    assert abs(got - ref) <= 1e-15 * abs(ref)
-    assert abs(ref + c * c * d) <= 1e-15 * c * c * d
-    with pytest.raises(hg.PoleError):
-        hg.m_dirac_interval(-s, c, d, 2)
+    with pytest.raises(hg.PoleError, match="second Dirac branch"):
+        hg.m_dirac_interval(-s, c, d)
+    z, ref = _dirac_m1_near_the_pole(c, d)
+    m1, m2 = hg.m_dirac_interval(z, c, d)
+    assert abs(m1 - ref) <= 1e-15 * abs(ref)
+    assert cmath.isfinite(m2)
 
 
 def test_dirac_interval_second_branch_where_the_pole_term_underflows():
-    # (z + c^2/2) d underflows to 0 next to the pole z = -c^2/2: the second
-    # branch names its pole instead of dividing by zero, and the first
-    # branch keeps its series value (z - c^2/2) d
+    # (z + c^2/2) d underflows to 0 next to the pole z = -c^2/2: the pair
+    # names m2's pole instead of dividing by zero; a little farther from the
+    # pole m2 is finite and m1 matches its closed form
     z, d = -0.5 + 1e-130j, 1e-200
     with pytest.raises(hg.PoleError, match="second Dirac branch"):
-        hg.m_dirac_interval(z, 1.0, d, 2)
-    assert hg.m_dirac_interval(z, 1.0, d, 1) == (z - 0.5) * d
+        hg.m_dirac_interval(z, 1.0, d)
+    z, ref = _dirac_m1_near_the_pole(1.0, d)
+    m1, m2 = hg.m_dirac_interval(z, 1.0, d)
+    assert abs(m1 - ref) <= 1e-15 * abs(ref)
+    assert cmath.isfinite(m2)
 
 
 def test_dirac_interval_second_branch_where_the_pole_term_overflows():
@@ -172,8 +207,8 @@ def test_dirac_interval_second_branch_where_the_pole_term_overflows():
     # a little farther from the pole the term is finite and is returned
     z, d = -0.5 + 1e-130j, 1e-180
     with pytest.raises(hg.PoleError, match="second Dirac branch"):
-        hg.m_dirac_interval(z, 1.0, d, 2)
-    near = hg.m_dirac_interval(-0.5 + 1e-120j, 1.0, d, 2)
+        hg.m_dirac_interval(z, 1.0, d)
+    near = hg.m_dirac_interval(-0.5 + 1e-120j, 1.0, d)[1]
     assert near == -1.0 / ((-0.5 + 1e-120j + 0.5) * d) + (-1.0 + 1e-120j) * d / 3.0
     assert cmath.isfinite(near)
 
@@ -183,7 +218,7 @@ def test_dirac_interval_second_branch_where_the_pole_term_overflows():
                          ids=["m_interval", "dm_interval", "m_dirac_interval"])
 def test_interval_half_length_must_be_positive(fn, d):
     with pytest.raises(ValueError, match="^interval half-length d must be positive$"):
-        fn(-1.0, 1.0, d, 1)
+        fn(-1.0, 1.0, d)
 
 
 def test_cut_and_pole_rejection():
@@ -192,19 +227,20 @@ def test_cut_and_pole_rejection():
     with pytest.raises(hg.BranchCutError):
         hg.dirac_k1(1.0, 1.0)  # |Re z| >= c^2/2 on the real axis
     with pytest.raises(hg.PoleError):
-        hg.m_interval((np.pi / 2) ** 2, 0.0, 1.0, 1)  # first tan pole
+        hg.m_interval((np.pi / 2) ** 2, 0.0, 1.0)  # first tan pole
 
 
 # poles approached on the real axis (Schrodinger) and 1e-12 above it (Dirac,
-# whose real axis beyond |z| = c^2/2 is a cut); c = d = 1, so k^2 = z^2 - 1/4
+# whose real axis beyond |z| = c^2/2 is a cut); c = d = 1, so k^2 = z^2 - 1/4.
+# At a pole of m1 (tan) the pair raises there; at one of m2 (cot) m1 is finite
 _POLES = [
-    ("m2", lambda: hg.m_interval(np.pi ** 2, 0.0, 1.0, 2), "w*d", "cot"),
-    ("dm1", lambda: hg.dm_interval((np.pi / 2) ** 2, 0.0, 1.0, 1), "w*d", "tan"),
-    ("dm2", lambda: hg.dm_interval(np.pi ** 2, 0.0, 1.0, 2), "w*d", "cot"),
+    ("m2", lambda: hg.m_interval(np.pi ** 2, 0.0, 1.0), "w*d", "cot"),
+    ("dm1", lambda: hg.dm_interval((np.pi / 2) ** 2, 0.0, 1.0), "w*d", "tan"),
+    ("dm2", lambda: hg.dm_interval(np.pi ** 2, 0.0, 1.0), "w*d", "cot"),
     ("m_D1", lambda: hg.m_dirac_interval(
-        np.sqrt((np.pi / 2) ** 2 + 0.25) + 1e-12j, 1.0, 1.0, 1), "k*d", "tan"),
+        np.sqrt((np.pi / 2) ** 2 + 0.25) + 1e-12j, 1.0, 1.0), "k*d", "tan"),
     ("m_D2", lambda: hg.m_dirac_interval(
-        np.sqrt(np.pi ** 2 + 0.25) + 1e-12j, 1.0, 1.0, 2), "k*d", "cot"),
+        np.sqrt(np.pi ** 2 + 0.25) + 1e-12j, 1.0, 1.0), "k*d", "cot"),
 ]
 
 

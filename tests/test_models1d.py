@@ -1,5 +1,7 @@
 """Model catalogue: boundary data, defect equations, pole catalogues."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,10 @@ def test_spec_validation():
         m1.ModelSpec(family="schrodinger-interval")  # missing endpoints
     with pytest.raises(ValueError):
         m1.dirac_right(c=0.0)
+    # b - a overflows although both endpoints are finite
+    for factory in (m1.schrodinger_interval, m1.dirac_interval):
+        with pytest.raises(ValueError, match="^interval length b - a overflows"):
+            factory(a=-1e308, b=1e308)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
@@ -137,6 +143,31 @@ def test_mlambda_identity_by_quadrature(spec):
     assert np.abs(lhs - (z - np.conj(zeta)) * gram).max() < 1e-8
 
 
+@pytest.mark.parametrize("spec, coefficient, root", [
+    (m1.schrodinger_interval(v=0.2, a=0.0, b=1.0), "m_interval", "sqrt_cut"),
+    (m1.dirac_interval(c=1.2, a=-1.0, b=1.0), "m_dirac_interval", "dirac_k1"),
+], ids=["schrodinger-interval", "dirac-interval"])
+def test_interval_weyl_grid_takes_one_root_per_point(monkeypatch, spec, coefficient, root):
+    # the pair (m1, m2) of an interval comes from one coefficient call and
+    # one wave number per z; the coefficient is looked up on herglotz when
+    # the triplet is built, so it is wrapped first
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(hg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(hg, name, wrapper)
+
+    counted(coefficient)
+    counted(root)
+    zs = [1j, -2 + 0.5j, 1.5 + 2j, 3 - 1e-3j, 0.3 + 0j, 0.2 + 1e-13j, 1e8j]
+    m1.build_triplet(spec).weyl.grid(zs)
+    assert calls == {coefficient: len(zs), root: len(zs)}
+
+
 def test_interval_pole_catalogue_locates_weyl_poles():
     spec = m1.schrodinger_interval(v=0.2, a=0.0, b=1.0)
     poles = m1.interval_weyl_poles(spec, count=3)
@@ -147,8 +178,8 @@ def test_interval_pole_catalogue_locates_weyl_poles():
             # the reciprocal of the Weyl branch vanishes linearly at a
             # pole; locate its root from two nearby samples
             eps = 1e-6 * max(1.0, abs(p))
-            f1 = 1.0 / hg.m_interval(p - eps, spec.v, dd, branch)
-            f2 = 1.0 / hg.m_interval(p - 2 * eps, spec.v, dd, branch)
+            f1 = 1.0 / hg.m_interval(p - eps, spec.v, dd)[branch - 1]
+            f2 = 1.0 / hg.m_interval(p - 2 * eps, spec.v, dd)[branch - 1]
             root = (p - eps) + f1 * eps / (f2 - f1)
             assert abs(root - p) < 1e-7 * max(1.0, abs(p))
     with pytest.raises(ValueError):
