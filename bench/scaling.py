@@ -1,5 +1,6 @@
 """How the JC dot's correction and kernel-check stages scale in N and the grid,
-and what Weyl-matrix evaluation costs per z.
+what one jc-run rung costs on a fresh model, and what Weyl-matrix evaluation
+costs per z.
 
     python3 bench/scaling.py [--size {full,tiny}] [--parent DIR] [--out FILE]
 
@@ -14,7 +15,18 @@ size's repeats (5 full, 2 tiny) cycle over all points, so drift spreads
 over them.  Reported per point: median and quartiles (inclusive method)
 of each stage, and per nx (per N for the kernel check) the fitted
 log-log slope of the median in the Fock dimension N + 1, over all N and
-over the three largest.
+over the three largest.  Every timed correction call must make exactly
+one guarded solve of C~_JC - M^S(z); any other count stops the harness
+with a non-zero exit.
+
+The rung stage times the calls of one ``jc-run`` rung that share that
+solve, ``decoupling_report``, ``weyl_S`` and ``dot_resolvent_correction``
+(x-grid [-1, 0.5], jc-run's default), at each N of ``RUNG_N``, on a new
+``JCModel`` per sample whose C~_JC is built untimed first, as ``jc-run``
+builds it before these calls.  Reported per N: median and quartiles, and
+the guarded solves each sample made, counted under both names that call
+``solve_guarded`` (``jcdot``'s, and ``triplets``' for a checkout whose
+correction solves through ``krein_correction``).
 
 The Weyl-matrix evaluation stage times ``WeylFunction.grid`` alone, with
 no rendering, for the ``WEYL_FAMILIES`` (default parameters) and the JC
@@ -49,8 +61,9 @@ import numpy as np  # noqa: E402  (after the BLAS thread count is fixed)
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = {
     "full": {"N": (10, 20, 40, 80, 160, 320), "nx": (2, 8, 32), "edges": ((60, 33), (200, 10)),
-             "weyl_n": (16, 64, 130), "repeats": 5},
-    "tiny": {"N": (2, 4), "nx": (2,), "edges": (), "weyl_n": (4,), "repeats": 2},
+             "weyl_n": (16, 64, 130), "rung_N": (20, 40, 60, 80), "repeats": 5},
+    "tiny": {"N": (2, 4), "nx": (2,), "edges": (), "weyl_n": (4,), "rung_N": (2, 4),
+             "repeats": 2},
 }
 WEYL_FAMILIES = ("schrodinger-interval", "dirac-interval", "full-line-contact")
 WEYL_JC_N = 20
@@ -62,6 +75,15 @@ STAGES = ("correction_s", "kernel_s")
 CHECK = "kernel_equivalence_s"
 # the Weyl-matrix evaluation stage, timed per function and z-grid
 WEYL = "weyl_s"
+# the jc-run rung stage on fresh models, timed per N, its x-grid and samples per repeat
+RUNG = "rung_s"
+RUNG_XS = (-1.0, 0.5)
+RUNG_SAMPLES = 3
+
+
+def jc_model(jd, N):
+    return jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                      jd.FockTruncation(N))
 
 
 def points(size):
@@ -76,12 +98,13 @@ def measure(src, size):
     from worker import environment
     from weyltriplets import jcdot as jd
     from weyltriplets import models1d as m1
+    from weyltriplets import triplets
     from weyltriplets.triplets import BoundaryCondition, krein_correction
 
+    solves = count_solves(jd, triplets)
     models, cases = {}, []
     for N, nx in points(size):
-        model = models.setdefault(N, jd.JCModel(
-            0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7, jd.FockTruncation(N)))
+        model = models.setdefault(N, jc_model(jd, N))
         xs = np.linspace(-1.0, 1.0, nx)
         jd.dot_resolvent_correction(model, Z, xs)
         corr = krein_correction(model.lead_triplet,
@@ -92,24 +115,37 @@ def measure(src, size):
     for check in checks:
         jd.kernel_equivalence(check["model"])
     weyls = {name: m1.build_triplet(m1.FACTORIES[name]()).weyl for name in WEYL_FAMILIES}
-    weyls["jc-lead-N%d" % WEYL_JC_N] = jd.JCModel(
-        0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
-        jd.FockTruncation(WEYL_JC_N)).lead_weyl
+    weyls["jc-lead-N%d" % WEYL_JC_N] = jc_model(jd, WEYL_JC_N).lead_weyl
     evals = [{"weyl": name, "n_z": n * n, "fn": weyl_grid(w),
               "zs": [complex(re, im) for re in np.linspace(-3.0, 3.0, n)
                      for im in np.linspace(0.3, 2.3, n)], WEYL: []}
              for name, w in weyls.items() for n in SIZES[size]["weyl_n"]]
     for ev in evals:
         ev["fn"](ev["zs"])
+    rungs = [{"N": N, RUNG: [], "solves": []} for N in SIZES[size]["rung_N"]]
     for _ in range(SIZES[size]["repeats"]):
         for case in cases:
+            before = solves[0]
             t0 = perf_counter()
             jd.dot_resolvent_correction(case["model"], Z, case["xs"])
             t1 = perf_counter()
             case["corr"].kernel(case["xs"], case["xs"])
             t2 = perf_counter()
+            if solves[0] - before != 1:
+                sys.exit("dot_resolvent_correction at N = %d, nx = %d made %d guarded "
+                         "solves, not 1" % (case["N"], case["nx"], solves[0] - before))
             case["correction_s"].append(t1 - t0)
             case["kernel_s"].append(t2 - t1)
+        for rung in rungs * RUNG_SAMPLES:
+            model = jc_model(jd, rung["N"])
+            model.tilde_CJC  # untimed: jc-run builds it before the rung
+            before = solves[0]
+            t0 = perf_counter()
+            jd.decoupling_report(model, Z)
+            jd.weyl_S(model, Z)
+            jd.dot_resolvent_correction(model, Z, RUNG_XS)
+            rung[RUNG].append(perf_counter() - t0)
+            rung["solves"].append(solves[0] - before)
         for check in checks:
             t0 = perf_counter()
             jd.kernel_equivalence(check["model"])
@@ -121,7 +157,19 @@ def measure(src, size):
     return {"environment": environment(),
             "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases],
             "checks": [{k: c[k] for k in ("N", CHECK)} for c in checks],
-            "weyl": [{k: ev[k] for k in ("weyl", "n_z", WEYL)} for ev in evals]}
+            "weyl": [{k: ev[k] for k in ("weyl", "n_z", WEYL)} for ev in evals],
+            "rungs": rungs}
+
+
+def count_solves(*modules):
+    """Wrap each module's ``solve_guarded`` with one shared counter, [calls]."""
+    calls = [0]
+    for module in modules:
+        def counted(*args, _solve=module.solve_guarded, **kwargs):
+            calls[0] += 1
+            return _solve(*args, **kwargs)
+        module.solve_guarded = counted
+    return calls
 
 
 def weyl_grid(weyl):
@@ -134,7 +182,9 @@ def weyl_grid(weyl):
 def run_child(src, size):
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(src),
            "--size", size]
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=1800)
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=1800)
+    if out.returncode != 0:
+        sys.exit("child run on %s failed:\n%s" % (src, out.stderr))
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -156,7 +206,7 @@ def fit_slopes(rows, stage):
 
 def side_report(runs, size):
     """Pool the samples of one side's child runs; summaries and slopes."""
-    pooled, pooled_checks, pooled_weyl = {}, {}, {}
+    pooled, pooled_checks, pooled_weyl, pooled_rungs = {}, {}, {}, {}
     for run in runs:
         for p in run["points"]:
             slot = pooled.setdefault((p["N"], p["nx"]), {s: [] for s in STAGES})
@@ -166,18 +216,24 @@ def side_report(runs, size):
             pooled_checks.setdefault(c["N"], []).extend(c[CHECK])
         for w in run["weyl"]:
             pooled_weyl.setdefault((w["weyl"], w["n_z"]), []).extend(w[WEYL])
+        for r in run["rungs"]:
+            slot = pooled_rungs.setdefault(r["N"], {RUNG: [], "solves": []})
+            slot[RUNG].extend(r[RUNG])
+            slot["solves"].extend(r["solves"])
     table = [dict(N=N, nx=nx, **{s: summary(v[s]) for s in STAGES})
              for (N, nx), v in pooled.items()]
     checks = [{"N": N, CHECK: summary(v)} for N, v in pooled_checks.items()]
     weyl = [{"weyl": name, "n_z": n_z, WEYL: summary(v),
              "us_per_z": 1e6 * statistics.median(v) / n_z}
             for (name, n_z), v in pooled_weyl.items()]
+    rungs = [{"N": N, RUNG: summary(v[RUNG]), "solves_per_sample": sorted(set(v["solves"]))}
+             for N, v in pooled_rungs.items()]
     grid_N = SIZES[size]["N"]
     slopes = {s: {str(nx): fit_slopes([r for r in table if r["nx"] == nx and r["N"] in grid_N], s)
                   for nx in SIZES[size]["nx"]} for s in STAGES}
     slopes[CHECK] = fit_slopes(checks, CHECK)
     return {"environments": [r["environment"] for r in runs], "points": table,
-            "checks": checks, "slopes": slopes, "weyl": weyl}
+            "checks": checks, "slopes": slopes, "weyl": weyl, "rungs": rungs}
 
 
 def main(argv=None):
@@ -202,13 +258,15 @@ def main(argv=None):
         runs[name].append(run_child(sides[name], args.size))
     doc = {
         "what": "dot_resolvent_correction and its KreinCorrection.kernel step, "
-                "z = %r, kernel_equivalence, and WeylFunction.grid per z-grid, "
-                "one BLAS thread" % Z,
+                "z = %r, kernel_equivalence, WeylFunction.grid per z-grid, and one "
+                "jc-run rung (decoupling_report, weyl_S, dot_resolvent_correction) "
+                "on fresh models, one BLAS thread" % Z,
         # the parent checkout's path is a local detail, left out
         "command": "python3 bench/scaling.py --size %s%s"
                    % (args.size, " --parent PARENT" if args.parent else ""),
         "size": args.size,
         "repeats_per_child": SIZES[args.size]["repeats"],
+        "rung_samples_per_repeat": RUNG_SAMPLES,
         "order": order,
         "sides": {name: side_report(runs[name], args.size) for name in sides},
     }
@@ -227,6 +285,9 @@ def main(argv=None):
         for r in rep["weyl"]:
             print("%-7s %-20s n_z=%-6d weyl grid %.4g s  %.3g us/z"
                   % (name, r["weyl"], r["n_z"], r[WEYL]["median"], r["us_per_z"]))
+        for r in rep["rungs"]:
+            print("%-7s N=%-4d jc-run rung %.4g s  solves per sample %s"
+                  % (name, r["N"], r[RUNG]["median"], r["solves_per_sample"]))
     print(json.dumps(doc))
     return 0
 

@@ -23,10 +23,12 @@ of the lead Weyl coefficients (the construction aborts if the two
 routes disagree).
 
 The leads have one normalized Weyl function M^S, built from the same
-anchors m(i - k; v) that check R and Q, so ``dot_resolvent_correction``
-and ``decoupling_report`` invert the same C~_JC - M^S(z).  Their gamma
-image is the contact's ``models1d.contact_columns`` at every Fock level,
-weighted by (Im m(i - k; v))^{-1/2} from those anchors too (one
+anchors m(i - k; v) that check R and Q.  ``decoupling_report``, ``weyl_S``
+and ``dot_resolvent_correction`` share one solve of C~_JC - M^S(z): the
+latest (model, z, M^S(z), W) is kept, read-only, in one module-level slot,
+not per model, so a model reused across runs pays each run's solve.  The
+gamma image is the contact's ``models1d.contact_columns`` at every Fock
+level, weighted by (Im m(i - k; v))^{-1/2} from those anchors too (one
 ``jc-run`` evaluates each anchor once); its Gram is closed-form.
 
 Ordering convention: boundary/dot index outer, Fock index inner,
@@ -46,8 +48,7 @@ import numpy as np
 from . import herglotz as hg
 from ._linalg import solve_guarded
 from .models1d import contact_columns, contact_waves
-from .triplets import (BoundaryCondition, BoundaryTriplet, DomainError, WeylFunction,
-                       krein_correction)
+from .triplets import BoundaryTriplet, DomainError, KreinCorrection, WeylFunction
 
 __all__ = [
     "FockTruncation",
@@ -417,9 +418,30 @@ def jacobi_reorder(matrix, model):
     }
 
 
+_latest = (None,) * 4  # the latest solve (model, bits of z, M^S(z), W)
+
+
+def _held(model, z):
+    """The slot if it holds this model (by identity) and z (by bit pattern)."""
+    slot = _latest
+    return slot if slot[0] is model and slot[1] == np.complex128(z).tobytes() else None
+
+
+def _weight(model, z):
+    """W = (C~_JC - M^S(z))^{-1}, from the slot or a new solve that replaces it."""
+    global _latest
+    slot = _held(model, z)
+    if slot is None:
+        M = model.lead_weyl(complex(z))
+        W = solve_guarded(model.tilde_CJC - M, context="C~ - M^S(z)")
+        slot = _latest = (model, np.complex128(z).tobytes(), _read_only(M), _read_only(W))
+    return slot[3]
+
+
 def weyl_S(model, z):
-    """The model's cached ``lead_weyl`` at one point z."""
-    return model.lead_weyl(z)
+    """The model's ``lead_weyl`` at z; the slot's read-only M^S(z) if it holds z."""
+    slot = _held(model, z)
+    return model.lead_weyl(z) if slot is None else slot[2]
 
 
 def dot_resolvent_correction(model, z, xs):
@@ -428,11 +450,13 @@ def dot_resolvent_correction(model, z, xs):
     Returns samples of gamma~(z) (C~_JC - M^S(z))^{-1} gamma~(conj z)*
     of shape (len xs, len xs, N+1, N+1): a Fock-space operator per
     spatial pair, with the lead side encoded in the sign of x and y.
+    Its weight is ``decoupling_report``'s solve, "C~ - M^S(z)".
     """
     z = complex(z)
     xs = np.asarray(xs, dtype=float)
-    bc = BoundaryCondition.operator(model.tilde_CJC)
-    corr = krein_correction(model.lead_triplet, bc, z)
+    model.tilde_CJC  # first: it raises while R, Q are inconsistent
+    left, right = (model.lead_triplet.gamma(w) for w in (z, np.conj(z)))
+    corr = KreinCorrection(z, _weight(model, z), left, right)
     n = model.fock.dim
     # undo the scalar squeeze at N = 0 so the shape contract is uniform
     return np.asarray(corr.kernel(xs, xs)).reshape(len(xs), len(xs), n, n)
@@ -525,13 +549,14 @@ def decoupling_report(model, z):
     With gamma = 0 and tau = 0 both C~_JC and the correction weight
     (C~_JC - M^S(z))^{-1} are block-diagonal across (l, r); with a diagonal
     dot and tau != 0 the cross-side block of C~_JC only carries the boson
-    ladder (entries at Fock distance exactly 1).
+    ladder (entries at Fock distance exactly 1).  The weight is the solve
+    that ``weyl_S`` and ``dot_resolvent_correction`` share at this z.
     """
     n = model.fock.dim
     Ct = model.tilde_CJC
     cross = Ct[:n, n:]
     ladder = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
-    W = solve_guarded(Ct - weyl_S(model, z), context="C~ - M^S(z)")
+    W = _weight(model, z)
     return {
         "cross_block_max": float(np.abs(cross).max()),
         "cross_off_ladder_max": float(np.abs(cross[~ladder]).max()),

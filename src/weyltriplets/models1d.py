@@ -93,7 +93,7 @@ class ModelSpec:
 
     @property
     def midpoint(self):
-        return 0.5 * (self.a + self.b)
+        return 0.5 * self.a + 0.5 * self.b
 
     @property
     def half_length(self):

@@ -708,6 +708,27 @@ def test_jc_run_evaluates_each_anchor_once(tmp_path, capsys, monkeypatch, N):
     assert Counter(anchors) == Counter((1j - k, v) for v in (0.5, 0.25) for k in range(N + 1))
 
 
+def test_jc_run_evaluates_the_lead_weyl_function_once(tmp_path, capsys, monkeypatch):
+    # 2(N+1) anchors plus one M^S(z), shared by the decoupling report, the
+    # correction and weyl_S_diag
+    m_true, calls = hg.m_schrodinger_halfline, []
+
+    def counted(z, v=0.0):
+        calls.append((complex(z), v))
+        return m_true(z, v)
+
+    monkeypatch.setattr(hg, "m_schrodinger_halfline", counted)
+    cfg = write(tmp_path, "jc.cfg", (
+        "jc.alpha = 0.1\njc.beta = 0.9\njc.tau = 0.7\njc.N = 3\n"
+        "jc.v_l = 0.5\njc.v_r = 0.25\njc.z = -1+0.5j\n"
+    ))
+    rc, _, _ = run(capsys, ["jc-run", "--config", cfg])
+    assert rc == 0
+    assert len(calls) == 2 * 4 + 2 * 4
+    assert Counter(calls) == Counter((z - k, v) for v in (0.5, 0.25) for k in range(4)
+                                     for z in (1j, -1 + 0.5j))
+
+
 # the five ops of the grid-sweep benchmark at small sizes (its seed-0
 # parameters), except 130 x 130 Krein points, which span several render blocks;
 # then weyl-sample and gamma-sample on every other family (with the removable
@@ -1090,6 +1111,12 @@ _DIRAC_POLE_OVERFLOW = ("weyl-sample", {
 _INTERVAL_SPAN = ("gamma-sample", {
     "model.family": "schrodinger-interval", "model.a": "-1e308", "model.b": "1e308",
     "gamma.z": "1j", "grid.x_min": "-1", "grid.x_max": "1", "grid.x_n": "3"}, "csv")
+# interval endpoints whose sum a + b overflows, with finite midpoint and length
+_MIDPOINT_FAR = {"model.a": "1e308", "model.b": "1.5e308", "gamma.z": "1j",
+                 "grid.x_min": "1.2e308", "grid.x_max": "1.4e308", "grid.x_n": "3"}
+_MIDPOINT_SCHRODINGER = ("gamma-sample", {"model.family": "schrodinger-interval",
+                                          **_MIDPOINT_FAR}, "csv")
+_MIDPOINT_DIRAC = ("gamma-sample", {"model.family": "dirac-interval", **_MIDPOINT_FAR}, "csv")
 # (case, exit code, text of the message)
 _PINNED = [
     (_SQRT_CUT_UNDERFLOW, 0, ""),
@@ -1111,6 +1138,8 @@ _PINNED = [
     (_DIRAC_POLE_UNDERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
     (_DIRAC_POLE_OVERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
     (_INTERVAL_SPAN, 2, "fuzz.cfg: interval length b - a overflows"),
+    (_MIDPOINT_SCHRODINGER, 0, ""),
+    (_MIDPOINT_DIRAC, 0, ""),
 ]
 
 
@@ -1135,6 +1164,8 @@ _PINNED = [
 @example(_DIRAC_POLE_UNDERFLOW)
 @example(_DIRAC_POLE_OVERFLOW)
 @example(_INTERVAL_SPAN)
+@example(_MIDPOINT_SCHRODINGER)
+@example(_MIDPOINT_DIRAC)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case

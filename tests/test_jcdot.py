@@ -9,6 +9,7 @@ from scipy.linalg import subspace_angles
 
 from weyltriplets import herglotz as hg
 from weyltriplets import jcdot as jd
+from weyltriplets import triplets
 from weyltriplets.spectral import SpectralMeasurePP
 from weyltriplets.tensor import tensor_normalized
 from weyltriplets.models1d import (
@@ -16,7 +17,7 @@ from weyltriplets.models1d import (
     eval_gamma_on_grid,
     full_line_contact,
 )
-from weyltriplets._linalg import solve_guarded
+from weyltriplets._linalg import SingularMatrixError, solve_guarded
 from weyltriplets.oracle import make_dense_toy
 from weyltriplets.triplets import (
     BoundaryCondition,
@@ -323,6 +324,98 @@ def test_krein_weight_is_decoupling_solve(N):
         weight = krein_correction(m.lead_triplet, bc, z).weight
         want = solve_guarded(m.tilde_CJC - jd.weyl_S(m, z))
         assert np.array_equal(weight, want)
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _rung(model, z, xs):
+    """The benchmark's call order for one jc-run rung."""
+    return (jd.decoupling_report(model, z), jd.weyl_S(model, z),
+            jd.dot_resolvent_correction(model, z, xs))
+
+
+def _counted_solves(monkeypatch):
+    """Every guarded solve of jcdot and of the triplets it could route through."""
+    calls = []
+
+    def counted(A, context=""):
+        calls.append(context)
+        return solve_guarded(A, context)
+
+    for module in (jd, triplets):
+        monkeypatch.setattr(module, "solve_guarded", counted)
+    return calls
+
+
+def test_one_solve_per_rung(monkeypatch):
+    # two models in alternation, as the jc-ladder benchmark reuses its models:
+    # each rung replaces the other's solve, so every rung solves exactly once
+    calls = _counted_solves(monkeypatch)
+    models = [jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                         jd.FockTruncation(N)) for N in (3, 5)]
+    xs = np.array([-1.0, 0.5])
+    for _ in range(2):
+        for m in models:
+            before = len(calls)
+            _rung(m, -1.0 + 0.5j, xs)
+            assert calls[before:] == ["C~ - M^S(z)"]
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("N", [3, 20, 60])
+def test_shared_solve_is_bitwise_the_separate_routes(monkeypatch, N):
+    calls = _counted_solves(monkeypatch)
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(N))
+    bc = BoundaryCondition.operator(m.tilde_CJC)
+    xs = np.array([-1.0, -0.25, 0.5])
+    # a real z below every lead spectrum, with both signs of its zero: z and its
+    # twin compare equal but are distinct bit patterns, so each gets its own solve
+    zs = (-1.0 + 0.5j, 2.5 - 0.75j, complex(0.125, 0.0), complex(0.125, -0.0))
+    for z in zs:
+        before = len(calls)
+        _, M, K = _rung(m, z, xs)
+        assert len(calls) == before + 1
+        assert _bits_equal(jd._weight(m, z), solve_guarded(m.tilde_CJC - m.lead_weyl(z)))
+        assert _bits_equal(M, m.lead_weyl(z))
+        want = krein_correction(m.lead_triplet, bc, z).kernel(xs, xs)
+        assert _bits_equal(K, want.reshape(K.shape))
+
+
+def test_shared_solve_is_read_only():
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(3))
+    z = -1.0 + 0.5j
+    jd.decoupling_report(m, z)
+    for a in (jd.weyl_S(m, z), jd._weight(m, z)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+
+
+def test_weyl_S_off_the_slot_leaves_it():
+    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                   jd.FockTruncation(3))
+    jd.decoupling_report(m, -1.0 + 0.5j)
+    slot = jd._latest
+    M = jd.weyl_S(m, 2.0 + 1.0j)
+    assert jd._latest is slot and M.flags.writeable
+    assert _bits_equal(M, m.lead_weyl(2.0 + 1.0j))
+
+
+def test_singular_weight_raises_every_time_and_keeps_the_slot():
+    # the dot of test_cli's _KE_HUGE_BETA: cond(C~ - M^S(z)) = inf
+    kept = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
+                      jd.FockTruncation(3))
+    jd.decoupling_report(kept, -1.0 + 0.5j)
+    slot = jd._latest
+    m = jd.JCModel(0.0, 0.0, jd.TwoLevelDot(3.0, 1e308, 1 - 1e308j), 2.0, jd.FockTruncation(0))
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError, match=r"C~ - M\^S\(z\)"):
+            jd.dot_resolvent_correction(m, -1.0 + 0.5j, [-1.0, 0.5])
+        assert jd._latest is slot
 
 
 def test_lead_triplet_herglotz_identity():

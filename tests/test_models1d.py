@@ -45,6 +45,22 @@ def test_spec_validation():
             factory(a=-1e308, b=1e308)
 
 
+def test_midpoint_is_bitwise_the_halved_sum_where_that_is_finite():
+    # 0.5 a + 0.5 b equals 0.5 (a + b) bit for bit where the latter is finite,
+    # but may differ by one subnormal unit with an endpoint below 2^-1020
+    rng = np.random.default_rng(24)
+    mag = np.ldexp(rng.uniform(1.0, 2.0, (20000, 2)), rng.integers(-1020, 1024, (20000, 2)))
+    pairs = np.sort(mag * rng.choice([-1.0, 1.0], (20000, 2)), axis=1)
+    with np.errstate(over="ignore"):
+        keep = np.isfinite(pairs.sum(axis=1)) & np.isfinite(pairs[:, 1] - pairs[:, 0])
+    assert keep.sum() > 15000
+    for a, b in pairs[keep].tolist():
+        got = m1.schrodinger_interval(a=a, b=b).midpoint
+        assert np.float64(got).view(np.uint64) == np.float64(0.5 * (a + b)).view(np.uint64)
+    # the sum overflows but the midpoint does not
+    assert m1.dirac_interval(a=1e308, b=1.5e308).midpoint == 1.25e308
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 # the last three reach the exp-scaled forms of the interval kernels
 @pytest.mark.parametrize("z", [2 + 1j, -1 + 0.5j, 1e4j, 1e7j, 5 + 1e6j])
