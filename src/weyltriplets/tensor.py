@@ -1,8 +1,9 @@
 """Boundary triplets for tensor sums S = A (x) I + I (x) T.
 
 T enters only through its pure-point spectral measure (atoms lambda_k
-with eigenprojections P_k); every construction here assembles block
-matrices over those atoms.  Raw ("bounded") objects shift the base data,
+with eigenprojections P_k); every construction here is a direct sum
+over those atoms, and these are the library's only direct sums.  Raw
+("bounded") objects shift the base data,
 
     M^S(z) = sum_k M^A(z - lambda_k) (x) P_k,
     gamma^S(z) = sum_k gamma^A(z - lambda_k) (x) P_k,

@@ -6,10 +6,12 @@ z -> gamma(z), together with bookkeeping (which reference extension the
 triplet distinguishes, whether it is normalized, an optional dense
 realization of the reference operator for oracle checks).
 
-Gamma-field images come in two concrete representations: dense matrices
-(finite-dimensional toys) and analytic kernels (explicit defect
-solutions of the 1-D models, integrated by adaptive quadrature).  The
-two fundamental Herglotz identities
+Gamma-field images come in two concrete representations here: dense
+matrices (finite-dimensional toys) and analytic kernels (explicit defect
+solutions of the 1-D models, integrated by adaptive quadrature).  Direct
+sums over the atoms of a spectral measure, and their images, live in
+``tensor``; the JC leads' image in ``jcdot``.  The two fundamental
+Herglotz identities
 
     M(z) - M(zeta)* = (z - conj zeta) gamma(zeta)* gamma(z)
     gamma(z) = (I + (z - zeta)(S0 - z)^{-1}) gamma(zeta)
@@ -40,7 +42,6 @@ __all__ = [
     "WeylFunction",
     "DenseMatrix",
     "AnalyticKernel",
-    "BlockDiagImage",
     "BoundaryCondition",
     "BoundaryTriplet",
     "KreinCorrection",
@@ -48,9 +49,6 @@ __all__ = [
     "weyl_derivative",
     "LKernel",
     "normalize",
-    "direct_sum_normalized",
-    "direct_sum_plain",
-    "regularize_at_real_point",
     "herglotz_identity_residual",
     "gamma_translation_residual",
     "friedrichs_probe",
@@ -60,7 +58,6 @@ __all__ = [
     "GapViolationError",
     "DomainError",
     "RepresentationError",
-    "DiagnosticTripletError",
     "NotPositiveDefiniteError",
     "SingularMatrixError",
 ]
@@ -89,10 +86,6 @@ class DomainError(ValueError):
 
 class RepresentationError(TypeError):
     """Operation unsupported for this gamma-image representation."""
-
-
-class DiagnosticTripletError(RuntimeError):
-    """The object is a diagnostic-only construction, not a boundary triplet."""
 
 
 @dataclass(frozen=True)
@@ -249,54 +242,6 @@ class AnalyticKernel:
         return total
 
 
-def _block_diag(*blocks):
-    """``scipy.linalg.block_diag`` of 2-D blocks, without importing scipy."""
-    ends = np.cumsum([b.shape for b in blocks], axis=0)
-    out = np.zeros(ends[-1], dtype=np.result_type(*blocks))
-    for b, (r, c) in zip(blocks, ends):
-        out[r - b.shape[0] : r, c - b.shape[1] : c] = b
-    return out
-
-
-@dataclass(frozen=True)
-class BlockDiagImage:
-    """Direct-sum gamma image: per-summand images, block-outer ordering."""
-
-    blocks: tuple
-
-    @property
-    def dim(self):
-        return sum(b.dim for b in self.blocks)
-
-    def postmultiply(self, C):
-        """Postmultiply by a block-diagonal matrix (conformal blocks only)."""
-        C = np.asarray(C, dtype=complex)
-        dims = [b.dim for b in self.blocks]
-        if C.shape != (sum(dims), sum(dims)):
-            raise RepresentationError("postmultiplier shape mismatch")
-        off = 0
-        out = []
-        mask = np.ones_like(C, dtype=bool)
-        for b, d in zip(self.blocks, dims):
-            blk = C[off : off + d, off : off + d]
-            mask[off : off + d, off : off + d] = False
-            out.append(b.postmultiply(blk))
-            off += d
-        if C[mask].size and np.abs(C[mask]).max() > 1e-14 * max(1.0, np.abs(C).max()):
-            raise RepresentationError(
-                "BlockDiagImage only supports block-diagonal postmultipliers"
-            )
-        return BlockDiagImage(tuple(out))
-
-    def gram(self, other):
-        if not isinstance(other, BlockDiagImage) or len(other.blocks) != len(
-            self.blocks
-        ):
-            raise RepresentationError("Gram needs matching block structures")
-        grams = [b1.gram(b2) for b1, b2 in zip(self.blocks, other.blocks)]
-        return np.asarray(_block_diag(*grams), dtype=complex)
-
-
 class BoundaryCondition:
     """Abstract boundary condition selecting a self-adjoint extension.
 
@@ -345,17 +290,14 @@ class BoundaryTriplet:
 
     ``normalized`` asserts M(i) = i I (checked lazily via
     ``check_normalized``); ``s0`` optionally carries a dense matrix
-    realization of the reference extension for resolvent oracles;
-    ``diagnostic_only`` marks constructions (like the plain,
-    un-regularized direct sum) that are *not* boundary triplets in
-    general and therefore refuse Krein computations.
+    realization of the reference extension for resolvent oracles.  Direct
+    sums over the atoms of a spectral measure are built in ``tensor``.
     """
 
     weyl: WeylFunction
     gamma: object  # callable z -> gamma image
     normalized: bool = False
     s0: np.ndarray = None
-    diagnostic_only: bool = False
 
     @property
     def dim(self):
@@ -424,15 +366,16 @@ def krein_correction(triplet, bc, z):
     zero operator.  theta1 is the boundary condition Gamma1 f = 0
     (operator B = 0).  A numerically singular B - M(z) (condition number
     beyond 1e12) raises SingularMatrixError: z is approaching the
-    spectrum of the selected extension.
+    spectrum of the selected extension.  An operator B must be d x d,
+    d the triplet's dimension, else ValueError.
     """
-    if triplet.diagnostic_only:
-        raise DiagnosticTripletError(
-            "this is a diagnostic-only construction (not a boundary triplet "
-            "in general); Krein corrections are refused"
-        )
     z = complex(z)
     d = triplet.dim
+    if bc.variant == "operator" and bc.B.shape != (d, d):
+        raise ValueError(
+            "boundary operator B has shape %s, but M(z) has shape (%d, %d)"
+            % (bc.B.shape, d, d)
+        )
     left = triplet.gamma(z)
     right = triplet.gamma(np.conj(z))
     if bc.variant == "theta0":
@@ -463,8 +406,8 @@ class LKernel:
         W (M(z - lam) - M(a - lam)) W,      W = (M'(a - lam))^{-1/2}
 
     with the defining exact values L = iI at z = i and L = 0 at z = a.
-    This is the one rescaling behind ``normalize``, the direct sums and
-    every tensor construction; lam = 0 rescales a single triplet.
+    This is the one rescaling behind ``normalize`` (lam = 0, a single
+    triplet) and every tensor construction (one lam per atom).
     Weights are cached per atom shift.
     """
 
@@ -515,41 +458,6 @@ class LKernel:
         return W @ (self.weyl(complex(z) - float(lam)) - S) @ W
 
 
-def _rescaled(triplet, anchor):
-    """The triplet rescaled by its own LKernel (lam = 0): W (M - S) W, gamma W."""
-    lk = LKernel(triplet.weyl, anchor)
-    W, _, _ = lk.weights(0.0)
-    return BoundaryTriplet(
-        weyl=WeylFunction(triplet.dim, lambda z: lk.at(z, 0.0)),
-        gamma=lambda z: triplet.gamma(z).postmultiply(W),
-        normalized=not lk.real_point,
-        s0=triplet.s0,
-    )
-
-
-def _rescaled_blocks(triplets, anchor):
-    """Rescale every summand, naming the block whose weights fail."""
-    out = []
-    for n, t in enumerate(triplets):
-        try:
-            out.append(_rescaled(t, anchor))
-        except (NotPositiveDefiniteError, GapViolationError) as exc:
-            raise type(exc)("block %d: %s" % (n, exc)) from exc
-    return out
-
-
-def _direct_sum(blocks, **flags):
-    """Block-diagonal Weyl function and s0, BlockDiagImage gamma-field."""
-    total = sum(t.dim for t in blocks)
-    s0 = [t.s0 for t in blocks]
-    return BoundaryTriplet(
-        weyl=WeylFunction(total, lambda z: _block_diag(*[t.weyl(z) for t in blocks])),
-        gamma=lambda z: BlockDiagImage(tuple(t.gamma(z) for t in blocks)),
-        s0=_block_diag(*s0) if all(m is not None for m in s0) else None,
-        **flags,
-    )
-
-
 def normalize(triplet):
     """Renormalize a triplet so that M(i) = i Identity.
 
@@ -558,47 +466,34 @@ def normalize(triplet):
         M~(z) = R^{-1} (M(z) - Q) R^{-1},     gamma~(z) = gamma(z) R^{-1}
 
     is again a boundary triplet for the same reference extension (ker
-    Gamma0 unchanged); M~(i) = iI exactly.  Triplets already normalized
-    at z = i are returned unchanged (up to the flag).  Fails when Im M(i)
-    is not positive definite.
+    Gamma0 unchanged); M~(i) = iI exactly.  This is ``LKernel`` at
+    lam = 0.  Triplets already normalized at z = i are returned unchanged
+    (up to the flag).  Fails when Im M(i) is not positive definite.  A
+    gamma image without ``postmultiply`` (a tensor sum's) raises
+    RepresentationError at gamma(z): ``tensor.tensor_normalized``
+    normalizes a tensor sum atom by atom.
     """
     d = triplet.dim
     if np.linalg.norm(triplet.weyl(1j) - 1j * np.eye(d), 2) < 1e-12:
         return replace(triplet, normalized=True)
-    return _rescaled(triplet, 1j)
+    lk = LKernel(triplet.weyl)
+    W, _, _ = lk.weights(0.0)
 
+    def gamma(z):
+        image = triplet.gamma(z)
+        if not hasattr(image, "postmultiply"):
+            raise RepresentationError(
+                "normalize cannot rescale a %s gamma image; build a normalized "
+                "tensor sum with tensor.tensor_normalized" % type(image).__name__
+            )
+        return image.postmultiply(W)
 
-def direct_sum_normalized(triplets):
-    """Normalized direct sum: blockwise Rn^{-1}(Mn(z) - Qn)Rn^{-1}.
-
-    Unlike the plain direct sum, this *is* a boundary triplet for the
-    direct sum of the adjoints, for any (even infinitely many, here
-    finitely truncated) summands.
-    """
-    return _direct_sum(_rescaled_blocks(triplets, 1j), normalized=True)
-
-
-def direct_sum_plain(triplets):
-    """Plain (un-renormalized) direct sum -- diagnostic only.
-
-    The naive direct sum of infinitely many boundary triplets is not a
-    boundary triplet in general (the boundary maps can fail to be
-    surjective in the limit); this constructor exists to demonstrate
-    that failure mode numerically and refuses Krein computations.
-    """
-    return _direct_sum(list(triplets), diagnostic_only=True)
-
-
-def regularize_at_real_point(triplets, a):
-    """Direct sum regularized at a common real resolvent point a.
-
-    Each block is transformed to Rn^{-1}(Mn(z) - Mn(a))Rn^{-1} with
-    Rn = sqrt(Mn'(a)); the assembled Weyl function satisfies M~(a) = 0
-    and M~'(a) = Identity.  Requires a to lie in a real resolvent gap of
-    every block (checked by Hermiticity of Mn(a)) with Mn'(a) positive
-    definite.
-    """
-    return _direct_sum(_rescaled_blocks(triplets, float(a)), normalized=False)
+    return BoundaryTriplet(
+        weyl=WeylFunction(d, lambda z: lk.at(z, 0.0)),
+        gamma=gamma,
+        normalized=True,
+        s0=triplet.s0,
+    )
 
 
 def herglotz_identity_residual(triplet, z, zeta):

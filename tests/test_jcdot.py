@@ -18,12 +18,10 @@ from weyltriplets.models1d import (
     full_line_contact,
 )
 from weyltriplets._linalg import SingularMatrixError, solve_guarded
-from weyltriplets.oracle import make_dense_toy
 from weyltriplets.triplets import (
     BoundaryCondition,
     DomainError,
     LKernel,
-    direct_sum_plain,
     herglotz_identity_residual,
     krein_correction,
 )
@@ -424,15 +422,6 @@ def test_lead_triplet_herglotz_identity():
                        jd.FockTruncation(N))
         for z, zeta in ((-1.0 + 0.5j, 0.3 + 2.0j), (2.0 - 1.0j, -0.5 + 0.25j)):
             assert herglotz_identity_residual(m.lead_triplet, z, zeta) <= 1e-13
-
-
-def test_lead_triplet_gram_in_a_direct_sum():
-    # a direct sum takes its Gram's block sizes from the blocks' Grams, so the
-    # lead image, which has no dim, is a block like any other
-    m = jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
-                   jd.FockTruncation(2))
-    t = direct_sum_plain([make_dense_toy(5, 1, seed=3).as_triplet(), m.lead_triplet])
-    assert herglotz_identity_residual(t, -1.0 + 0.5j, 0.3 + 2.0j) < 1e-10
 
 
 def test_weyl_S_truncation_shared_blocks_exact(models):

@@ -1,10 +1,9 @@
-"""Boundary triplets: Krein formula, normalization, probes, direct sums."""
+"""Boundary triplets: Krein formula, normalization, probes."""
 
 import cmath
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from weyltriplets import herglotz as hg
 from weyltriplets import triplets as tr
@@ -113,6 +112,17 @@ def test_krein_theta_variants():
     assert np.abs(ref.kernel(x, x)).max() == 0.0
 
 
+def test_krein_correction_needs_a_d_by_d_operator():
+    # a 1x1 B must not broadcast over the d = 2 contact, nor a 3x3 one fail
+    # inside numpy: both are refused with both shapes named
+    t = build_triplet(full_line_contact())
+    for n in (1, 3):
+        bc = tr.BoundaryCondition.operator(0.7 * np.eye(n))
+        msg = r"B has shape \(%d, %d\), but M\(z\) has shape \(2, 2\)" % (n, n)
+        with pytest.raises(ValueError, match=msg):
+            tr.krein_correction(t, bc, -1 + 0.5j)
+
+
 def test_gamma_translation_dense(toy):
     t = toy.as_triplet()
     assert tr.gamma_translation_residual(t, 1.5 + 2j, 1j) < 1e-12
@@ -158,115 +168,6 @@ def test_normalize_boundary_maps_matches_weyl_transform():
     lhs = G1t - Bt @ G0t
     rhs = Rinv @ (G1 - B @ G0)
     assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_direct_sum_normalized_is_normalized():
-    blocks = [build_triplet(schrodinger_right(v=float(k))) for k in range(4)]
-    t = tr.direct_sum_normalized(blocks)
-    assert t.normalized
-    assert t.dim == 4
-    assert np.abs(t.weyl(1j) - 1j * np.eye(4)).max() < 1e-12
-    # blocks stay decoupled away from the anchor
-    M = t.weyl(-3 + 0.25j)
-    off = M - np.diag(np.diag(M))
-    assert np.abs(off).max() == 0.0
-
-
-def test_direct_sum_plain_is_diagnostic_only():
-    blocks = [build_triplet(schrodinger_right(v=float(k))) for k in range(3)]
-    t = tr.direct_sum_plain(blocks)
-    assert t.diagnostic_only
-    with pytest.raises(tr.DiagnosticTripletError):
-        tr.krein_correction(t, tr.BoundaryCondition.theta1(), 1j)
-    # raw diagonal blocks are untouched
-    M = t.weyl(1j)
-    assert abs(M[2, 2] - hg.m_schrodinger_halfline(1j, 2.0)) < 1e-14
-
-
-@pytest.fixture(scope="module")
-def dense_toys():
-    # dense summands with d = 1 and 2, so their direct sums carry BlockDiagImage
-    return [make_dense_toy(5, 1, seed=3).as_triplet(),
-            make_dense_toy(6, 2, seed=20250814).as_triplet()]
-
-
-@pytest.mark.parametrize("build", ["normalized", "plain-then-normalize"])
-@pytest.mark.parametrize("z,zeta", [(1j, -2 + 0.5j), (1.5 + 2j, 1j)])
-def test_block_diag_gamma_mlambda_identity(dense_toys, build, z, zeta):
-    # the Gram matrix of BlockDiagImage, and in the second build its
-    # postmultiply by normalize's weight, against the Weyl function
-    if build == "normalized":
-        t = tr.direct_sum_normalized(dense_toys)
-    else:
-        t = tr.normalize(tr.direct_sum_plain(dense_toys))
-    assert isinstance(t.gamma(z), tr.BlockDiagImage)
-    assert np.abs(t.weyl(1j) - 1j * np.eye(3)).max() < 1e-10
-    assert tr.herglotz_identity_residual(t, z, zeta) < 1e-10
-
-
-_NONFINITE = np.array([[-0.0, np.inf], [np.nan, -np.inf]])
-
-
-@pytest.mark.parametrize("blocks", [
-    [_NONFINITE, np.array([[1.5]]), np.arange(6.0).reshape(2, 3)],
-    [_NONFINITE * (1 - 1j), np.array([[-0.0j]]), np.full((3, 1), complex(-0.0, np.nan))],
-    [_NONFINITE, np.array([[2 - 0.0j]]), np.ones((1, 2), dtype=np.float32)],
-    [np.array([[np.nan]], dtype=np.float32), np.array([[-0.0]], dtype=np.complex64)],
-    [np.array([[-0.0]])],
-], ids=["real", "complex", "mixed", "single-precision", "one-1x1"])
-def test_numpy_block_diag_matches_scipy_bitwise(blocks):
-    ours, ref = tr._block_diag(*blocks), block_diag(*blocks)
-    assert ours.dtype == ref.dtype and ours.shape == ref.shape
-    assert np.array_equal(ours.view(np.uint8), ref.view(np.uint8))
-
-
-def test_block_diag_image_refuses_coupling_postmultiplier(dense_toys):
-    image = tr.direct_sum_plain(dense_toys).gamma(1j)
-    C = np.eye(3, dtype=complex)
-    C[0, 2] = 0.5
-    with pytest.raises(tr.RepresentationError, match="block-diagonal"):
-        image.postmultiply(C)
-
-
-def test_regularize_at_real_point():
-    toys = [make_dense_toy(5, 1, seed=s) for s in (3, 4)]
-    a = min(float(np.linalg.eigvalsh(t.A0).min()) for t in toys) - 1.5
-    reg = tr.regularize_at_real_point([t.as_triplet() for t in toys], a)
-    assert np.abs(reg.weyl(a)).max() < 1e-10
-    Mp = tr.weyl_derivative(reg.weyl, a)
-    assert np.abs(Mp - np.eye(2)).max() < 1e-6
-
-
-def test_regularize_rejects_point_outside_gap():
-    t = build_triplet(schrodinger_right())
-    with pytest.raises(tr.GapViolationError):
-        tr.regularize_at_real_point([t], 2.0)  # inside the essential spectrum
-
-
-def _scalar_triplet(m):
-    return tr.BoundaryTriplet(
-        weyl=tr.WeylFunction(1, lambda z: np.array([[m(z)]])),
-        gamma=lambda z: tr.DenseMatrix(np.ones((1, 1))),
-    )
-
-
-def test_direct_sum_normalized_names_failing_block():
-    # Im M(i) = 0 in the second summand: no normalization weight exists
-    blocks = [build_triplet(schrodinger_right()), _scalar_triplet(lambda z: 1.0)]
-    with pytest.raises(tr.NotPositiveDefiniteError, match="block 1"):
-        tr.direct_sum_normalized(blocks)
-
-
-def test_regularize_names_failing_block():
-    # M(a) = i is not Hermitian: a is in no real gap of the second summand
-    right = build_triplet(schrodinger_right())
-    blocks = [right, _scalar_triplet(lambda z: 1j)]
-    with pytest.raises(tr.GapViolationError, match="block 1"):
-        tr.regularize_at_real_point(blocks, -1.0)
-    # a = 2 lies on the half line's cut: M cannot be evaluated there
-    blocks = [_scalar_triplet(lambda z: z), right]
-    with pytest.raises(tr.GapViolationError, match="block 1: cannot evaluate"):
-        tr.regularize_at_real_point(blocks, 2.0)
 
 
 def test_kernel_values_check_domain():
