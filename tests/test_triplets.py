@@ -1,4 +1,4 @@
-"""Boundary triplets: Krein formula, normalization, probes."""
+"""Boundary triplets: Krein formula, normalization, probes, direct sums."""
 
 import cmath
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from weyltriplets import herglotz as hg
+from weyltriplets import spectral as sp
+from weyltriplets import tensor as tn
 from weyltriplets import triplets as tr
 from weyltriplets.oracle import make_dense_toy
 from weyltriplets import models1d as m1
@@ -168,6 +170,80 @@ def test_normalize_boundary_maps_matches_weyl_transform():
     lhs = G1t - Bt @ G0t
     rhs = Rinv @ (G1 - B @ G0)
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+# Direct sums of the shifted triplets Pi_A - lambda_k over the atoms of T are
+# the tensor constructions; the tests below run them on dense-toy bases.
+_ATOMS = sp.SpectralMeasurePP.from_levels([0.0, 1.5, 4.0], dims=[1, 2, 1])
+
+
+def _plain_dense_sum(base, measure):
+    """The plain tensor sum with its gamma image as one DenseMatrix."""
+    # P_k projects the total space onto atom k's slots (order of H (x) T)
+    projectors = [np.diag(np.isin(np.arange(measure.total_dim), sl))
+                  for sl in measure.slots()]
+
+    def gamma(z):
+        return tr.DenseMatrix(sum(
+            np.kron(base.gamma(z - lam).mat, P)
+            for (lam, _), P in zip(measure.atoms, projectors)
+        ))
+
+    return tr.BoundaryTriplet(
+        weyl=tn.tensor_weyl_bounded(base.weyl, measure), gamma=gamma
+    )
+
+
+@pytest.mark.parametrize("build", ["normalized", "plain-then-normalize"])
+@pytest.mark.parametrize("z,zeta", [(1j, -2 + 0.5j), (1.5 + 2j, 1j)])
+def test_block_diag_gamma_mlambda_identity(toy, build, z, zeta):
+    # the Gram of TensorKernelImage over each atom's DenseMatrix.postmultiply,
+    # and in the second build the Gram of one dense image postmultiplied by
+    # normalize's weight, against the Weyl function
+    normalized = tn.tensor_normalized(toy.as_triplet(), _ATOMS).assembled
+    if build == "normalized":
+        t, image = normalized, tn.TensorKernelImage
+    else:
+        t, image = tr.normalize(_plain_dense_sum(toy.as_triplet(), _ATOMS)), tr.DenseMatrix
+        assert np.abs(t.weyl(z) - normalized.weyl(z)).max() < 1e-12
+    assert isinstance(t.gamma(z), image)
+    assert np.abs(t.weyl(1j) - 1j * np.eye(t.dim)).max() < 1e-10
+    assert tr.herglotz_identity_residual(t, z, zeta) < 1e-12
+
+
+def test_regularize_at_real_point():
+    # tensor_positive on dense toys anchored below their spectra: M'(a) by
+    # the central difference of weyl_derivative
+    for toy in (make_dense_toy(5, 1, seed=s) for s in (3, 4)):
+        a = float(np.linalg.eigvalsh(toy.A0).min()) - 1.5
+        reg = tn.tensor_positive(toy.as_triplet(), _ATOMS, a).assembled
+        assert np.abs(reg.weyl(a)).max() == 0.0
+        Mp = tr.weyl_derivative(reg.weyl, a)
+        assert np.abs(Mp - np.eye(reg.dim)).max() < 1e-6
+
+
+def _scalar_base(m):
+    return tr.BoundaryTriplet(
+        weyl=tr.WeylFunction(1, lambda z: np.array([[m(complex(z))]])),
+        gamma=lambda z: tr.DenseMatrix(np.ones((1, 1))),
+    )
+
+
+def _cut_below(z):
+    if z.real < -2:
+        raise ValueError("on the cut")
+    return z.real
+
+
+def test_regularize_names_failing_block():
+    # each base is fine at a - 0 = -1 and fails at a - 2 = -3 only: the
+    # failing atom is named by its lambda
+    atoms = sp.SpectralMeasurePP.from_levels([0.0, 2.0])
+    complex_below = _scalar_base(lambda z: 1j if z.real < -2 else z.real)
+    with pytest.raises(tr.GapViolationError, match=r"M\(a - 2\) is not Hermitian"):
+        tn.tensor_positive(complex_below, atoms, -1.0)
+    with pytest.raises(tr.GapViolationError, match=r"cannot evaluate M at a - 2 = -3"):
+        tn.tensor_positive(_scalar_base(_cut_below), atoms, -1.0)
 
 
 def test_kernel_values_check_domain():
