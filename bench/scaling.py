@@ -24,17 +24,14 @@ solve, ``decoupling_report``, ``weyl_S`` and ``dot_resolvent_correction``
 (x-grid [-1, 0.5], jc-run's default), at each N of ``RUNG_N``, on a new
 ``JCModel`` per sample whose C~_JC is built untimed first, as ``jc-run``
 builds it before these calls.  Reported per N: median and quartiles, and
-the guarded solves each sample made, counted under both names that call
-``solve_guarded`` (``jcdot``'s, and ``triplets``' for a checkout whose
-correction solves through ``krein_correction``).
+the guarded solves (``jcdot.solve_guarded`` calls) each sample made.
 
 The Weyl-matrix evaluation stage times ``WeylFunction.grid`` alone, with
 no rendering, for the ``WEYL_FAMILIES`` (default parameters) and the JC
 lead at N = 20, on square z-grids of n x n points over Re z in [-3, 3],
-Im z in [0.3, 2.3], as Python complex numbers like ``weyl-sample``'s.  A
-checkout without ``grid`` is timed on the stack of ``weyl(z)`` that its
-``weyl-sample`` built.  Reported per function and grid: median and
-quartiles, and the median in microseconds per z.
+Im z in [0.3, 2.3], as Python complex numbers like ``weyl-sample``'s.
+Reported per function and grid: median and quartiles, and the median in
+microseconds per z.
 
 With ``--parent DIR`` the checkout at DIR (its ``src/``) is measured too,
 in child processes alternating with this one (parent, change, change,
@@ -98,10 +95,9 @@ def measure(src, size):
     from worker import environment
     from weyltriplets import jcdot as jd
     from weyltriplets import models1d as m1
-    from weyltriplets import triplets
     from weyltriplets.triplets import BoundaryCondition, krein_correction
 
-    solves = count_solves(jd, triplets)
+    solves = count_solves(jd)
     models, cases = {}, []
     for N, nx in points(size):
         model = models.setdefault(N, jc_model(jd, N))
@@ -116,7 +112,7 @@ def measure(src, size):
         jd.kernel_equivalence(check["model"])
     weyls = {name: m1.build_triplet(m1.FACTORIES[name]()).weyl for name in WEYL_FAMILIES}
     weyls["jc-lead-N%d" % WEYL_JC_N] = jc_model(jd, WEYL_JC_N).lead_weyl
-    evals = [{"weyl": name, "n_z": n * n, "fn": weyl_grid(w),
+    evals = [{"weyl": name, "n_z": n * n, "fn": w.grid,
               "zs": [complex(re, im) for re in np.linspace(-3.0, 3.0, n)
                      for im in np.linspace(0.3, 2.3, n)], WEYL: []}
              for name, w in weyls.items() for n in SIZES[size]["weyl_n"]]
@@ -161,22 +157,16 @@ def measure(src, size):
             "rungs": rungs}
 
 
-def count_solves(*modules):
-    """Wrap each module's ``solve_guarded`` with one shared counter, [calls]."""
+def count_solves(module):
+    """Wrap the module's ``solve_guarded`` with a counter, [calls]."""
     calls = [0]
-    for module in modules:
-        def counted(*args, _solve=module.solve_guarded, **kwargs):
-            calls[0] += 1
-            return _solve(*args, **kwargs)
-        module.solve_guarded = counted
+    solve = module.solve_guarded
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+    module.solve_guarded = counted
     return calls
-
-
-def weyl_grid(weyl):
-    """zs -> the (len(zs), dim, dim) Weyl matrices: ``grid``, or the per-z stack."""
-    if hasattr(weyl, "grid"):
-        return weyl.grid
-    return lambda zs: np.array([weyl(z) for z in zs], dtype=complex)
 
 
 def run_child(src, size):

@@ -537,7 +537,7 @@ def _task_krein_kernel(cfg, args):
         try:
             bc = BoundaryCondition.operator(B)
         except ValueError as exc:
-            raise ConfigError("%s: krein.entries: %s" % (cfg.path, exc))
+            raise ConfigError("%s: key 'krein.entries': %s" % (cfg._where("krein.entries"), exc))
     else:
         bc = BoundaryCondition(variant)
     corr = krein_correction(triplet, bc, z)

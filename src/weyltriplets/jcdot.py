@@ -269,8 +269,7 @@ class JCModel:
         scale = 1.0 / np.sqrt(self.anchors.imag)
         weights = _read_only(np.array([np.diag(s) for s in scale.reshape(2, n).T], complex))
         waves = lambda z: contact_waves([complex(z) - k for k in range(n)], self.v_l, self.v_r)
-        return BoundaryTriplet(weyl=weyl, gamma=lambda z: _LeadGammaImage(waves(z), weights),
-                               normalized=True)
+        return BoundaryTriplet(weyl=weyl, gamma=lambda z: _LeadGammaImage(waves(z), weights))
 
 
 @dataclass(frozen=True)
@@ -456,7 +455,7 @@ def dot_resolvent_correction(model, z, xs):
     xs = np.asarray(xs, dtype=float)
     model.tilde_CJC  # first: it raises while R, Q are inconsistent
     left, right = (model.lead_triplet.gamma(w) for w in (z, np.conj(z)))
-    corr = KreinCorrection(z, _weight(model, z), left, right)
+    corr = KreinCorrection(_weight(model, z), left, right)
     n = model.fock.dim
     # undo the scalar squeeze at N = 0 so the shape contract is uniform
     return np.asarray(corr.kernel(xs, xs)).reshape(len(xs), len(xs), n, n)

@@ -129,6 +129,8 @@ def _check_endpoints(spec):
         raise ValueError("interval families need endpoints a < b")
     if not np.isfinite(spec.b - spec.a):
         raise ValueError("interval length b - a overflows")
+    if not spec.half_length > 0:
+        raise ValueError("interval half-length (b - a)/2 underflows to 0")
 
 
 def _check_speed(spec):

@@ -179,8 +179,9 @@ def fd_resolvent_difference(grid, theta, z, xs, ys):
 def fd_resolvent_apply(grid):
     """Dirichlet resolvent oracle: (u, z, xs) -> (S0 - z)^{-1} u at xs.
 
-    ``xs`` must coincide with the grid's interior nodes (where u is
-    sampled); intended for the gamma translation-identity check.
+    ``u`` holds samples at ``xs``, one column each if it is a matrix;
+    ``xs`` must coincide with the grid's interior nodes.  Intended for
+    the gamma translation-identity check.
     """
 
     def apply(u_values, z, xs):
@@ -284,7 +285,7 @@ class DenseToyTriplet:
     def as_triplet(self):
         weyl = WeylFunction(self.d, self.weyl_mat)
         gamma = lambda z: DenseMatrix(self.gamma_mat(z))
-        return BoundaryTriplet(weyl=weyl, gamma=gamma, s0=self.A0)
+        return BoundaryTriplet(weyl=weyl, gamma=gamma)
 
 
 def _crandn(rng, *shape):

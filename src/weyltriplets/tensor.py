@@ -163,7 +163,6 @@ def _rescaled_tensor(base, measure, lk):
     assembled = BoundaryTriplet(
         weyl=WeylFunction(d * total, weyl_ev),
         gamma=tensor_gamma_bounded(base, measure, [W for W, _, _ in weights]),
-        normalized=not lk.real_point,
     )
     return TensorTriplet(
         assembled=assembled,

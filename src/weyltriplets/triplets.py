@@ -2,9 +2,7 @@
 
 A boundary triplet is carried here as the pair every computation
 actually touches: a matrix Weyl function M(z) and a gamma-field
-z -> gamma(z), together with bookkeeping (which reference extension the
-triplet distinguishes, whether it is normalized, an optional dense
-realization of the reference operator for oracle checks).
+z -> gamma(z).
 
 Gamma-field images come in two concrete representations here: dense
 matrices (finite-dimensional toys) and analytic kernels (explicit defect
@@ -53,7 +51,6 @@ __all__ = [
     "gamma_translation_residual",
     "friedrichs_probe",
     "lsb_uniform_probe",
-    "normalize_boundary_maps",
     "QuadratureError",
     "GapViolationError",
     "DomainError",
@@ -259,6 +256,9 @@ class BoundaryCondition:
             raise ValueError("unknown boundary-condition variant %r" % variant)
         if variant == "operator":
             B = np.atleast_2d(np.asarray(B, dtype=complex))
+            if B.ndim != 2 or B.shape[0] != B.shape[1]:
+                raise ValueError("boundary operator payload must be a square "
+                                 "matrix, got shape %s" % (B.shape,))
             if not is_hermitian(B, tol=1e-14):
                 raise ValueError("boundary operator payload must be Hermitian")
         elif B is not None:
@@ -286,38 +286,25 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class BoundaryTriplet:
-    """Weyl function + gamma-field with provenance flags.
+    """A boundary triplet as the pair (M, gamma) that computations read.
 
-    ``normalized`` asserts M(i) = i I (checked lazily via
-    ``check_normalized``); ``s0`` optionally carries a dense matrix
-    realization of the reference extension for resolvent oracles.  Direct
-    sums over the atoms of a spectral measure are built in ``tensor``.
+    Direct sums over the atoms of a spectral measure are built in
+    ``tensor``.
     """
 
     weyl: WeylFunction
     gamma: object  # callable z -> gamma image
-    normalized: bool = False
-    s0: np.ndarray = None
 
     @property
     def dim(self):
         return self.weyl.dim
 
-    def check_normalized(self):
-        Mi = self.weyl(1j)
-        dev = np.linalg.norm(Mi - 1j * np.eye(self.dim), 2)
-        if self.normalized and dev >= 1e-10:
-            raise AssertionError(
-                "triplet flagged normalized but ||M(i) - iI|| = %.3g" % dev
-            )
-        return dev
-
 
 @dataclass(frozen=True)
 class KreinCorrection:
-    """The rank-d resolvent correction gamma(z) (B - M(z))^{-1} gamma(conj z)*."""
+    """The rank-d resolvent correction gamma(z) (B - M(z))^{-1} gamma(conj z)*,
+    held as its weight and its two gamma images."""
 
-    z: complex
     weight: np.ndarray  # (d, d) matrix (B - M(z))^{-1}; zero for theta0
     left: object  # gamma image at z
     right: object  # gamma image at conj z
@@ -380,11 +367,11 @@ def krein_correction(triplet, bc, z):
     right = triplet.gamma(np.conj(z))
     if bc.variant == "theta0":
         weight = np.zeros((d, d), dtype=complex)
-        return KreinCorrection(z, weight, left, right)
+        return KreinCorrection(weight, left, right)
     B = np.zeros((d, d), dtype=complex) if bc.variant == "theta1" else bc.B
     M = triplet.weyl(z)
     weight = solve_guarded(B - M, context="B - M(z)")
-    return KreinCorrection(z, weight, left, right)
+    return KreinCorrection(weight, left, right)
 
 
 def weyl_derivative(weyl, a):
@@ -467,15 +454,15 @@ def normalize(triplet):
 
     is again a boundary triplet for the same reference extension (ker
     Gamma0 unchanged); M~(i) = iI exactly.  This is ``LKernel`` at
-    lam = 0.  Triplets already normalized at z = i are returned unchanged
-    (up to the flag).  Fails when Im M(i) is not positive definite.  A
-    gamma image without ``postmultiply`` (a tensor sum's) raises
-    RepresentationError at gamma(z): ``tensor.tensor_normalized``
-    normalizes a tensor sum atom by atom.
+    lam = 0.  A triplet with M(i) = iI already is returned itself.  Fails
+    when Im M(i) is not positive definite.  A gamma image without
+    ``postmultiply`` (a tensor sum's) raises RepresentationError at
+    gamma(z): ``tensor.tensor_normalized`` normalizes a tensor sum atom by
+    atom.
     """
     d = triplet.dim
     if np.linalg.norm(triplet.weyl(1j) - 1j * np.eye(d), 2) < 1e-12:
-        return replace(triplet, normalized=True)
+        return triplet
     lk = LKernel(triplet.weyl)
     W, _, _ = lk.weights(0.0)
 
@@ -488,12 +475,7 @@ def normalize(triplet):
             )
         return image.postmultiply(W)
 
-    return BoundaryTriplet(
-        weyl=WeylFunction(d, lambda z: lk.at(z, 0.0)),
-        gamma=gamma,
-        normalized=True,
-        s0=triplet.s0,
-    )
+    return BoundaryTriplet(weyl=WeylFunction(d, lambda z: lk.at(z, 0.0)), gamma=gamma)
 
 
 def herglotz_identity_residual(triplet, z, zeta):
@@ -507,45 +489,32 @@ def herglotz_identity_residual(triplet, z, zeta):
     )
 
 
-def gamma_translation_residual(triplet, z, zeta, grid=None, resolvent_apply=None):
-    """Residual of gamma(z) = (I + (z - zeta)(S0 - z)^{-1}) gamma(zeta).
+def _samples(image, grid):
+    """A dense or scalar-kernel gamma image as an (n, d) sample matrix."""
+    if isinstance(image, DenseMatrix):
+        return image.mat
+    if not isinstance(image, AnalyticKernel) or image.value_dim != 1:
+        raise RepresentationError(
+            "translation residual needs a dense or scalar-kernel image, got %s"
+            % type(image).__name__
+        )
+    if grid is None:
+        raise RepresentationError("kernel translation residual needs a grid")
+    return image.values(grid)[:, 0, :]
 
-    Dense images use the triplet's own dense reference operator ``s0``.
-    Analytic kernels need an external resolvent oracle
-    ``resolvent_apply(u_samples, z, grid)`` returning samples of
-    (S0 - z)^{-1} u on the same grid; the residual is then the max
-    pointwise deviation over boundary basis vectors.
+
+def gamma_translation_residual(triplet, z, zeta, resolvent_apply, grid=None):
+    """max |gamma(z) - (I + (z - zeta)(S0 - z)^{-1}) gamma(zeta)|, sampled.
+
+    Both images are read as sample matrices, one column per boundary
+    coordinate: a dense image's ``mat``, or a scalar kernel's values on
+    ``grid``.  ``resolvent_apply(U, z, grid)`` is the reference resolvent:
+    it returns (S0 - z)^{-1} U for such a matrix U.
     """
     z, zeta = complex(z), complex(zeta)
-    gz = triplet.gamma(z)
-    gzeta = triplet.gamma(zeta)
-    if isinstance(gz, DenseMatrix):
-        if triplet.s0 is None:
-            raise RepresentationError(
-                "dense translation residual needs the triplet's s0 operator"
-            )
-        n = triplet.s0.shape[0]
-        R = np.linalg.solve(triplet.s0 - z * np.eye(n), gzeta.mat)
-        pred = gzeta.mat + (z - zeta) * R
-        return float(np.abs(gz.mat - pred).max())
-    if isinstance(gz, AnalyticKernel):
-        if grid is None or resolvent_apply is None:
-            raise RepresentationError(
-                "kernel translation residual needs a grid and a resolvent oracle"
-            )
-        if gz.value_dim != 1:
-            raise RepresentationError(
-                "kernel translation residual implemented for scalar kernels only"
-            )
-        U_z = gz.values(grid)[:, 0, :]
-        U_zeta = gzeta.values(grid)[:, 0, :]
-        worst = 0.0
-        for j in range(U_z.shape[1]):
-            Ru = resolvent_apply(U_zeta[:, j], z, grid)
-            pred = U_zeta[:, j] + (z - zeta) * Ru
-            worst = max(worst, float(np.abs(U_z[:, j] - pred).max()))
-        return worst
-    raise RepresentationError("unsupported gamma-image representation %r" % gz)
+    U_z, U_zeta = (_samples(triplet.gamma(w), grid) for w in (z, zeta))
+    pred = U_zeta + (z - zeta) * resolvent_apply(U_zeta, z, grid)
+    return float(np.abs(U_z - pred).max())
 
 
 def _monotone(seq, direction, slack):
@@ -628,17 +597,3 @@ def lsb_uniform_probe(weyl, N_levels, x_grid):
         else:
             results.append({"N": float(N), "found": False, "x_N": None})
     return {"x_grid": x, "lambda_max": lmax, "levels": results}
-
-
-def normalize_boundary_maps(Gamma0, Gamma1, R, Q):
-    """Boundary-map counterpart of ``normalize``.
-
-    Returns (R Gamma0, R^{-1}(Gamma1 - Q Gamma0)); the boundary
-    condition Gamma1 = B Gamma0 is equivalent to the transformed
-    condition with B~ = R^{-1}(B - Q)R^{-1}, with identical kernels.
-    """
-    Gamma0 = np.asarray(Gamma0, dtype=complex)
-    Gamma1 = np.asarray(Gamma1, dtype=complex)
-    R = np.asarray(R, dtype=complex)
-    Rinv = np.linalg.inv(R)
-    return R @ Gamma0, Rinv @ (Gamma1 - Q @ Gamma0)

@@ -338,6 +338,41 @@ def test_key_of_another_task_rejected(tmp_path, capsys, task, name, text, key, l
     assert "config error: %s: key %r is not read by task %r\n" % (where, key, task) == err
 
 
+_KREIN_OP = "model.family = full-line-contact\nkrein.z = -1+0.5j\nkrein.variant = operator\n"
+
+
+# (task, config file name, its text, the message after "config error: "), "{cfg}"
+# standing for the config's path
+@pytest.mark.parametrize("task, name, text, msg", [
+    ("spectrum", "s.cfg", "jc.beta = 1\njc.tau = 1\njc.N = 1\n",
+     "{cfg}: task 'spectrum' needs key 'jc.alpha'"),
+    ("spectrum", "s.cfg", "jc.alpha = 0\njc.beta = 1\njc.tau = 1\njc.N = 1\n"
+     "spectrum.which = foo\n",
+     "{cfg}:5: key 'spectrum.which' must be one of cjc/tilde, got 'foo'"),
+    ("weyl-sample", "e.cfg", "model.family = schrodinger-right\n = 1j\n", "{cfg}:2: empty key"),
+    ("weyl-sample", "t.json", '[{"model": {"family": "schrodinger-right"}}]',
+     "{cfg}: top level must be a JSON object"),
+    ("weyl-sample", "missing.cfg", None, "cannot read config '{cfg}': "),
+    ("weyl-sample", "w.cfg", "model.family = schrodinger-right\ngrid.z_list =\n",
+     "{cfg}:2: key 'grid.z_list': expected a comma-separated list"),
+    ("weyl-sample", "w.cfg", "model.family = schrodinger-right\n",
+     "{cfg}: task 'weyl-sample' needs grid.z_list or the grid rectangle keys"),
+    ("krein-kernel", "k.cfg", _KREIN_OP + _GRID_X,
+     "{cfg}: krein.variant = operator needs krein.theta or krein.entries"),
+    ("krein-kernel", "k.cfg", _KREIN_OP + "krein.entries = 1, 2, 0, 1\n" + _GRID_X,
+     "{cfg}:4: key 'krein.entries': boundary operator payload must be Hermitian"),
+    ("weyl-sample", "u.json", '{"model": {"family": "schrodinger-right", "bogus": 1}, '
+     '"grid": {"z_list": ["1j"]}}', "{cfg}: unknown key 'model.bogus'"),
+], ids=["missing-key", "bad-choice", "empty-key", "json-not-object", "unreadable",
+        "empty-z-list", "no-z-grid", "operator-without-payload", "non-hermitian-entries",
+        "json-unknown-key"])
+def test_config_errors_name_their_cause(tmp_path, capsys, task, name, text, msg):
+    cfg = write(tmp_path, name, text) if text is not None else str(tmp_path / name)
+    rc, out, err = run(capsys, [task, "--config", cfg])
+    assert rc == 2 and out == ""
+    assert err.startswith("config error: " + msg.format(cfg=cfg)), err
+
+
 def test_duplicate_key_reports_both_lines(tmp_path, capsys):
     cfg = write(tmp_path, "dup.cfg",
                 "model.family = schrodinger-right\n"
@@ -1117,6 +1152,13 @@ _MIDPOINT_FAR = {"model.a": "1e308", "model.b": "1.5e308", "gamma.z": "1j",
 _MIDPOINT_SCHRODINGER = ("gamma-sample", {"model.family": "schrodinger-interval",
                                           **_MIDPOINT_FAR}, "csv")
 _MIDPOINT_DIRAC = ("gamma-sample", {"model.family": "dirac-interval", **_MIDPOINT_FAR}, "csv")
+# interval endpoints whose half-length (b - a)/2 underflows to 0 although b > a
+_HALF_LENGTH_SCHRODINGER = ("weyl-sample", {
+    "model.family": "schrodinger-interval", "model.a": "0", "model.b": "5e-324",
+    "grid.z_list": "1j"}, "csv")
+_HALF_LENGTH_DIRAC = ("gamma-sample", {
+    "model.family": "dirac-interval", "model.a": "0", "model.b": "5e-324", "gamma.z": "1j",
+    "grid.x_min": "0", "grid.x_max": "0", "grid.x_n": "1"}, "csv")
 # (case, exit code, text of the message)
 _PINNED = [
     (_SQRT_CUT_UNDERFLOW, 0, ""),
@@ -1140,6 +1182,8 @@ _PINNED = [
     (_INTERVAL_SPAN, 2, "fuzz.cfg: interval length b - a overflows"),
     (_MIDPOINT_SCHRODINGER, 0, ""),
     (_MIDPOINT_DIRAC, 0, ""),
+    (_HALF_LENGTH_SCHRODINGER, 2, "fuzz.cfg: interval half-length (b - a)/2 underflows"),
+    (_HALF_LENGTH_DIRAC, 2, "fuzz.cfg: interval half-length (b - a)/2 underflows"),
 ]
 
 
@@ -1166,6 +1210,8 @@ _PINNED = [
 @example(_INTERVAL_SPAN)
 @example(_MIDPOINT_SCHRODINGER)
 @example(_MIDPOINT_DIRAC)
+@example(_HALF_LENGTH_SCHRODINGER)
+@example(_HALF_LENGTH_DIRAC)
 @given(_cli_case())
 def test_cli_fuzz_exit_codes_and_finite_output(tmp_path_factory, case):
     task, keys, fmt = case

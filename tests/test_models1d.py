@@ -43,6 +43,10 @@ def test_spec_validation():
     for factory in (m1.schrodinger_interval, m1.dirac_interval):
         with pytest.raises(ValueError, match="^interval length b - a overflows"):
             factory(a=-1e308, b=1e308)
+    # b - a > 0 is the least subnormal, whose half rounds to 0
+    for factory in (m1.schrodinger_interval, m1.dirac_interval):
+        with pytest.raises(ValueError, match="^interval half-length"):
+            factory(a=0.0, b=5e-324)
 
 
 def test_midpoint_is_bitwise_the_halved_sum_where_that_is_finite():

@@ -64,13 +64,9 @@ def test_raw_gamma_mlambda_identity(base, measure):
 
 def test_normalized_anchor_and_idempotence(base, measure):
     tt = tn.tensor_normalized(base, measure)
-    assert tt.assembled.normalized
     n = tt.dim
     assert np.abs(tt.assembled.weyl(1j) - 1j * np.eye(n)).max() == 0.0
-    assert tt.assembled.check_normalized() < 1e-10
-    again = tr.normalize(tt.assembled)
-    for z in Z_POINTS:
-        assert np.abs(again.weyl(z) - tt.assembled.weyl(z)).max() < 1e-12
+    assert tr.normalize(tt.assembled) is tt.assembled
 
 
 def test_normalized_boundary_transform_identity(base, measure):
@@ -82,6 +78,18 @@ def test_normalized_boundary_transform_identity(base, measure):
         lhs = tt.assembled.weyl(z)
         rhs = tt.G1 @ raw(z) @ tt.G1 - tt.G2 @ tt.G1
         assert np.abs(lhs - rhs).max() < 1e-12
+    # the boundary maps (G0 Gamma0, G1 Gamma1 - G2 Gamma0) carry the condition
+    # Gamma1 = B Gamma0 to the one of B~ = G1 (B - G0 G2) G1, a G1-image of it
+    # with the same kernel, on any boundary maps and any Hermitian B
+    rng = np.random.default_rng(5)
+    n, m = tt.dim, 12
+    Gamma0, Gamma1 = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+                      for _ in range(2))
+    B = rng.standard_normal((n, n))
+    B = (B + B.T) / 2
+    Bt = tt.G1 @ (B - tt.G0 @ tt.G2) @ tt.G1
+    lhs = (tt.G1 @ Gamma1 - tt.G2 @ Gamma0) - Bt @ tt.G0 @ Gamma0
+    assert np.abs(lhs - tt.G1 @ (Gamma1 - B @ Gamma0)).max() < 1e-12
 
 
 def test_normalized_mlambda_identity(base, measure):
@@ -113,7 +121,6 @@ def test_unbounded_source_needs_window(base):
 
 def test_positive_mode_real_anchor(base, measure):
     tt = tn.tensor_positive(base, measure, -3.0)
-    assert not tt.assembled.normalized
     assert np.abs(tt.assembled.weyl(-3.0)).max() == 0.0
     D = tr.weyl_derivative(tt.assembled.weyl, -3.0)
     assert np.abs(D - np.eye(tt.dim)).max() < 1e-6
@@ -337,7 +344,7 @@ def test_tensor_contraction_needs_tensor_images(base):
     assert not hasattr(image, "values")
     for left, right in ((image, base.gamma(1j)), (base.gamma(1j), image)):
         with pytest.raises(tr.RepresentationError):
-            tr.KreinCorrection(1j, np.eye(4), left, right).kernel(XS, YS)
+            tr.KreinCorrection(np.eye(4), left, right).kernel(XS, YS)
 
 
 def test_dirac_tensor_kernel_matches_per_atom_products():

@@ -61,10 +61,8 @@ def test_halfline_mlambda_identity_by_quadrature():
 )
 def test_normalize_anchor_and_idempotence(spec):
     t = tr.normalize(build_triplet(spec))
-    assert t.normalized
     n = t.dim
     assert np.abs(t.weyl(1j) - 1j * np.eye(n)).max() < 1e-10
-    assert t.check_normalized() < 1e-10
     again = tr.normalize(t)
     for z in Z_POINTS:
         assert np.abs(again.weyl(z) - t.weyl(z)).max() < 1e-12
@@ -84,6 +82,12 @@ def test_boundary_condition_validation():
     tr.BoundaryCondition.operator(np.array([[0.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError):
         tr.BoundaryCondition.operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a payload that is not a square matrix is refused by its shape, not
+    # broadcast against its transpose
+    for shape in ((1, 2), (2, 2, 2), (2, 3)):
+        msg = r"must be a square matrix, got shape \(%s\)" % ", ".join(map(str, shape))
+        with pytest.raises(ValueError, match=msg):
+            tr.BoundaryCondition.operator(np.ones(shape))
 
 
 def test_krein_kernel_closed_form():
@@ -125,15 +129,26 @@ def test_krein_correction_needs_a_d_by_d_operator():
             tr.krein_correction(t, bc, -1 + 0.5j)
 
 
+def _dense_resolvent(toy):
+    """(U, z, grid) -> (A0 - z)^{-1} U, the toy's reference resolvent."""
+    return lambda U, z, grid: np.linalg.solve(toy.A0 - z * np.eye(toy.n), U)
+
+
 def test_gamma_translation_dense(toy):
     t = toy.as_triplet()
-    assert tr.gamma_translation_residual(t, 1.5 + 2j, 1j) < 1e-12
+    assert tr.gamma_translation_residual(t, 1.5 + 2j, 1j, _dense_resolvent(toy)) < 1e-12
 
 
-def test_gamma_translation_kernel_needs_oracle():
-    t = build_triplet(schrodinger_right())
-    with pytest.raises(tr.RepresentationError):
-        tr.gamma_translation_residual(t, 1j, 2 + 1j)
+def test_gamma_translation_kernel_needs_oracle(toy):
+    # a kernel image is sampled on the oracle's grid: none given is refused,
+    # and so is a spinor-valued kernel
+    resolvent = _dense_resolvent(toy)
+    with pytest.raises(tr.RepresentationError, match="needs a grid"):
+        tr.gamma_translation_residual(build_triplet(schrodinger_right()), 1j, 2 + 1j,
+                                      resolvent)
+    with pytest.raises(tr.RepresentationError, match="dense or scalar-kernel"):
+        tr.gamma_translation_residual(build_triplet(m1.dirac_right()), 1j, 2 + 1j,
+                                      resolvent, grid=np.array([0.5]))
 
 
 def test_weyl_derivative_analytic_and_numeric(toy):
@@ -149,27 +164,6 @@ def test_weyl_derivative_analytic_and_numeric(toy):
     h = 1e-6 * (1 + abs(a))
     manual = (tw(a + h) - tw(a - h)) / (2 * h)
     assert np.abs(tr.weyl_derivative(tw, a) - manual).max() < 1e-13
-
-
-def test_normalize_boundary_maps_matches_weyl_transform():
-    rng = np.random.default_rng(5)
-    d, n = 2, 6
-    G0 = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    G1 = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    W = rng.standard_normal((d, d))
-    R = W @ W.T + d * np.eye(d)  # positive definite
-    Q = rng.standard_normal((d, d))
-    Q = (Q + Q.T) / 2
-    B = rng.standard_normal((d, d))
-    B = (B + B.T) / 2
-    G0t, G1t = tr.normalize_boundary_maps(G0, G1, R, Q)
-    Rinv = np.linalg.inv(R)
-    Bt = Rinv @ (B - Q) @ Rinv
-    # the transformed condition is the R^{-1}-image of the original one,
-    # hence has the same kernel
-    lhs = G1t - Bt @ G0t
-    rhs = Rinv @ (G1 - B @ G0)
-    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 # Direct sums of the shifted triplets Pi_A - lambda_k over the atoms of T are
