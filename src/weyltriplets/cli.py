@@ -362,12 +362,14 @@ def _build_jc(cfg, matrices):
     v_r = cfg.float("jc.v_r", 0.0)
     tau = cfg.float("jc.tau")
     N = cfg.int("jc.N")
+    # the truncation is checked first, then the lead potentials
+    key = "jc.N" if N < 0 else "jc.v_l" if v_l < 0 else "jc.v_r"
     try:
         model = jd.JCModel(
             v_l=v_l, v_r=v_r, dot=dot, tau=tau, fock=jd.FockTruncation(N)
         )
     except ValueError as exc:
-        raise ConfigError("%s: %s" % (cfg.path, exc))
+        raise ConfigError("%s: key %r: %s" % (cfg._where(key), key, exc))
     # the model allocates lazily, on first use
     _check_size(cfg, "jc.N", 16 * matrices * model.boundary_dim ** 2)
     return model

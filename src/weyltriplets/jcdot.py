@@ -40,6 +40,7 @@ The usual parameter regime has 0 <= v_r <= v_l; this is recorded as a
 convention only and deliberately not enforced (nothing below needs it).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -482,35 +483,43 @@ def spectrum_report(matrix):
     }
 
 
-def _row_basis(M):
-    """Orthonormal row-space basis of M from a pivoted QR of M^*, with
-    ``null_space``'s rank rule on R's diagonal: |r_kk| > |r_00| max(M.shape) eps
-    (the product taken so that it cannot overflow for a finite |r_00|)."""
-    from scipy.linalg import qr  # imported here: costly to import, and only jc-run needs it
-    Q, R, _ = qr(M.conj().T, mode="economic", pivoting=True)
-    r = np.abs(np.diag(R))
-    Q = Q[:, :np.sum(r > r.max(initial=0.0) * (max(M.shape) * np.finfo(r.dtype).eps))]
-    if not np.isfinite(Q).all():
-        raise ArithmeticError("kernel equivalence: the pivoted QR of a row space overflowed")
-    return Q
+def _largest_kernel_angle(M1, M2):
+    """Largest principal angle from ker M1 to ker M2, and dim ker M1, for
+    M1 and M2 of full row rank.
 
-
-def _largest_kernel_angle(M1, M2, rank=None):
-    """Largest principal angle from ker M1 to ker M2, and dim ker M1.
-
-    For row-space bases Q1, Q2 its sine is ||P_row(M2) P_ker(M1)||, the
-    root of the largest eigenvalue of Y^* Y, Y = Q2 - Q1 (Q1^* Q2), for any
-    ranks (1 when ker M1 is the larger); accurate for small angles.  With
-    ``rank`` given, a basis of another rank raises ``ArithmeticError``.
+    With Q1, Q2 the orthonormal row-space bases from numpy's Householder
+    QRs of M1^*, M2^*, its sine is ||P_row(M2) P_ker(M1)||, the root of the
+    largest eigenvalue of Y^* Y, Y = Q2 - Q1 (Q1^* Q2), for any row counts
+    (1 when ker M1 is the larger); accurate for small angles.
     """
-    Q1, Q2 = _row_basis(M1), _row_basis(M2)
-    if rank is not None and not Q1.shape[1] == Q2.shape[1] == rank:
-        raise ArithmeticError(
-            "kernel equivalence: the row spaces of M1 and M2 have numerical rank "
-            "%d and %d, not %d" % (Q1.shape[1], Q2.shape[1], rank))
+    Q1, Q2 = (np.linalg.qr(M.conj().T)[0] for M in (M1, M2))
     Y = Q2 - Q1 @ (Q1.conj().T @ Q2)
     sine2 = np.linalg.eigvalsh(Y.conj().T @ Y)[-1]
     return float(np.arcsin(min(1.0, np.sqrt(sine2)))), M1.shape[1] - Q1.shape[1]
+
+
+def _certified_rows(name, X, d):
+    """M = [X, diag(d)], refused unless a backward-stable QR certainly sees
+    its full row rank.
+
+    M M^* = X X^* + D D^*, so sigma_min(M) >= min|d|.  A Householder QR is
+    exact for M plus a perturbation of norm about max(M.shape) eps ||M||_F
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 19.3), so the rank is certain when that is below min|d|.  Both
+    sides are divided by the largest real or imaginary part of an entry,
+    which keeps every intermediate finite and raises no warning.
+    """
+    M = np.hstack([X, np.diag(d)])
+    parts = np.abs(np.stack([M.real, M.imag]))
+    scale, dmin = float(parts.max()), float(np.abs(d).min())
+    # ||M||_F / scale, a sum of squares of numbers at most 1
+    fro = math.sqrt(float(np.square(parts / scale).sum())) if math.isfinite(scale) else math.inf
+    lhs = max(M.shape) * np.finfo(float).eps * fro
+    if not lhs < dmin / scale:
+        raise ArithmeticError(
+            "kernel equivalence: the rank certificate of %s fails: max(shape) eps ||%s||_F "
+            "= %.3g is not below min |D_ii| = %.3g" % (name, name, lhs * scale, dmin))
+    return M
 
 
 def kernel_equivalence(model):
@@ -525,17 +534,18 @@ def kernel_equivalence(model):
     column scalings by the diagonals from ``build_R_Q``.
 
     The angle and dim ker M1 come from M1 and M2 as assembled, through
-    orthonormal row-space bases from two pivoted economic QRs (Bjorck and
-    Golub, Math. Comp. 27, 1973).  It uses neither the closed form [I; C]
-    of ker M1 nor the relation M2 = R^{-1} M1, so it stays an independent
-    check of the regularization.
+    orthonormal row-space bases from two Householder QRs (Bjorck and
+    Golub, Math. Comp. 27, 1973).  Their full row rank 2 (N + 1) is
+    certified from each matrix's own diagonal right block, and a matrix
+    whose certificate fails is refused (``_certified_rows``).  It uses
+    neither the closed form [I; C] of ker M1 nor the relation M2 = R^{-1} M1,
+    so it stays an independent check of the regularization.
     """
     r, q = build_R_Q(model)
     rinv, Ct = 1.0 / r, model.tilde_CJC
-    M1 = np.hstack([-model.site_CJC, np.eye(model.boundary_dim)])
-    M2 = np.hstack([-(np.diag(rinv * q) + Ct * r), np.diag(rinv)])
-    # both have full row rank 2 (N + 1) by construction
-    angle, null_dim = _largest_kernel_angle(M1, M2, rank=model.boundary_dim)
+    M1 = _certified_rows("M1", -model.site_CJC, np.ones(model.boundary_dim))
+    M2 = _certified_rows("M2", -(np.diag(rinv * q) + Ct * r), rinv)
+    angle, null_dim = _largest_kernel_angle(M1, M2)
     return {"max_principal_angle": angle,
             "transform_residual": float(np.abs(M2 - rinv[:, None] * M1).max()),
             "null_dim": null_dim}

@@ -373,6 +373,24 @@ def test_config_errors_name_their_cause(tmp_path, capsys, task, name, text, msg)
     assert err.startswith("config error: " + msg.format(cfg=cfg)), err
 
 
+# JCModel's own refusals, through each task that builds one
+@pytest.mark.parametrize("key, msg", [
+    ("jc.N", "truncation level must be >= 0"),
+    ("jc.v_l", "lead potentials must be non-negative"),
+    ("jc.v_r", "lead potentials must be non-negative"),
+], ids=["N", "v_l", "v_r"])
+@pytest.mark.parametrize("task", ["jc-run", "spectrum", "weyl-sample"])
+def test_jc_model_errors_name_their_key(tmp_path, capsys, task, key, msg):
+    keys = {"jc.alpha": "0", "jc.beta": "1", "jc.tau": "0.5", "jc.N": "2", key: "-1"}
+    text = "".join("%s = %s\n" % kv for kv in keys.items()) + "grid.z_list = 1j\n" * (
+        task == "weyl-sample")
+    cfg = write(tmp_path, "jc.cfg", text)
+    rc, out, err = run(capsys, [task, "--config", cfg])
+    assert (rc, out) == (2, "")
+    line = list(keys).index(key) + 1
+    assert err == "config error: %s:%d: key %r: %s\n" % (cfg, line, key, msg)
+
+
 def test_duplicate_key_reports_both_lines(tmp_path, capsys):
     cfg = write(tmp_path, "dup.cfg",
                 "model.family = schrodinger-right\n"
@@ -638,7 +656,7 @@ def test_krein_kernel_rejects_spinor_families(tmp_path, capsys):
     assert "model.family" in err
 
 
-# CI's tiny configs; every task but jc-run and validate must run on numpy alone
+# CI's tiny configs; every task but validate must run on numpy alone
 _X3 = "grid.x_min = -1\ngrid.x_max = 1\ngrid.x_n = 3\n"
 _JC = "jc.alpha = 0\njc.beta = 1\njc.tau = 0.5\njc.N = 2\n"
 _COLD_TASKS = {
@@ -660,9 +678,9 @@ for task, cfg, out in zip(*[iter(sys.argv[1:])] * 3):
 """
 
 
-def test_cold_start_loads_scipy_only_for_jc_run(tmp_path):
+def test_cold_start_loads_scipy_only_for_validate(tmp_path):
     argv = []
-    for task, text in _COLD_TASKS.items():
+    for task, text in {**_COLD_TASKS, "validate": ""}.items():
         argv += [task, write(tmp_path, task + ".cfg", text), str(tmp_path / (task + ".out"))]
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
@@ -671,11 +689,11 @@ def test_cold_start_loads_scipy_only_for_jc_run(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [r[0] for r in report] == list(_COLD_TASKS)
+    assert [r[0] for r in report] == [*_COLD_TASKS, "validate"]
     assert all(rc == 0 for _, rc, _ in report), report
-    # no scipy module until jc-run's pivoted QR
+    # no scipy module until validate's banded solves and quadrature
     assert all(loaded == [] for _, _, loaded in report[:-1]), report
-    assert "scipy.linalg" in report[-1][2]
+    assert {"scipy.linalg", "scipy.integrate"} <= set(report[-1][2])
 
 
 def test_unknown_task_exits_config(tmp_path, capsys):
@@ -718,7 +736,7 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
     rc, out, _ = run(capsys, ["jc-run", "--config", cfg])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f0e2a0d7e9bbfc616ebf750b47219cf74881c5090f92cf532e76a2a4c67e2e08")
+        "73daeb86e1e56902ecc3bcfa4dcdd1f99f237a07e1894f7f16da1b0f4108b4e9")
 
 
 @pytest.mark.parametrize("N", [0, 3])
@@ -965,8 +983,9 @@ def test_grid_sweep_frozen_bytes(tmp_path, capsys, op, fmt):
     assert (rc, stdout, err) == (0, "", "")
     blob = Path(out).read_bytes()
     if task == "validate":
-        # the pivoted-QR principal angle of jc-kernel-equivalence changes
-        # with the BLAS thread count; its row is pinned without that one field
+        # the principal angle of jc-kernel-equivalence is a rounding residual
+        # whose last bits follow the QR's LAPACK kernels; its row is pinned
+        # without that one field
         blob = re.sub(rb"(?m)^(jc-kernel-equivalence[ ,]+)[^ ,]+ *", rb"\1*", blob)
     assert hashlib.sha256(blob).hexdigest() == _GRID_SWEEP_SHA256[op, fmt]
 
@@ -1096,7 +1115,9 @@ _X_SPAN_KREIN = ("krein-kernel", {"model.family": "full-line-contact", "krein.z"
 _RE_SPAN = ("weyl-sample", {**_JC, "grid.re_min": "-1e308", "grid.re_max": "1e308",
                             "grid.re_n": "2", "grid.im_min": "1", "grid.im_max": "2",
                             "grid.im_n": "1"}, "csv")
-# kernel bases whose rank threshold overflowed
+# dots whose M1 = [-C, I] is too large for kernel_equivalence's rank
+# certificate; with this one C~ - M^S(z) is singular too, but kernel_equivalence
+# runs first in jc-run
 _KE_HUGE_BETA = ("jc-run", {"jc.alpha": "3", "jc.beta": "1e308", "jc.gamma_re": "1",
                             "jc.gamma_im": "-1e308", "jc.tau": "2", "jc.N": "0"}, "json")
 _KE_HUGE_ALPHA = ("jc-run", {"jc.alpha": "-1e308", "jc.beta": "0", "jc.tau": "0",
@@ -1104,7 +1125,7 @@ _KE_HUGE_ALPHA = ("jc-run", {"jc.alpha": "-1e308", "jc.beta": "0", "jc.tau": "0"
 # a huge rank-one dot, whose M1 = [-C, I] has numerical row rank 1, not 2
 _KE_RANK_ONE = ("jc-run", {"jc.alpha": "1e300", "jc.beta": "1e300", "jc.gamma_re": "1e300",
                            "jc.tau": "0", "jc.N": "0"}, "json")
-# a pivoted QR that overflows into its Q factor
+# a dot at the overflow threshold, with a coupling gamma as large
 _KE_QR_OVERFLOW = ("jc-run", {"jc.alpha": "0", "jc.beta": "-1e308", "jc.gamma_re": "-1e308",
                               "jc.tau": "0", "jc.N": "0"}, "json")
 # an overflowing dot eigenvalue gap, and overflows in the interval kernels' trig
@@ -1159,6 +1180,7 @@ _HALF_LENGTH_SCHRODINGER = ("weyl-sample", {
 _HALF_LENGTH_DIRAC = ("gamma-sample", {
     "model.family": "dirac-interval", "model.a": "0", "model.b": "5e-324", "gamma.z": "1j",
     "grid.x_min": "0", "grid.x_max": "0", "grid.x_n": "1"}, "csv")
+_KE_REFUSED = "kernel equivalence: the rank certificate of M1 fails"
 # (case, exit code, text of the message)
 _PINNED = [
     (_SQRT_CUT_UNDERFLOW, 0, ""),
@@ -1166,10 +1188,10 @@ _PINNED = [
     (_X_SPAN_JC, 2, "key 'grid.x_max'"),
     (_X_SPAN_KREIN, 2, "key 'grid.x_max'"),
     (_RE_SPAN, 2, "key 'grid.re_max'"),
-    (_KE_HUGE_BETA, 3, "C~ - M^S(z)"),
-    (_KE_HUGE_ALPHA, 3, "kernel equivalence: the pivoted QR"),
-    (_KE_RANK_ONE, 3, "numerical rank 1 and 1, not 2"),
-    (_KE_QR_OVERFLOW, 3, "pivoted QR"),
+    (_KE_HUGE_BETA, 3, _KE_REFUSED),
+    (_KE_HUGE_ALPHA, 3, _KE_REFUSED),
+    (_KE_RANK_ONE, 3, _KE_REFUSED),
+    (_KE_QR_OVERFLOW, 3, _KE_REFUSED),
     (_DOT_GAP, 0, ""),
     (_DIRAC_WIDE, 0, ""),
     (_DIRAC_SLOW, 3, "non-finite result"),

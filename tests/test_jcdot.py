@@ -522,19 +522,91 @@ def test_largest_angle_to_kernel_planted(m, theta):
 @pytest.mark.parametrize("theta", _THETAS)
 @pytest.mark.parametrize("extra", ["repeated_row", "smaller_kernel"])
 def test_largest_kernel_angle_planted_ranks(m, theta, extra):
-    # M1 with a repeated row (rank m, m + 1 rows), or with one more row
-    # from A, so that dim ker M1 = m - 1 < dim ker M2; the oracle's kernel
-    # bases come from scipy's SVD-based null_space
+    # M1 with one more row: a repeat of its first (rank m), or a row from A
+    # (rank m + 1, so dim ker M1 = m - 1 < dim ker M2).  The angle takes the
+    # row count as the rank, which kernel_equivalence certifies for its own
+    # matrices: with the repeated row it measures an (m - 1)-dimensional
+    # subspace of ker M1, so it is at most theta.  The oracle's kernel bases
+    # come from scipy's SVD-based null_space
     A, B, M1, M2 = _planted(m, theta)
     row = M1[:1] if extra == "repeated_row" else A[:, :1].conj().T
     M1 = np.vstack([M1, row])
-    K1 = scipy.linalg.null_space(M1)
-    assert K1.shape[1] == (m if extra == "repeated_row" else m - 1)
-    reference = subspace_angles(K1, scipy.linalg.null_space(M2)).max()
     got, null_dim = jd._largest_kernel_angle(M1, M2)
-    assert null_dim == K1.shape[1]
-    assert abs(got - reference) < 1e-12
+    assert null_dim == m - 1
     assert got <= theta + 1e-12
+    if extra == "smaller_kernel":
+        K1 = scipy.linalg.null_space(M1)
+        assert K1.shape[1] == m - 1
+        reference = subspace_angles(K1, scipy.linalg.null_space(M2)).max()
+        assert abs(got - reference) < 1e-12
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01], ids=["inside", "outside"])
+def test_rank_certificate_edge(factor):
+    # alpha = -beta = t, tau = 0, N = 0, v = 0: C = diag(t, -t) and M1 = [-C, I]
+    # (M2 = R^{-1} M1 up to rounding), so max(shape) eps ||M1||_F < min |D_ii|
+    # reads 4 eps sqrt(2 t^2 + 2) < 1
+    eps = np.finfo(float).eps
+    t = factor * np.sqrt(((4 * eps) ** -2 - 2) / 2)
+    m = jd.JCModel(0.0, 0.0, jd.TwoLevelDot(t, -t), 0.0, jd.FockTruncation(0))
+    assert np.array_equal(m.site_CJC, np.diag([t, -t]))
+    if factor < 1:
+        ke = jd.kernel_equivalence(m)
+        assert ke["max_principal_angle"] < 1e-12 and ke["null_dim"] == 2
+    else:
+        with pytest.raises(ArithmeticError, match=r"^kernel equivalence: the rank "
+                           r"certificate of M1 fails: max\(shape\) eps \|\|M1\|\|_F = 1.01 "
+                           r"is not below min \|D_ii\| = 1$"):
+            jd.kernel_equivalence(m)
+
+
+def test_rank_certificate_of_huge_entries_raises_no_warning():
+    # entries whose complex modulus or square overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"certificate of M fails: .* = 2\.51e\+293 "):
+            jd._certified_rows("M", np.full((2, 2), 1e308 + 1e308j), np.ones(2))
+
+
+def _hermitian(rng, d, scale):
+    # eigenvalues of modulus in [scale / 10, scale], of random sign
+    lam = scale * rng.uniform(0.1, 1.0, d) * rng.choice([-1.0, 1.0], d)
+    U = _unitary(rng, d)
+    return (U * lam) @ U.conj().T
+
+
+@pytest.mark.parametrize("N", [0, 3, 20, 60])
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e12, 1e14])
+@pytest.mark.parametrize("source", ["random", "model"])
+def test_kernel_angle_matches_null_space_oracle(N, scale, source, monkeypatch):
+    # kernel_equivalence's own M1 = [-C, I] and M2, with C a random Hermitian
+    # matrix of norm `scale` put in the model's place, or the model's C_JC at
+    # dot energies of that size.  Where the rank certificate holds (checked
+    # here through numpy's norm), the angle matches scipy's subspace_angles
+    # of SVD null-space bases; where it fails, kernel_equivalence refuses
+    dot = jd.TwoLevelDot(0.1, -0.9, 0.2 - 0.15j)
+    if source == "model":
+        dot = jd.TwoLevelDot(dot.alpha * scale, dot.beta * scale, dot.gamma * scale)
+    m = jd.JCModel(0.5, 0.25, dot, 0.7, jd.FockTruncation(N))
+    if source == "random":
+        # the cached_property's slot, filled before its first use
+        m.__dict__["site_CJC"] = _hermitian(np.random.default_rng(N), m.boundary_dim, scale)
+    seen = []
+    certified = jd._certified_rows
+    monkeypatch.setattr(jd, "_certified_rows", lambda name, X, d: seen.append(
+        (np.hstack([X, np.diag(d)]), d)) or certified(name, X, d))
+    holds = lambda M, d: max(M.shape) * np.finfo(float).eps * np.linalg.norm(M) < np.abs(d).min()
+    try:
+        ke = jd.kernel_equivalence(m)
+    except ArithmeticError as exc:
+        assert "rank certificate" in str(exc) and not holds(*seen[-1])
+        assert scale >= 1e12
+        return
+    assert len(seen) == 2 and all(holds(*s) for s in seen)
+    M1, M2 = (M for M, _ in seen)
+    reference = subspace_angles(scipy.linalg.null_space(M1), scipy.linalg.null_space(M2)).max()
+    assert abs(ke["max_principal_angle"] - reference) < 1e-12
+    assert ke["null_dim"] == m.boundary_dim
 
 
 def test_kernel_equivalence_detects_shifted_Q(models, monkeypatch):
