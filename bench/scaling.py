@@ -33,6 +33,15 @@ Im z in [0.3, 2.3], as Python complex numbers like ``weyl-sample``'s.
 Reported per function and grid: median and quartiles, and the median in
 microseconds per z.
 
+The rendering stage times ``cli._table_text``, csv and JSON, on seeded
+synthetic tables of the four ``grid-sweep`` table shapes (``RENDER_SHAPES``):
+jc-weyl's 256 x 3530 of mostly zeros, model-weyl's 16900 x 10,
+krein-kernel's 67600 x 4 and gamma-sample's 20000 x 5, each block of the
+renderer's 2**14 cells holding that shape's share of zero cells and of
+distinct values (measured on the seed-0 tables), with magnitudes
+log-uniform over [1e-4, 10] and random signs.  Reported per shape and
+format: median and quartiles, and the median in ns per cell.
+
 With ``--parent DIR`` the checkout at DIR (its ``src/``) is measured too,
 in child processes alternating with this one (parent, change, change,
 parent), and the samples of each side are pooled.  ``--out`` writes the
@@ -58,9 +67,12 @@ import numpy as np  # noqa: E402  (after the BLAS thread count is fixed)
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = {
     "full": {"N": (10, 20, 40, 80, 160, 320), "nx": (2, 8, 32), "edges": ((60, 33), (200, 10)),
-             "weyl_n": (16, 64, 130), "rung_N": (20, 40, 60, 80), "repeats": 5},
+             "weyl_n": (16, 64, 130), "rung_N": (20, 40, 60, 80), "repeats": 5,
+             "render_rows": {"jc-weyl": 256, "model-weyl": 16900, "krein-kernel": 67600,
+                             "gamma-sample": 20000}},
     "tiny": {"N": (2, 4), "nx": (2,), "edges": (), "weyl_n": (4,), "rung_N": (2, 4),
-             "repeats": 2},
+             "repeats": 2, "render_rows": {"jc-weyl": 8, "model-weyl": 200, "krein-kernel": 800,
+                                           "gamma-sample": 400}},
 }
 WEYL_FAMILIES = ("schrodinger-interval", "dirac-interval", "full-line-contact")
 WEYL_JC_N = 20
@@ -76,11 +88,34 @@ WEYL = "weyl_s"
 RUNG = "rung_s"
 RUNG_XS = (-1.0, 0.5)
 RUNG_SAMPLES = 3
+# the rendering stage: per grid-sweep table, its columns, and the shares of
+# zero cells and of distinct values in a block of 2**14 cells
+RENDER = "render_s"
+RENDER_SHAPES = {"jc-weyl": (3530, 0.976, 0.024), "model-weyl": (10, 0.40, 0.41),
+                 "krein-kernel": (4, 0.0, 0.40), "gamma-sample": (5, 0.0, 1.0)}
+RENDER_SAMPLES = 3
 
 
 def jc_model(jd, N):
     return jd.JCModel(0.5, 0.25, jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j), 0.7,
                       jd.FockTruncation(N))
+
+
+def render_table(rows, cols, zeros, share, seed):
+    """A seeded table in which each block of 2**14 cells (as the renderer takes
+    it) has ``zeros`` of its cells 0.0 and ``share`` of them distinct values."""
+    rng = np.random.default_rng(seed)
+    step = max(1, 16384 // cols)
+    blocks = []
+    for start in range(0, rows, step):
+        cells = min(step, rows - start) * cols
+        n_nz = cells - round(zeros * cells)
+        n_val = max(1, min(n_nz, round(share * cells) - (n_nz < cells)))
+        vals = rng.choice([-1.0, 1.0], n_val) * 10.0 ** rng.uniform(-4, 1, n_val)
+        block = np.zeros(cells)
+        block[rng.permutation(cells)[:n_nz]] = np.resize(vals, n_nz)
+        blocks.append(block.reshape(-1, cols))
+    return np.vstack(blocks)
 
 
 def points(size):
@@ -93,6 +128,7 @@ def measure(src, size):
     """Samples of both stages at every point, with the library under ``src``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from worker import environment
+    from weyltriplets import cli
     from weyltriplets import jcdot as jd
     from weyltriplets import models1d as m1
     from weyltriplets.triplets import BoundaryCondition, krein_correction
@@ -119,6 +155,15 @@ def measure(src, size):
     for ev in evals:
         ev["fn"](ev["zs"])
     rungs = [{"N": N, RUNG: [], "solves": []} for N in SIZES[size]["rung_N"]]
+    renders = []
+    for i, (name, rows) in enumerate(SIZES[size]["render_rows"].items()):
+        cols, zeros, share = RENDER_SHAPES[name]
+        table = render_table(rows, cols, zeros, share, seed=i)
+        header = ["c%d" % j for j in range(cols)]
+        for fmt in ("csv", "json"):
+            cli._table_text(header, table, fmt)
+            renders.append({"table": name, "format": fmt, "cells": table.size,
+                            "header": header, "data": table, RENDER: []})
     for _ in range(SIZES[size]["repeats"]):
         for case in cases:
             before = solves[0]
@@ -150,11 +195,16 @@ def measure(src, size):
             t0 = perf_counter()
             ev["fn"](ev["zs"])
             ev[WEYL].append(perf_counter() - t0)
+        for r in renders * RENDER_SAMPLES:
+            t0 = perf_counter()
+            cli._table_text(r["header"], r["data"], r["format"])
+            r[RENDER].append(perf_counter() - t0)
     return {"environment": environment(),
             "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases],
             "checks": [{k: c[k] for k in ("N", CHECK)} for c in checks],
             "weyl": [{k: ev[k] for k in ("weyl", "n_z", WEYL)} for ev in evals],
-            "rungs": rungs}
+            "rungs": rungs,
+            "renders": [{k: r[k] for k in ("table", "format", "cells", RENDER)} for r in renders]}
 
 
 def count_solves(module):
@@ -196,7 +246,7 @@ def fit_slopes(rows, stage):
 
 def side_report(runs, size):
     """Pool the samples of one side's child runs; summaries and slopes."""
-    pooled, pooled_checks, pooled_weyl, pooled_rungs = {}, {}, {}, {}
+    pooled, pooled_checks, pooled_weyl, pooled_rungs, pooled_renders = {}, {}, {}, {}, {}
     for run in runs:
         for p in run["points"]:
             slot = pooled.setdefault((p["N"], p["nx"]), {s: [] for s in STAGES})
@@ -210,6 +260,8 @@ def side_report(runs, size):
             slot = pooled_rungs.setdefault(r["N"], {RUNG: [], "solves": []})
             slot[RUNG].extend(r[RUNG])
             slot["solves"].extend(r["solves"])
+        for r in run["renders"]:
+            pooled_renders.setdefault((r["table"], r["format"], r["cells"]), []).extend(r[RENDER])
     table = [dict(N=N, nx=nx, **{s: summary(v[s]) for s in STAGES})
              for (N, nx), v in pooled.items()]
     checks = [{"N": N, CHECK: summary(v)} for N, v in pooled_checks.items()]
@@ -218,12 +270,16 @@ def side_report(runs, size):
             for (name, n_z), v in pooled_weyl.items()]
     rungs = [{"N": N, RUNG: summary(v[RUNG]), "solves_per_sample": sorted(set(v["solves"]))}
              for N, v in pooled_rungs.items()]
+    renders = [{"table": name, "format": fmt, "cells": cells, RENDER: summary(v),
+                "ns_per_cell": 1e9 * statistics.median(v) / cells}
+               for (name, fmt, cells), v in pooled_renders.items()]
     grid_N = SIZES[size]["N"]
     slopes = {s: {str(nx): fit_slopes([r for r in table if r["nx"] == nx and r["N"] in grid_N], s)
                   for nx in SIZES[size]["nx"]} for s in STAGES}
     slopes[CHECK] = fit_slopes(checks, CHECK)
     return {"environments": [r["environment"] for r in runs], "points": table,
-            "checks": checks, "slopes": slopes, "weyl": weyl, "rungs": rungs}
+            "checks": checks, "slopes": slopes, "weyl": weyl, "rungs": rungs,
+            "renders": renders}
 
 
 def main(argv=None):
@@ -250,13 +306,15 @@ def main(argv=None):
         "what": "dot_resolvent_correction and its KreinCorrection.kernel step, "
                 "z = %r, kernel_equivalence, WeylFunction.grid per z-grid, and one "
                 "jc-run rung (decoupling_report, weyl_S, dot_resolvent_correction) "
-                "on fresh models, one BLAS thread" % Z,
+                "on fresh models, and cli._table_text on the grid-sweep table shapes, "
+                "one BLAS thread" % Z,
         # the parent checkout's path is a local detail, left out
         "command": "python3 bench/scaling.py --size %s%s"
                    % (args.size, " --parent PARENT" if args.parent else ""),
         "size": args.size,
         "repeats_per_child": SIZES[args.size]["repeats"],
         "rung_samples_per_repeat": RUNG_SAMPLES,
+        "render_samples_per_repeat": RENDER_SAMPLES,
         "order": order,
         "sides": {name: side_report(runs[name], args.size) for name in sides},
     }
@@ -278,6 +336,10 @@ def main(argv=None):
         for r in rep["rungs"]:
             print("%-7s N=%-4d jc-run rung %.4g s  solves per sample %s"
                   % (name, r["N"], r[RUNG]["median"], r["solves_per_sample"]))
+        for r in rep["renders"]:
+            print("%-7s render %-12s %-4s %8d cells %.4g s [%.4g, %.4g]  %.1f ns/cell"
+                  % (name, r["table"], r["format"], r["cells"], r[RENDER]["median"],
+                     r[RENDER]["q1"], r[RENDER]["q3"], r["ns_per_cell"]))
     print(json.dumps(doc))
     return 0
 

@@ -52,6 +52,7 @@ non-finite value in row order).
 """
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -159,14 +160,6 @@ _TASK_KEYS = {
 }
 TASKS = tuple(_TASK_KEYS)
 _KNOWN_KEYS = frozenset().union(*_TASK_KEYS.values())
-
-
-def _fmt(x):
-    """Round-trip-safe decimal rendering (17 significant digits) of a finite number."""
-    x = float(x)
-    if not isfinite(x):
-        raise ArithmeticError("non-finite result %r" % x)
-    return format(x, ".17g")
 
 
 class _Config:
@@ -347,7 +340,10 @@ def _build_model(cfg):
     try:
         return FACTORIES[family](**kwargs)
     except ValueError as exc:
-        raise ConfigError("%s: %s" % (cfg.path, exc))
+        # the Dirac messages concern the speed c, the others the endpoints
+        key = ("model.c" if str(exc).startswith("Dirac")
+               else "model.b" if cfg.has("model.b") else "model.a")
+        raise ConfigError("%s: key %r: %s" % (cfg._where(key), key, exc))
 
 
 def _build_jc(cfg, matrices):
@@ -836,7 +832,9 @@ def _render_json(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        if not isfinite(obj):
+            raise ArithmeticError("non-finite result %r" % float(obj))
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -844,12 +842,91 @@ def _render_json(obj, indent=0):
     raise TypeError("cannot render %r" % type(obj))
 
 
+@functools.cache
+def _g17_tables():
+    """5^p (p = 0..27), the pairs "00".."99", and a row of 24 positions per (exponent
+    -11..16, kept digits 1..17) into a buffer: sign or " ", 17 digits, ".e-0123456789 "."""
+    rows = []
+    for X in range(-11, 17):
+        for keep in range(1, 18):
+            frac = lambda lo: [18, *range(lo + 1, keep + 1)] if keep > lo else []
+            body = ([1, *frac(1), 19, 20, 21 + -X // 10, 21 + -X % 10] if X < -4
+                    else [*range(1, X + 2), *frac(X + 1)] if X >= 0
+                    else [21, 18] + [21] * (-X - 1) + [*range(1, keep + 1)])
+            rows.append([0] + body + [31] * (23 - len(body)))
+    pairs = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
+    return 5 ** np.arange(28, dtype=np.uint64), pairs, np.array(rows, dtype=np.uint8)
+
+
+def _scaled(m, e, p, pow5):
+    """floor(m 5^p 2^(e+p)) as uint64, and whether it rounds up, half to even."""
+    m1, m0, f1, f0 = m >> 32, m & 0xFFFFFFFF, pow5[p] >> 32, pow5[p] & 0xFFFFFFFF
+    mid, low = m1 * f0 + m0 * f1, m0 * f0
+    lo = low + (mid << 32)
+    hi = m1 * f1 + (mid >> 32) + (lo < low)
+    r, s = np.maximum(-(e + p), 0).astype(np.uint64), np.maximum(e + p, 0).astype(np.uint64)
+    q = ((hi << (64 - r)) | (lo >> r)) << s
+    return q, ((lo & ((1 << r) - 1)) << 1) + (q & 1) > (1 << r)
+
+
+def _g17(vals):
+    """``"%.17g" % x`` for each float64 x of ``vals``, as an object array.
+
+    Exact integer arithmetic where 1e-11 < |x| < 1e17 (the double 1e-11 is below 10^-11),
+    else ``%``.  With x = m 2^e (m < 2^53) and 10^k <= |x| < 10^(k+1), p = 16 - k is in
+    [0, 27]: 5^p < 2^63, and m 5^p < 2^116 is formed in two uint64 limbs from 32-bit halves
+    (partial products and the middle sum < 2^64).  Shifted by e + p its floor lies in
+    [10^16, 10^17), so a right shift r is at most 62 (63 while k is off by one) and a left
+    shift (at most 5) has a product below 2^64; it rounds half to even, up iff 2 rem +
+    (q & 1) > 2^r, never to 10^17 (no double lies within 5e-18 below a power of ten there).
+    k, the floor of np.log10, is off by at most one; comparing the floor with 10^16 and
+    10^17 corrects it.  A row per (k, kept digits) lays out %g's text."""
+    ok = (np.abs(vals) > 1e-11) & (np.abs(vals) < 1e17)
+    out = np.empty(len(vals), dtype=object)
+    slow = tuple(vals[~ok].tolist())
+    # one % operation formats them all; no number's text holds "\0"
+    out[~ok] = ("\0".join(["%.17g"] * len(slow)) % slow).split("\0")
+    # by 2**12 values, which bounds the working arrays
+    for c in range(0, len(vals), 4096):
+        at = np.flatnonzero(ok[c:c + 4096]) + c
+        out[at] = _g17_digits(vals[at])
+    return out
+
+
+def _g17_digits(x):
+    """The texts of ``_g17`` for floats x with 1e-11 < |x| < 1e17, as a list."""
+    pow5, pairs, rows = _g17_tables()
+    a = np.abs(x)
+    m = a.view(np.uint64) & (2 ** 52 - 1) | 2 ** 52
+    e = (a.view(np.uint64) >> 52).astype(np.int64) - 1075
+    k = np.minimum(np.maximum(np.floor(np.log10(a)), -11), 16).astype(np.int64)
+    q, up = _scaled(m, e, 16 - k, pow5)
+    fix = np.flatnonzero((q < 10 ** 16) | (q >= 10 ** 17))
+    if len(fix):
+        k[fix] += np.where(q[fix] < 10 ** 16, -1, 1)
+        q[fix], up[fix] = _scaled(m[fix], e[fix], 16 - k[fix], pow5)
+    q += up
+    buf = np.empty((len(q), 32), np.uint8)
+    buf[:, 18:] = np.frombuffer(b".e-0123456789 ", np.uint8)
+    buf[:, 0], buf[:, 1] = np.where(x < 0, 45, 32), q // 10 ** 16 + 48
+    # the other 16 digits: two halves of 8, then 4 pairs of each
+    h = np.empty((len(q), 2, 4), np.uint32)
+    h[:, 0, 3], h[:, 1, 3] = q // 10 ** 8 % 10 ** 8, q % 10 ** 8
+    for j in (2, 1, 0):
+        h[:, :, j] = h[:, :, j + 1] // 100
+    h %= 100
+    buf[:, 2:18].view(np.uint16)[:] = pairs.take(h.reshape(-1, 8))
+    row = (k + 11) * 17 + 16 - np.argmax(buf[:, 17:0:-1] != 48, axis=1)
+    at = rows.take(row, axis=0) + np.arange(0, buf.size, 32)[:, None]
+    return buf.take(at).tobytes().decode("ascii").split()
+
+
 def _table_text(header, table, fmt):
     """Render a 2-D float64 array as csv or JSON, every cell as ``%.17g``.
 
     Finiteness is checked once; the error names the first non-finite value in
-    row order.  Each distinct bit pattern (-0.0 is not 0.0) of a block of 2**14
-    cells (larger blocks raised the peak memory) is formatted once."""
+    row order.  Each distinct bit pattern (-0.0 is not 0.0) of a block of 2**14 cells (larger
+    blocks raised the peak memory) has one text; ``_g17`` formats 2**14 at most, across blocks."""
     finite = np.isfinite(table)
     if not finite.all():
         raise ArithmeticError("non-finite result %r" % float(table[~finite][0]))
@@ -861,16 +938,19 @@ def _table_text(header, table, fmt):
     else:
         head, cell, row_open, row_close, row_sep, tail = (
             ",".join(header) + "\n", ",", "", "", "\n", "\n")
-    ncols, between, parts = table.shape[1], row_close + row_sep + row_open, [head]
+    ncols, between, parts, batch = table.shape[1], row_close + row_sep + row_open, [row_open], []
     step = max(1, 16384 // ncols)
-    for start in range(0, len(table), step):
+    # the empty block past the last row flushes the last batch
+    for start in range(0, len(table) + step, step):
         bits, inv = np.unique(table[start:start + step].view(np.int64), return_inverse=True)
-        vals = tuple(bits.view(float).tolist())
-        # one % operation formats them all; no number's text holds "\0"
-        texts = ("\0".join(["%.17g"] * len(vals)) % vals).split("\0")
-        rows = np.array(texts, dtype=object)[inv.reshape(-1, ncols)].tolist()
-        parts += [between if start else row_open, between.join(map(cell.join, rows))]
-    return "".join(parts + ([row_close, tail] if len(table) else [tail]))
+        if batch and (not len(bits) or sum(len(b) for b, _ in batch) + len(bits) > 16384):
+            texts = _g17(np.concatenate([b for b, _ in batch]).view(float))
+            for b, i in batch:
+                rows, texts = texts[:len(b)][i].reshape(-1, ncols).tolist(), texts[len(b):]
+                parts += [between.join(map(cell.join, rows)), between]
+            batch = []
+        batch.append((bits, inv.astype(np.min_scalar_type(len(bits)))))
+    return "".join([head, *parts[:-1], row_close, tail]) if len(table) else head + tail
 
 
 def _write_out(text, out_path):

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,72 @@ def test_table_text_names_first_non_finite_value_in_row_order():
         with pytest.raises(ArithmeticError) as exc:
             cli._table_text(["a", "b", "c", "d"], table, fmt)
         assert str(exc.value) == "non-finite result inf"
+
+
+# The renderer's 17 digits against CPython's dtoa, which shares no code with the
+# integer kernel of cli._g17.
+
+
+def _assert_g17_matches_percent(vals):
+    """``cli._g17`` gives the bytes of ``"%.17g" % x`` for each x, in blocks of 2**14."""
+    vals = np.concatenate([vals, -vals])
+    for start in range(0, len(vals), 16384):
+        block = vals[start:start + 16384]
+        want = ("\0".join(["%.17g"] * len(block)) % tuple(block.tolist())).split("\0")
+        got = cli._g17(block).tolist()
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            pytest.fail("%r: %r != %r" % (float(block[i]), got[i], want[i]))
+
+
+def test_g17_matches_percent_on_log_uniform_values():
+    # 2**20 values, half of each sign, log-uniform over [1e-12, 1e18]
+    rng = np.random.default_rng(28)
+    _assert_g17_matches_percent(10.0 ** rng.uniform(-12, 18, 2 ** 19))
+
+
+def test_g17_matches_percent_on_exact_ties():
+    # x = o / 2^(P+1), o odd: x 10^P = o 5^P / 2 is a half-integer, so rounding x
+    # to 17 digits is a tie when o 5^P / 2 lies in [1e16, 1e17); o < 2^53 (x exact)
+    # needs P >= 1, and o 5^P < 2e17 needs P <= 24
+    rng = np.random.default_rng(280)
+    ties, lasts = [], set()
+    for P in range(1, 25):
+        lo, hi = -(-2 * 10 ** 16 // 5 ** P), min(2 * 10 ** 17 // 5 ** P, 2 ** 53)
+        for o in {int(o) | 1 for o in rng.integers(lo, hi, 60)} - {hi}:
+            ties.append(o / 2 ** (P + 1))
+            assert Fraction(ties[-1]) * 10 ** P == Fraction(o * 5 ** P, 2)
+            lasts.add(o * 5 ** P // 2 % 2)
+    # both rounding directions: the digit below the tie is even or odd
+    assert len(ties) > 1000 and lasts == {0, 1}
+    _assert_g17_matches_percent(np.array(ties))
+
+
+def test_g17_matches_percent_around_powers_of_ten_and_edges():
+    vals = []
+    for k in range(-12, 19):
+        ten = Fraction(10) ** k
+        for toward in (0.0, math.inf):
+            x = float("1e%d" % k)  # the double nearest 10^k, then 3 neighbours
+            for _ in range(4):
+                vals.append(x)
+                # no double below 10^k rounds up to it at 17 digits: _g17 has no carry
+                assert Fraction(x) >= ten or Fraction("%.17g" % x) < ten
+                x = math.nextafter(x, toward)
+    # the edges of the kernel's range (1e-11, 1e17), each with its neighbours
+    for edge in (1e-11, 1e17):
+        vals += [math.nextafter(edge, 0), edge, math.nextafter(edge, math.inf)]
+    # zeros, subnormals, the smallest normal and the largest float
+    vals += [0.0, 5e-324, 1.5e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308]
+    _assert_g17_matches_percent(np.array(vals))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_table_text_one_cell_matches_percent(x):
+    table = np.array([[x]])
+    assert cli._table_text(["x"], table, "csv") == "x\n%s\n" % ("%.17g" % x)
 
 
 def test_spectrum_resonant_pair(tmp_path, capsys):
@@ -535,6 +602,26 @@ def test_invalid_model_spec_is_config_error(tmp_path, capsys, text, msg):
     rc, out, err = run(capsys, ["weyl-sample", "--config", cfg])
     assert rc == 2 and out == ""
     assert cfg in err and msg in err and "Traceback" not in err
+
+
+# ModelSpec's own refusals: (family, keys set, key named, line, message)
+@pytest.mark.parametrize("family, keys, key, line, msg", [
+    ("schrodinger-interval", {"model.a": "1", "model.b": "1"}, "model.b", 3,
+     "interval families need endpoints a < b"),
+    ("schrodinger-interval", {"model.a": "5"}, "model.a", 2,
+     "interval families need endpoints a < b"),
+    ("dirac-interval", {"model.a": "0", "model.b": "5e-324"}, "model.b", 3,
+     "interval half-length (b - a)/2 underflows to 0"),
+    ("dirac-right", {"model.c": "-1"}, "model.c", 2, "Dirac speed c must be positive"),
+    ("dirac-interval", {"model.b": "2", "model.c": "1e200"}, "model.c", 3,
+     "Dirac mass s = c^2/2 overflows at c = 1e+200"),
+], ids=["empty-interval", "a-only", "half-length", "negative-c", "huge-c"])
+def test_model_errors_name_their_key(tmp_path, capsys, family, keys, key, line, msg):
+    text = "".join("%s = %s\n" % kv for kv in {"model.family": family, **keys}.items())
+    cfg = write(tmp_path, "m.cfg", text + "grid.z_list = 1j\n")
+    rc, out, err = run(capsys, ["weyl-sample", "--config", cfg])
+    assert (rc, out) == (2, "")
+    assert err == "config error: %s:%d: key %r: %s\n" % (cfg, line, key, msg)
 
 
 _JC_HEAD = "jc.alpha = 0\njc.beta = 1\njc.tau = 1\n"
@@ -1201,11 +1288,13 @@ _PINNED = [
     (_INTERVAL_FAR, 0, ""),
     (_DIRAC_POLE_UNDERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
     (_DIRAC_POLE_OVERFLOW, 3, "pole -c^2/2 of the second Dirac branch"),
-    (_INTERVAL_SPAN, 2, "fuzz.cfg: interval length b - a overflows"),
+    (_INTERVAL_SPAN, 2, "fuzz.cfg:3: key 'model.b': interval length b - a overflows"),
     (_MIDPOINT_SCHRODINGER, 0, ""),
     (_MIDPOINT_DIRAC, 0, ""),
-    (_HALF_LENGTH_SCHRODINGER, 2, "fuzz.cfg: interval half-length (b - a)/2 underflows"),
-    (_HALF_LENGTH_DIRAC, 2, "fuzz.cfg: interval half-length (b - a)/2 underflows"),
+    (_HALF_LENGTH_SCHRODINGER, 2,
+     "fuzz.cfg:3: key 'model.b': interval half-length (b - a)/2 underflows"),
+    (_HALF_LENGTH_DIRAC, 2,
+     "fuzz.cfg:3: key 'model.b': interval half-length (b - a)/2 underflows"),
 ]
 
 
