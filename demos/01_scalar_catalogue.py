@@ -1,22 +1,24 @@
-"""Tour of the scalar coefficient catalogue.
+"""Tour of the scalar Weyl coefficients of the 1-D families.
 
-Evaluates each catalogued Herglotz function on a few points, shows the
-conjugate symmetry and positivity invariants, and demonstrates how
-evaluation on a branch cut or at a pole is rejected rather than
-silently continued.
+Evaluates the diagonal Weyl scalars of each family of
+``models1d.FAMILY_TABLE`` at z = i, shows the conjugate symmetry and
+positivity invariants, and demonstrates how evaluation on a branch cut or at
+a pole is rejected rather than silently continued.
 """
 
 import numpy as np
 
 from weyltriplets import herglotz as hg
+from weyltriplets import models1d as m1
 
-print("catalogue entries (v=0.5, c=1.0, d=1.0):")
-for name, fn in hg.catalogue(v=0.5, c=1.0, d=1.0):
-    val = fn(1j)
-    print("  %-6s m(i) = %+.6f%+.6fj" % (name, val.real, val.imag))
+print("diagonal Weyl scalars at each factory's defaults (v=0, c=1, d=1):")
+for family, factory in m1.FACTORIES.items():
+    for j, val in enumerate(np.diag(m1.build_triplet(factory()).weyl(1j))):
+        print("  %-20s m_%d(i) = %+.6f%+.6fj" % (family, j + 1, val.real, val.imag))
 
-print("\nHerglotz invariants for m_hr at a few points:")
-m = lambda z: hg.m_schrodinger_halfline(z, v=0.5)
+print("\nHerglotz invariants of schrodinger-right (v=0.5) at a few points:")
+weyl = m1.build_triplet(m1.schrodinger_right(v=0.5)).weyl
+m = lambda z: weyl(z)[0, 0]
 for z in (1j, -2 + 0.5j, 3 + 0.1j):
     val = m(z)
     sym = abs(val - np.conj(m(np.conj(z))))

@@ -52,6 +52,7 @@ non-finite value in row order).
 """
 
 import argparse
+import cmath
 import functools
 import inspect
 import json
@@ -73,7 +74,6 @@ from .models1d import (
     FAMILY_TABLE,
     build_triplet,
     dirac_right,
-    eval_gamma_on_grid,
     full_line_contact,
     gamma_boundary_data,
     schrodinger_interval,
@@ -471,9 +471,9 @@ def _task_gamma_sample(cfg, args):
     else:
         columns = {"g%d" % j: np.eye(d)[:, j] for j in range(d)}
     # each sample as (len(xs), 2 * components) reals: re, im per component
+    img = triplet.gamma(z)
     samples = _sample_x_grid(cfg, xs, lambda: {
-        name: np.ascontiguousarray(eval_gamma_on_grid(triplet, z, xi, xs), dtype=complex)
-        .reshape(len(xs), -1).view(float)
+        name: img.values(xs, xi).reshape(len(xs), -1).view(float)
         for name, xi in columns.items()
     })
     header = ["x"]
@@ -603,16 +603,16 @@ def _task_jc_run(cfg, args):
 # -- validate --------------------------------------------------------------
 
 
-def _catalogue_residuals():
-    """Worst conjugate-symmetry defect and least Im m(z) over the scalar catalogue."""
+def _herglotz_residuals(weyls):
+    """Worst conjugate-symmetry defect and least Im m(z) of the diagonal Weyl
+    scalars of ``weyls`` over a 12 x 12 grid in the upper half-plane."""
+    zs = np.array([complex(re, im) for re in np.linspace(-5, 5, 12)
+                   for im in np.linspace(0.1, 5, 12)])
     worst_sym, min_im = 0.0, np.inf
-    for _, fn in hg.catalogue():
-        for re in np.linspace(-5, 5, 12):
-            for im in np.linspace(0.1, 5, 12):
-                z = complex(re, im)
-                m = fn(z)
-                worst_sym = max(worst_sym, abs(m - np.conj(fn(np.conj(z)))))
-                min_im = min(min_im, m.imag)
+    for weyl in weyls:
+        m, mc = (np.diagonal(weyl.grid(w), axis1=1, axis2=2) for w in (zs, zs.conj()))
+        worst_sym = max(worst_sym, np.abs(m - mc.conj()).max())
+        min_im = min(min_im, m.imag.min())
     return worst_sym, min_im
 
 
@@ -651,7 +651,7 @@ def _jc_rank_one_residual():
     Wn = np.diag(1.0 / np.sqrt(np.diag(Mi).imag))
     Mt = Wn @ (fl.weyl(zc) - np.diag(np.diag(Mi).real)) @ Wn
     A = np.linalg.solve(jd.build_tilde_CJC(small) - Mt, np.eye(2))
-    cz, czb = (np.stack([eval_gamma_on_grid(fl, w, np.eye(2)[:, j], xs_c)
+    cz, czb = (np.stack([fl.gamma(w).values(xs_c, np.eye(2)[:, j])[:, 0]
                          for j in range(2)], axis=1) for w in (zc, np.conj(zc)))
     K_hand = np.einsum("xj,jk,yk->xy", cz @ Wn, A, np.conj(czb @ Wn))
     return np.abs(K_dot - K_hand).max()
@@ -666,21 +666,22 @@ def _validate_checks(seed):
     right = build_triplet(schrodinger_right())
     xs = np.array([0.4, 1.0, 2.2])
     z0 = 2.0 + 1.0j
-    sym, min_im = _catalogue_residuals()
     m_h, m_h2 = (fd_m_function(FDGrid(h, 40.0), -1.0) for h in (2e-3, 1e-3))
     K_fd = fd_resolvent_difference(FDGrid(5e-3, 30.0), 1.0, -1.0, xs, xs)
     K_an = krein_correction(
         right, BoundaryCondition.operator(np.array([[1.0]])), -1.0
     ).kernel(xs, xs)
-    w = hg.sqrt_cut(z0)
+    w = cmath.sqrt(z0)  # the principal root is the cut root in the upper half-plane
     K_pkg = krein_correction(
         right, BoundaryCondition.operator(np.array([[0.7]])), z0
     ).kernel(xs, xs)
     K_closed = np.exp(1j * w * np.add.outer(xs, xs)) / (0.7 - 1j * w)
     green, krein, ml = _dense_toy_residuals(seed)
     specs = [factory() for factory in FACTORIES.values()]
-    boundary_data = [(gamma_boundary_data(spec, z0), build_triplet(spec).weyl(z0))
-                     for spec in specs]
+    weyls = [build_triplet(spec).weyl for spec in specs]
+    sym, min_im = _herglotz_residuals(weyls)
+    boundary_data = [(gamma_boundary_data(spec, z0), weyl(z0))
+                     for spec, weyl in zip(specs, weyls)]
     tt = tensor_normalized(right, SpectralMeasurePP.from_levels(range(6)))
     renorm = tensor_normalized(tt.assembled, SpectralMeasurePP.from_levels([0]))
     single = tensor_normalized(right, SpectralMeasurePP.from_levels([0]))

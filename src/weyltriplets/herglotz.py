@@ -1,6 +1,6 @@
 """Scalar Herglotz/Nevanlinna model coefficients and branch-cut arithmetic.
 
-All Weyl coefficients of the 1-D model catalogue live here:
+All Weyl coefficients of the 1-D families (``models1d.FAMILY_TABLE``) live here:
 
 * half-line Schrodinger           m(z)      = i sqrt(z - v)
 * interval Schrodinger      (m1, m2)(z)     = (w tan(w d), -w cot(w d)),
@@ -42,7 +42,6 @@ __all__ = [
     "dirac_k1",
     "m_dirac",
     "m_dirac_interval",
-    "catalogue",
 ]
 
 # Guard distance (in the complex plane of the tan/cot argument) below
@@ -281,24 +280,3 @@ def m_dirac_interval(z, c=1.0, d=1.0):
         return ((z - s) * d * (1.0 + arg * arg / 3.0),
                 pole + (z - s) * d / 3.0 + (z - s) * k2 * d**3 / 45.0)
     return c * k1v * _tan(arg, "k*d"), -c * k1v * _cot(arg, "k*d")
-
-
-def catalogue(v=0.0, c=1.0, d=1.0):
-    """The seven catalogued scalar coefficients with concrete parameters.
-
-    Returns half-line Schrodinger (right and left leads share the same
-    coefficient formula; both entries are kept because they parametrize
-    different gamma-fields), the two entries of the interval Schrodinger
-    pair, the half-line Dirac coefficient and the two entries of the
-    interval Dirac pair, as (name, function) pairs.  An entry raises where
-    either of its pair has a pole.
-    """
-    return [
-        ("m_hr", lambda z: m_schrodinger_halfline(z, v)),
-        ("m_hl", lambda z: m_schrodinger_halfline(z, v)),
-        ("m_hc1", lambda z: m_interval(z, v, d)[0]),
-        ("m_hc2", lambda z: m_interval(z, v, d)[1]),
-        ("m_dr", lambda z: m_dirac(z, c)),
-        ("m_dc1", lambda z: m_dirac_interval(z, c, d)[0]),
-        ("m_dc2", lambda z: m_dirac_interval(z, c, d)[1]),
-    ]

@@ -47,7 +47,6 @@ __all__ = [
     "contact_columns",
     "build_triplet",
     "gamma_boundary_data",
-    "eval_gamma_on_grid",
     "verify_defect_equation",
     "interval_weyl_poles",
     "FAMILY_TABLE",
@@ -403,17 +402,6 @@ def gamma_boundary_data(spec, z):
     x = np.array([p for p in (*kern.domain, *kern.split_points) if np.isfinite(p)])
     ders = None if kern.columns_dx is None else kern.columns_dx(x)
     return FAMILY_TABLE[spec.family].traces(spec, kern.values(x), ders)
-
-
-def eval_gamma_on_grid(triplet, z, boundary_vector, grid):
-    """Sample gamma(z) xi on a spatial grid.
-
-    Returns shape (n,) for scalar kernels and (n, 2) for spinors.
-    """
-    img = triplet.gamma(z)
-    vals = img.values(np.asarray(grid, dtype=float),
-                      np.asarray(boundary_vector, dtype=complex))
-    return vals[:, 0] if vals.shape[1] == 1 else vals
 
 
 def verify_defect_equation(spec, z, grid):

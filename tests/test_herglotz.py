@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyltriplets import herglotz as hg
+from weyltriplets import models1d as m1
 
 # Frozen reference values, computed independently (backward-recursion /
 # closed-form checks in the finite-difference oracle) and pinned here.
@@ -60,18 +61,29 @@ def test_sqrt_cut_where_the_phase_underflows(z):
     assert abs(hg.sqrt_cut(z) - want) <= 1e-15 * abs(want)
 
 
+# (Weyl function, diagonal index) of the seven scalars of the five one-model
+# families, at v = 0.25, c = 1.3 and half-length 0.8
+DIAGONAL_SCALARS = [
+    (weyl, j) for weyl in (m1.build_triplet(spec).weyl for spec in (
+        m1.schrodinger_right(v=0.25), m1.schrodinger_left(v=0.25),
+        m1.schrodinger_interval(v=0.25, a=-0.8, b=0.8), m1.dirac_right(c=1.3),
+        m1.dirac_interval(c=1.3, a=-0.8, b=0.8)))
+    for j in range(weyl.dim)
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     re=st.floats(-8, 8),
     im=st.floats(0.05, 8),
-    idx=st.integers(0, 6),
+    idx=st.integers(0, len(DIAGONAL_SCALARS) - 1),
 )
 def test_conjugate_symmetry_and_positivity(re, im, idx):
-    _, fn = hg.catalogue(v=0.25, c=1.3, d=0.8)[idx]
+    weyl, j = DIAGONAL_SCALARS[idx]
     z = complex(re, im)
-    val = fn(z)
+    val = weyl(z)[j, j]
     assert val.imag > 0
-    assert abs(val - np.conj(fn(np.conj(z)))) < 1e-11 * max(1.0, abs(val))
+    assert abs(val - np.conj(weyl(np.conj(z))[j, j])) < 1e-11 * max(1.0, abs(val))
 
 
 def test_interval_branches_tend_to_halfline():
@@ -316,11 +328,3 @@ def test_dirac_gap_values_are_purely_imaginary():
         k1 = hg.dirac_k1(z, 1.0)
         assert abs(k1.real) < 1e-15
         assert k1.imag > 0
-
-
-def test_catalogue_has_seven_named_entries():
-    cat = hg.catalogue()
-    assert len(cat) == 7
-    assert [name for name, _ in cat] == [
-        "m_hr", "m_hl", "m_hc1", "m_hc2", "m_dr", "m_dc1", "m_dc2",
-    ]

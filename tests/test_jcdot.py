@@ -12,11 +12,7 @@ from weyltriplets import jcdot as jd
 from weyltriplets import triplets
 from weyltriplets.spectral import SpectralMeasurePP
 from weyltriplets.tensor import tensor_normalized
-from weyltriplets.models1d import (
-    build_triplet,
-    eval_gamma_on_grid,
-    full_line_contact,
-)
+from weyltriplets.models1d import build_triplet, full_line_contact
 from weyltriplets._linalg import SingularMatrixError, solve_guarded
 from weyltriplets.triplets import (
     BoundaryCondition,
@@ -670,15 +666,10 @@ def test_fockless_limit_reduces_to_scalar_krein_formula():
     Qn = np.diag(np.diag(Mi).real)
     Mt = Wn @ (base.weyl(z) - Qn) @ Wn
     A = np.linalg.solve(Ct0 - Mt, np.eye(2))
-    cols_z = np.stack(
-        [eval_gamma_on_grid(base, z, np.eye(2)[:, j], xs) for j in range(2)],
-        axis=1,
-    )
-    cols_zb = np.stack(
-        [eval_gamma_on_grid(base, np.conj(z), np.eye(2)[:, j], xs)
-         for j in range(2)],
-        axis=1,
-    )
+    cols_z, cols_zb = (
+        np.stack([base.gamma(w).values(xs, np.eye(2)[:, j])[:, 0] for j in range(2)],
+                 axis=1)
+        for w in (z, np.conj(z)))
     K_hand = np.einsum("xj,jk,yk->xy", cols_z @ Wn, A, np.conj(cols_zb @ Wn))
     assert np.abs(K0 - K_hand).max() < 1e-12
     tt0 = _normalized_lead_triplet(m0)

@@ -224,9 +224,9 @@ def test_eval_gamma_on_grid_samples_defect_elements():
     t = m1.build_triplet(spec)
     z = 2 + 1j
     grid = np.linspace(0.0, 3.0, 7)
-    vals = m1.eval_gamma_on_grid(t, z, np.array([1.0]), grid)
+    vals = t.gamma(z).values(grid, np.array([1.0]))[:, 0]
     w = hg.sqrt_cut(z)
-    assert np.abs(np.asarray(vals) - np.exp(1j * w * grid)).max() < 1e-12
+    assert np.abs(vals - np.exp(1j * w * grid)).max() < 1e-12
 
 
 def test_full_line_contact_sides():

@@ -211,6 +211,20 @@ def test_weight_growth_certificates_evaluate_each_point_once():
     assert len(calls) == len(set(calls)) == 2 * len(wg["lambdas"])
 
 
+def test_weight_growth_certificates_data_slopes_match_the_closed_form():
+    # fitted_exponent is the envelope's slope, whatever the data; the data's
+    # own slopes are checked here, on the half-line base m(z) = i sqrt(z),
+    # where Im m(i - lambda) = (2 (lambda + sqrt(lambda^2 + 1)))^(-1/2)
+    wg = tn.weight_growth_certificates(lambda z: hg.m_schrodinger_halfline(z))
+    lam = wg["lambdas"]
+    im = (2.0 * (lam + np.sqrt(lam * lam + 1.0))) ** -0.5
+    for key, power in (("im_sqrt", 0.5), ("im_inv_sqrt", -0.5)):
+        want = np.polyfit(np.log(lam), np.log(im ** power), 1)[0]
+        assert abs(wg[key]["data_slope"] - want) < 1e-12
+    for key in ("im_sqrt", "im_inv_sqrt", "l_kernel"):
+        assert wg[key]["data_slope"] <= wg[key]["alpha"]
+
+
 def test_friedrichs_krein_tensor_check(base):
     m = sp.SpectralMeasurePP.from_levels([0, 1, 2])
     rep = tn.friedrichs_krein_tensor_check(base, m)

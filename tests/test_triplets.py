@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weyltriplets import herglotz as hg
+from weyltriplets import jcdot as jd
 from weyltriplets import spectral as sp
 from weyltriplets import tensor as tn
 from weyltriplets import triplets as tr
@@ -127,6 +128,28 @@ def test_krein_correction_needs_a_d_by_d_operator():
         msg = r"B has shape \(%d, %d\), but M\(z\) has shape \(2, 2\)" % (n, n)
         with pytest.raises(ValueError, match=msg):
             tr.krein_correction(t, bc, -1 + 0.5j)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # the two kernels' decay rates sum to 8.5e-21, below MIN_KERNEL_DECAY
+    (lambda: tr.herglotz_identity_residual(build_triplet(schrodinger_right()),
+                                           1 + 1e-20j, 2 + 1e-20j),
+     tr.QuadratureError, "too slow for Gram quadrature"),
+    (lambda: tr.BoundaryCondition("theta2"), ValueError,
+     "unknown boundary-condition variant 'theta2'"),
+    (lambda: tr.BoundaryCondition("theta0", np.eye(1)), ValueError,
+     "'theta0' takes no operator payload"),
+    (lambda: tr.BoundaryCondition("theta1", np.eye(1)), ValueError,
+     "'theta1' takes no operator payload"),
+    # N = 1 has a 4 x 4 boundary space
+    (lambda: jd.jacobi_reorder(np.eye(3), jd.JCModel(
+        0.0, 0.0, jd.TwoLevelDot(0.1, 0.9, 0.2), 0.7, jd.FockTruncation(1))),
+     ValueError, "does not match the model truncation"),
+], ids=["gram-decay", "unknown-variant", "theta0-payload", "theta1-payload",
+        "jacobi-size"])
+def test_guards_refuse_their_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def _dense_resolvent(toy):
