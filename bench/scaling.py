@@ -102,20 +102,20 @@ def jc_model(jd, N):
 
 
 def render_table(rows, cols, zeros, share, seed):
-    """A seeded table in which each block of 2**14 cells (as the renderer takes
-    it) has ``zeros`` of its cells 0.0 and ``share`` of them distinct values."""
+    """A seeded table in which each block of 2**14 cells in row order (as the
+    renderer takes it) has ``zeros`` of its cells 0.0 and ``share`` of them
+    distinct values."""
     rng = np.random.default_rng(seed)
-    step = max(1, 16384 // cols)
     blocks = []
-    for start in range(0, rows, step):
-        cells = min(step, rows - start) * cols
+    for start in range(0, rows * cols, 16384):
+        cells = min(16384, rows * cols - start)
         n_nz = cells - round(zeros * cells)
         n_val = max(1, min(n_nz, round(share * cells) - (n_nz < cells)))
         vals = rng.choice([-1.0, 1.0], n_val) * 10.0 ** rng.uniform(-4, 1, n_val)
         block = np.zeros(cells)
         block[rng.permutation(cells)[:n_nz]] = np.resize(vals, n_nz)
-        blocks.append(block.reshape(-1, cols))
-    return np.vstack(blocks)
+        blocks.append(block)
+    return np.concatenate(blocks).reshape(rows, cols)
 
 
 def points(size):

@@ -845,8 +845,8 @@ def _render_json(obj, indent=0):
 
 @functools.cache
 def _g17_tables():
-    """5^p (p = 0..27), the pairs "00".."99", and a row of 24 positions per (exponent
-    -11..16, kept digits 1..17) into a buffer: sign or " ", 17 digits, ".e-0123456789 "."""
+    """5^p (p = 0..27), the texts "0000".."9999" as uint32, and a row of 24 positions per (exponent
+    -11..16, kept digits 1..17) into a buffer: sign or NUL, 17 digits, ".e-0123456789", NUL."""
     rows = []
     for X in range(-11, 17):
         for keep in range(1, 18):
@@ -855,49 +855,40 @@ def _g17_tables():
                     else [*range(1, X + 2), *frac(X + 1)] if X >= 0
                     else [21, 18] + [21] * (-X - 1) + [*range(1, keep + 1)])
             rows.append([0] + body + [31] * (23 - len(body)))
-    pairs = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
-    return 5 ** np.arange(28, dtype=np.uint64), pairs, np.array(rows, dtype=np.uint8)
+    quads = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    return 5 ** np.arange(28, dtype=np.uint64), quads.view(np.uint32)[:, 0], np.array(rows)
 
 
 def _scaled(m, e, p, pow5):
     """floor(m 5^p 2^(e+p)) as uint64, and whether it rounds up, half to even."""
-    m1, m0, f1, f0 = m >> 32, m & 0xFFFFFFFF, pow5[p] >> 32, pow5[p] & 0xFFFFFFFF
+    f, sh = pow5.take(p), e + p
+    m1, m0, f1, f0 = m >> 32, m & 0xFFFFFFFF, f >> 32, f & 0xFFFFFFFF
     mid, low = m1 * f0 + m0 * f1, m0 * f0
     lo = low + (mid << 32)
     hi = m1 * f1 + (mid >> 32) + (lo < low)
-    r, s = np.maximum(-(e + p), 0).astype(np.uint64), np.maximum(e + p, 0).astype(np.uint64)
+    r, s = np.maximum(-sh, 0).astype(np.uint64), np.maximum(sh, 0).astype(np.uint64)
     q = ((hi << (64 - r)) | (lo >> r)) << s
-    return q, ((lo & ((1 << r) - 1)) << 1) + (q & 1) > (1 << r)
+    return q, lo << (64 - r) > 2 ** 63 - (q & 1)
 
 
 def _g17(vals):
-    """``"%.17g" % x`` for each float64 x of ``vals``, as an object array.
+    """``"%.17g" % x`` for each float64 x of ``vals``: a uint8 row of 24 bytes per x,
+    the text padded with NUL (the widest texts, such as ``-2.2250738585072014e-308``, fill it).
 
     Exact integer arithmetic where 1e-11 < |x| < 1e17 (the double 1e-11 is below 10^-11),
-    else ``%``.  With x = m 2^e (m < 2^53) and 10^k <= |x| < 10^(k+1), p = 16 - k is in
-    [0, 27]: 5^p < 2^63, and m 5^p < 2^116 is formed in two uint64 limbs from 32-bit halves
-    (partial products and the middle sum < 2^64).  Shifted by e + p its floor lies in
-    [10^16, 10^17), so a right shift r is at most 62 (63 while k is off by one) and a left
-    shift (at most 5) has a product below 2^64; it rounds half to even, up iff 2 rem +
-    (q & 1) > 2^r, never to 10^17 (no double lies within 5e-18 below a power of ten there).
-    k, the floor of np.log10, is off by at most one; comparing the floor with 10^16 and
-    10^17 corrects it.  A row per (k, kept digits) lays out %g's text."""
-    ok = (np.abs(vals) > 1e-11) & (np.abs(vals) < 1e17)
-    out = np.empty(len(vals), dtype=object)
-    slow = tuple(vals[~ok].tolist())
-    # one % operation formats them all; no number's text holds "\0"
-    out[~ok] = ("\0".join(["%.17g"] * len(slow)) % slow).split("\0")
-    # by 2**12 values, which bounds the working arrays
-    for c in range(0, len(vals), 4096):
-        at = np.flatnonzero(ok[c:c + 4096]) + c
-        out[at] = _g17_digits(vals[at])
-    return out
-
-
-def _g17_digits(x):
-    """The texts of ``_g17`` for floats x with 1e-11 < |x| < 1e17, as a list."""
-    pow5, pairs, rows = _g17_tables()
-    a = np.abs(x)
+    else one ``%`` operation.  With x = m 2^e (m < 2^53) and 10^k <= |x| < 10^(k+1),
+    p = 16 - k is in [0, 27]: 5^p < 2^63, and m 5^p < 2^116 is formed in two uint64 limbs
+    from 32-bit halves (partial products and the middle sum < 2^64).  Shifted by e + p its
+    floor lies in [10^16, 10^17), so a right shift r is at most 62 (63 while k is off by
+    one) and a left shift (at most 5) has a product below 2^64; it rounds half to even, up
+    iff rem 2^(64-r) > 2^63 - (q & 1), never to 10^17 (no double lies within 5e-18 below
+    a power of ten there).  k, the floor of np.log10, is off by at most one; comparing the
+    floor with 10^16 and 10^17 corrects it.  A row per (k, kept digits) lays out %g's text."""
+    pow5, quads, rows = _g17_tables()
+    a = np.abs(vals)
+    ok = (a > 1e-11) & (a < 1e17)
+    out, x, a = np.empty((len(vals), 24), np.uint8), vals[ok], a[ok]
+    out[~ok] = np.strings.mod("%.17g", vals[~ok]).astype("S24").view(np.uint8).reshape(-1, 24)
     m = a.view(np.uint64) & (2 ** 52 - 1) | 2 ** 52
     e = (a.view(np.uint64) >> 52).astype(np.int64) - 1075
     k = np.minimum(np.maximum(np.floor(np.log10(a)), -11), 16).astype(np.int64)
@@ -906,52 +897,61 @@ def _g17_digits(x):
     if len(fix):
         k[fix] += np.where(q[fix] < 10 ** 16, -1, 1)
         q[fix], up[fix] = _scaled(m[fix], e[fix], 16 - k[fix], pow5)
-    q += up
     buf = np.empty((len(q), 32), np.uint8)
-    buf[:, 18:] = np.frombuffer(b".e-0123456789 ", np.uint8)
-    buf[:, 0], buf[:, 1] = np.where(x < 0, 45, 32), q // 10 ** 16 + 48
-    # the other 16 digits: two halves of 8, then 4 pairs of each
-    h = np.empty((len(q), 2, 4), np.uint32)
-    h[:, 0, 3], h[:, 1, 3] = q // 10 ** 8 % 10 ** 8, q % 10 ** 8
-    for j in (2, 1, 0):
-        h[:, :, j] = h[:, :, j + 1] // 100
-    h %= 100
-    buf[:, 2:18].view(np.uint16)[:] = pairs.take(h.reshape(-1, 8))
-    row = (k + 11) * 17 + 16 - np.argmax(buf[:, 17:0:-1] != 48, axis=1)
-    at = rows.take(row, axis=0) + np.arange(0, buf.size, 32)[:, None]
-    return buf.take(at).tobytes().decode("ascii").split()
+    buf[:, 18:] = np.frombuffer(b".e-0123456789\0", np.uint8)
+    lead, rest = np.divmod(q + up, 10 ** 16)
+    buf[:, 0], buf[:, 1] = (x < 0) * 45, lead + 48
+    # the other 16 digits: two halves of 8, then two quads of each
+    h, quad = np.empty((len(q), 2), np.uint32), np.empty((len(q), 2, 2), np.uint32)
+    h[:, 0], h[:, 1] = np.divmod(rest, 10 ** 8)
+    np.divmod(h, 10 ** 4, out=(quad[:, :, 0], quad[:, :, 1]))
+    buf[:, 2:18].view(np.uint32)[:] = quads.take(quad.reshape(-1, 4))
+    at = rows.take((k + 11) * 17 + 16 - np.argmax(buf[:, 17:0:-1] != 48, axis=1), axis=0)
+    at += np.arange(0, buf.size, 32)[:, None]
+    out[ok] = buf.take(at)
+    return out
 
 
 def _table_text(header, table, fmt):
     """Render a 2-D float64 array as csv or JSON, every cell as ``%.17g``.
 
-    Finiteness is checked once; the error names the first non-finite value in
-    row order.  Each distinct bit pattern (-0.0 is not 0.0) of a block of 2**14 cells (larger
-    blocks raised the peak memory) has one text; ``_g17`` formats 2**14 at most, across blocks."""
+    Finiteness is checked once; the error names the first non-finite value in row
+    order.  The cells, in row order, are rendered by blocks of 2**14 (larger blocks
+    raise the peak memory) into one uint8 buffer: a 24-byte slot per cell and a slot for
+    the separator after it (within a row, after a row or after the table), both padded
+    with NUL, which ``buf[buf != 0]`` drops.  A cell whose bits are 0 is written as "0";
+    each other distinct bit pattern of the block (-0.0 is not 0.0) is formatted once by
+    ``_g17``."""
     finite = np.isfinite(table)
     if not finite.all():
         raise ArithmeticError("non-finite result %r" % float(table[~finite][0]))
     if fmt == "json":
         # the bytes of _render_json({"columns": header, "rows": rows})
         head = '{\n  "columns": %s,\n  "rows": [\n' % _render_json(list(header), 1)
-        cell, row_open, row_close, row_sep, tail = (
-            ",\n      ", "    [\n      ", "\n    ]", ",\n", "\n  ]\n}\n")
+        tail, row_open = "\n  ]\n}\n", "    [\n      "
+        seps = [",\n      ", "\n    ],\n" + row_open, "\n    ]" + tail]
     else:
-        head, cell, row_open, row_close, row_sep, tail = (
-            ",".join(header) + "\n", ",", "", "", "\n", "\n")
-    ncols, between, parts, batch = table.shape[1], row_close + row_sep + row_open, [row_open], []
-    step = max(1, 16384 // ncols)
-    # the empty block past the last row flushes the last batch
-    for start in range(0, len(table) + step, step):
-        bits, inv = np.unique(table[start:start + step].view(np.int64), return_inverse=True)
-        if batch and (not len(bits) or sum(len(b) for b, _ in batch) + len(bits) > 16384):
-            texts = _g17(np.concatenate([b for b, _ in batch]).view(float))
-            for b, i in batch:
-                rows, texts = texts[:len(b)][i].reshape(-1, ncols).tolist(), texts[len(b):]
-                parts += [between.join(map(cell.join, rows)), between]
-            batch = []
-        batch.append((bits, inv.astype(np.min_scalar_type(len(bits)))))
-    return "".join([head, *parts[:-1], row_close, tail]) if len(table) else head + tail
+        head, tail, row_open, seps = ",".join(header) + "\n", "\n", "", [",", "\n", "\n"]
+    if not len(table):
+        return head + tail
+    w = max(map(len, seps))
+    seps = np.frombuffer("".join(s.ljust(w, "\0") for s in seps).encode(), np.uint8).reshape(3, w)
+    ncols, parts = table.shape[1], [head + row_open]
+    flat = np.ascontiguousarray(table).reshape(-1).view(np.uint64)
+    for s in range(0, len(flat), 16384):
+        bits = flat[s:s + 16384]
+        nz = np.flatnonzero(bits)
+        u, inv = np.unique(bits[nz], return_inverse=True)
+        # a row per distinct text, then "0", each followed by the separator within a row
+        texts = np.zeros((len(u) + 1, 24 + w), np.uint8)
+        texts[:-1, :24], texts[-1, 0], texts[:, 24:] = _g17(u.view(float)), 48, seps[0]
+        at = np.full(len(bits), len(u))
+        at[nz] = inv
+        buf = texts.take(at, axis=0)
+        buf[(ncols - 1 - s) % ncols::ncols, 24:] = seps[1]
+        buf[len(flat) - 1 - s:, 24:] = seps[2]  # empty unless the table ends in this block
+        parts.append(buf[buf != 0].tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def _write_out(text, out_path):

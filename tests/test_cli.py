@@ -214,13 +214,35 @@ def test_table_text_matches_per_cell_renderer_across_blocks(fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows, cols", [(3, 70000), (1, 9)], ids=["wide", "one-row"])
+@pytest.mark.parametrize("rows, cols", [(3, 70000), (1, 9), (20000, 1)],
+                         ids=["wide", "one-row", "one-column"])
 def test_table_text_matches_per_cell_renderer_on_edge_shapes(fmt, rows, cols):
-    # more than 2**14 columns: one row per block
+    # more than 2**14 columns: blocks end inside a row; one column: every cell ends a row
     rng = np.random.default_rng(rows)
     table = _pool_table(rng, rows, cols)
-    table[0, :2] = -0.0, 0.0
+    table.flat[:2] = -0.0, 0.0
     header = ["c%d" % j for j in range(cols)]
+    _assert_renders_per_cell(header, table, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_text_matches_per_cell_renderer_on_a_zero_heavy_table(fmt):
+    # shaped like jc-weyl: z, then a flattened dim x dim Weyl matrix that is diagonal,
+    # so nearly every cell is +0.0; 2**14 cells per block end in mid-row
+    rng = np.random.default_rng(31)
+    dim, rows = 12, 150
+    m = np.zeros((rows, dim, dim, 2))
+    m[:, np.arange(dim), np.arange(dim)] = rng.standard_normal((rows, dim, 2))
+    table = np.hstack([rng.standard_normal((rows, 2)), m.reshape(rows, -1)])
+    header = ["re_z", "im_z"] + ["%s_m_%d_%d" % (p, i, j) for i in range(dim)
+                                 for j in range(dim) for p in ("re", "im")]
+    flat = table.reshape(-1)
+    for edge in (16384, 32768):
+        # -0.0, 5e-324, 0.0 next to -0.0, and nonzero cells on each side of a block edge
+        flat[edge - 3:edge + 3] = [-0.0, 0.0, 5e-324, -0.0, 0.0, 2.5]
+        flat[edge + 7:edge + 10] = [-5e-324, 1e300, -0.0]
+    assert len(flat) > 2 * 16384 and len(flat) % 16384 and 16384 % table.shape[1]
+    assert (flat == 0).mean() > 0.9 and np.signbit(flat[flat == 0]).any()
     _assert_renders_per_cell(header, table, fmt)
 
 
@@ -246,13 +268,22 @@ def test_table_text_names_first_non_finite_value_in_row_order():
 # integer kernel of cli._g17.
 
 
+def _g17_texts(rows):
+    """The texts in rows of ``cli._g17``: each row's bytes without their NUL padding."""
+    lines = np.hstack([rows, np.full((len(rows), 1), ord("\n"), np.uint8)])
+    return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
 def _assert_g17_matches_percent(vals):
-    """``cli._g17`` gives the bytes of ``"%.17g" % x`` for each x, in blocks of 2**14."""
+    """``cli._g17`` gives a row of 24 bytes for each x, the bytes of ``"%.17g" % x``
+    padded with NUL, in blocks of 2**14."""
     vals = np.concatenate([vals, -vals])
     for start in range(0, len(vals), 16384):
         block = vals[start:start + 16384]
         want = ("\0".join(["%.17g"] * len(block)) % tuple(block.tolist())).split("\0")
-        got = cli._g17(block).tolist()
+        rows = cli._g17(block)
+        assert rows.dtype == np.uint8 and rows.shape == (len(block), 24)
+        got = _g17_texts(rows)
         if got != want:
             i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
             pytest.fail("%r: %r != %r" % (float(block[i]), got[i], want[i]))
@@ -299,6 +330,13 @@ def test_g17_matches_percent_around_powers_of_ten_and_edges():
     vals += [0.0, 5e-324, 1.5e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
              1.7976931348623157e308]
     _assert_g17_matches_percent(np.array(vals))
+
+
+def test_g17_widest_texts_fill_the_slot():
+    # sign, 17 digits, a point and a three-digit exponent: 24 bytes, no padding
+    for x in (-2.2250738585072014e-308, -1.7976931348623157e308):
+        assert cli._g17(np.array([x]))[0].tobytes() == ("%.17g" % x).encode()
+        assert cli._table_text(["x"], np.array([[x, x]]), "csv") == "x\n%.17g,%.17g\n" % (x, x)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
