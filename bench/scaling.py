@@ -29,7 +29,7 @@ the guarded solves (``jcdot.solve_guarded`` calls) each sample made.
 The Weyl-matrix evaluation stage times ``WeylFunction.grid`` alone, with
 no rendering, for the ``WEYL_FAMILIES`` (default parameters) and the JC
 lead at N = 20, on square z-grids of n x n points over Re z in [-3, 3],
-Im z in [0.3, 2.3], as Python complex numbers like ``weyl-sample``'s.
+Im z in [0.3, 2.3], as one complex array in ``weyl-sample``'s order.
 Reported per function and grid: median and quartiles, and the median in
 microseconds per z.
 
@@ -118,6 +118,15 @@ def render_table(rows, cols, zeros, share, seed):
     return np.concatenate(blocks).reshape(rows, cols)
 
 
+def z_rect(n):
+    """The n x n z-grid over [-3, 3] x [0.3, 2.3], built as ``cli._z_grid`` builds
+    a rectangle: one complex array, re-major."""
+    zs = np.empty(n * n, dtype=complex)
+    zs.real = np.repeat(np.linspace(-3.0, 3.0, n), n)
+    zs.imag = np.tile(np.linspace(0.3, 2.3, n), n)
+    return zs
+
+
 def points(size):
     spec = SIZES[size]
     grid = [(N, nx) for nx in spec["nx"] for N in spec["N"] if nx * (N + 1) <= GUARD]
@@ -148,9 +157,7 @@ def measure(src, size):
         jd.kernel_equivalence(check["model"])
     weyls = {name: m1.build_triplet(m1.FACTORIES[name]()).weyl for name in WEYL_FAMILIES}
     weyls["jc-lead-N%d" % WEYL_JC_N] = jc_model(jd, WEYL_JC_N).lead_weyl
-    evals = [{"weyl": name, "n_z": n * n, "fn": w.grid,
-              "zs": [complex(re, im) for re in np.linspace(-3.0, 3.0, n)
-                     for im in np.linspace(0.3, 2.3, n)], WEYL: []}
+    evals = [{"weyl": name, "n_z": n * n, "fn": w.grid, "zs": z_rect(n), WEYL: []}
              for name, w in weyls.items() for n in SIZES[size]["weyl_n"]]
     for ev in evals:
         ev["fn"](ev["zs"])

@@ -410,7 +410,9 @@ def _z_grid(cfg, nbytes):
     _check_size(cfg, "grid.re_n" if re_axis[2] >= im_axis[2] else "grid.im_n",
                 nbytes(re_axis[2] * im_axis[2]))
     res, ims = np.linspace(*re_axis), np.linspace(*im_axis)
-    return [complex(re, im) for re in res for im in ims]
+    zs = np.empty(len(res) * len(ims), dtype=complex)  # re-major
+    zs.real, zs.imag = np.repeat(res, len(ims)), np.tile(ims, len(res))
+    return zs
 
 
 def _x_grid(cfg, nbytes, default=None):
@@ -449,7 +451,7 @@ def _task_weyl_sample(cfg, args):
     zs = _z_grid(cfg, lambda rows: (64 * rows + 80) * (2 + 2 * weyl.dim ** 2))
     header = ["re_z", "im_z"] + ["%s_m_%d_%d" % (part, i, j) for i in range(weyl.dim)
                                  for j in range(weyl.dim) for part in ("re", "im")]
-    # one scalar evaluation per Python complex z: numpy and cmath round differently
+    # one array evaluation, bit for bit the scalar one (a Dirac family: one per z)
     ms = weyl.grid(zs).reshape(len(zs), -1)
     return header, np.column_stack([np.real(zs), np.imag(zs), ms.view(float)])
 
@@ -926,8 +928,9 @@ def _table_text(header, table, fmt):
     if not finite.all():
         raise ArithmeticError("non-finite result %r" % float(table[~finite][0]))
     if fmt == "json":
-        # the bytes of _render_json({"columns": header, "rows": rows})
-        head = '{\n  "columns": %s,\n  "rows": [\n' % _render_json(list(header), 1)
+        # the bytes of _render_json({"columns": header, "rows": rows}); json.dumps'
+        # indent=4 list is _render_json(list(header), 1) up to the close
+        head = '{\n  "columns": %s  ],\n  "rows": [\n' % json.dumps(list(header), indent=4)[:-1]
         tail, row_open = "\n  ]\n}\n", "    [\n      "
         seps = [",\n      ", "\n    ],\n" + row_open, "\n    ]" + tail]
     else:

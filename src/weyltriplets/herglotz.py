@@ -24,6 +24,10 @@ m(conj z) = conj m(z) and Im m(z) > 0 in the upper half-plane.  Points
 exactly on a cut are rejected (the boundary value is not defined by the
 branch convention), and real poles of the interval functions are
 rejected within a small guard distance.
+
+The Schrodinger coefficients' array forms (``*_grid``) are bit for bit the
+scalar ones: CPython 3.11-3.13's complex arithmetic in real numpy operations,
+cmath elementwise, and nan where the scalar function must branch or raise.
 """
 
 import cmath
@@ -34,9 +38,14 @@ __all__ = [
     "BranchCutError",
     "PoleError",
     "sqrt_cut",
+    "c_diff",
+    "c_prod",
+    "c_quot",
     "m_schrodinger_halfline",
+    "m_schrodinger_halfline_grid",
     "dm_schrodinger_halfline",
     "m_interval",
+    "m_interval_grid",
     "dm_interval",
     "dirac_k",
     "dirac_k1",
@@ -64,6 +73,11 @@ _DM2_SERIES_CUTOFF = 0.5
 # double precision (tanh(20) differs from 1 by ~2e-18); evaluating them
 # directly would overflow for very large arguments.
 _TRIG_SATURATION = 20.0
+
+
+# cmath's functions elementwise, rounding as in the scalar route
+_PHASE, _EXP, _TAN, _COS, _SIN = (np.frompyfunc(f, 1, 1) for f in (
+    cmath.phase, cmath.exp, cmath.tan, cmath.cos, cmath.sin))
 
 
 class BranchCutError(ValueError):
@@ -97,6 +111,54 @@ def sqrt_cut(z):
     return cmath.sqrt(abs(z)) * cmath.exp(0.5j * theta)
 
 
+def _cx(re, im):
+    out = np.empty(re.shape, dtype=complex)  # im has the shape of re at every use
+    out.real, out.imag = re, im
+    return out
+
+
+def c_diff(a, b):
+    """a - b over arrays, as CPython's _Py_c_diff; a real operand has imag 0."""
+    return _cx(a.real - b.real, a.imag - b.imag)
+
+
+def c_prod(a, b):
+    """a * b over arrays, as _Py_c_prod (numpy's complex * rounds otherwise)."""
+    return _cx(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def c_quot(a, b):
+    """a / b over arrays, as _Py_c_quot (Smith's method), but inf or nan at b = 0."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    return _cx(np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+               np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _phase_or_nan(u):
+    try:
+        return cmath.phase(u)
+    except OverflowError:
+        return float("nan")
+
+
+def _sqrt_cut_grid(u):
+    """``sqrt_cut`` over the complex array u; nan where that is left to it: u = 0,
+    |u| not finite or below 2**-1019 (cmath.sqrt rescales), cmath.phase raising."""
+    r = np.hypot(u.real, u.imag)
+    keep = np.isfinite(r) & (r >= 2.0 ** -1019)
+    u = np.where(keep, u, 1.0)
+    try:
+        theta = _PHASE(u).astype(float)
+    except OverflowError:  # sqrt_cut's own branch, at the points where it fires
+        theta = np.frompyfunc(_phase_or_nan, 1, 1)(u).astype(float)
+    theta = np.where(theta < 0.0, theta + 2.0 * cmath.pi, np.where(keep, theta, np.nan))
+    return c_prod(np.sqrt(r), _EXP(c_prod(0.5j, theta)).astype(complex))
+
+
 def _halfline_root(z, v):
     """sqrt(z - v) of the half-line coefficients; the cut [v, inf) is rejected."""
     z = complex(z)
@@ -111,6 +173,14 @@ def m_schrodinger_halfline(z, v=0.0):
     Real and negative on (-inf, v); the cut [v, inf) is rejected.
     """
     return 1j * _halfline_root(z, v)
+
+
+@np.errstate(all="ignore")
+def m_schrodinger_halfline_grid(zs, v=0.0):
+    """``m_schrodinger_halfline`` over the complex array zs (v broadcast against
+    it), bit for bit; nan on the cut and where ``sqrt_cut`` is left to it."""
+    m = c_prod(1j, _sqrt_cut_grid(c_diff(zs, v)))
+    return np.where((zs.imag == 0.0) & (zs.real >= v), np.nan, m)
 
 
 def dm_schrodinger_halfline(z, v=0.0):
@@ -176,6 +246,21 @@ def m_interval(z, v=0.0, d=1.0):
         return (u * d * (1.0 + arg * arg / 3.0),
                 -1.0 / d + u * d / 3.0 + u * u * d**3 / 45.0)
     return w * _tan(arg, "w*d"), -w * _cot(arg, "w*d")
+
+
+@np.errstate(all="ignore")
+def m_interval_grid(zs, v=0.0, d=1.0):
+    """``m_interval`` over the complex array zs, bit for bit; nan where that is
+    left to it: where ``sqrt_cut`` is, w d not finite or in the series disc, and
+    |Im w d| below POLE_GUARD (the pole test compares) or past _TRIG_SATURATION."""
+    _check_interval(d)
+    arg = c_prod(w := _sqrt_cut_grid(c_diff(zs, v)), d)
+    r, im = np.hypot(arg.real, arg.imag), np.abs(arg.imag)
+    keep = (_SERIES_CUTOFF <= r) & (r < np.inf) & (POLE_GUARD <= im) & (im <= _TRIG_SATURATION)
+    arg = np.where(keep, arg, 1.0)
+    cot = c_quot(_COS(arg).astype(complex), _SIN(arg).astype(complex))
+    return (np.where(keep, c_prod(w, _TAN(arg).astype(complex)), np.nan),
+            np.where(keep, c_prod(-w, cot), np.nan))
 
 
 def dm_interval(z, v=0.0, d=1.0):

@@ -245,19 +245,26 @@ class JCModel:
         """Normalized Weyl function M^S of the tensored two-lead triplet.
 
         diag over (side, Fock level) of (m(z - k; v) - Re a) / Im a with a
-        the ``anchors``, in scalar arithmetic; identically iI at z = i.
+        the ``anchors``, in scalar arithmetic, and in its array form for a
+        z-grid, bit for bit; identically iI at z = i.
         """
         a = self.anchors.tolist()
         if any(w.imag <= 0 for w in a):
             raise ValueError("a lead anchor m(i - k; v) has non-positive imaginary part")
         levels = [(v, k) for v in (self.v_l, self.v_r) for k in range(self.fock.dim)]
+        vs, ks = (np.array(col, dtype=float)[:, None] for col in zip(*levels))
+        anchors = self.anchors[:, None]
 
         def ev(z):
             z = complex(z)
             return [(hg.m_schrodinger_halfline(z - k, v) - w.real) / w.imag
                     for (v, k), w in zip(levels, a)]
 
-        return WeylFunction(len(a), ev, diagonal=True)
+        def ev_grid(zs):  # ev's values over an array, rounded as ev rounds them
+            m = hg.m_schrodinger_halfline_grid(hg.c_diff(zs, ks), vs)
+            return hg.c_quot(hg.c_diff(m, anchors.real), anchors.imag)
+
+        return WeylFunction(len(a), ev, diagonal=True, eval_grid=ev_grid)
 
     @cached_property
     def lead_triplet(self):

@@ -5,7 +5,7 @@ Dirac half-line and interval (mass s = c^2/2), and the two-lead
 full-line point contact.  Each family is declared once, as one entry
 of ``FAMILY_TABLE``: its factory and parameter checks, its boundary
 dimension and Weyl diagonal (scalar coefficients from :mod:`herglotz`; an
-interval's pair (m1, m2) is one call per z), its gamma-field
+interval's pair (m1, m2) is one call per z, a Schrodinger z-grid one), its gamma-field
 columns (explicit solutions of the defect equation whose Gamma0-traces
 are the standard basis, from one half-line exponential, one even/odd
 interval helper and ``contact_columns``, shared with the JC leads), its
@@ -322,12 +322,13 @@ class _Family:
 
     factory: object
     checks: tuple  # each spec -> None, raising ValueError
-    # names of the herglotz coefficient and its z-derivative (or None), looked
-    # up when a triplet is built, so wrappers installed on herglotz see calls
+    # names of the herglotz coefficient, its array form and its z-derivative (or
+    # None), looked up when a triplet is built, so wrappers installed on herglotz see calls
     m: str
+    m_grid: str
     dm: str
     dim: int  # boundary dimension
-    diagonal: object  # (spec, m or dm) -> z -> the dim scalars of the diagonal
+    diagonal: object  # (spec, m, m_grid or dm) -> z or zs -> the dim scalars of the diagonal
     kernel: object  # (spec, z) -> AnalyticKernel fields of the gamma columns
     traces: object  # (spec, values, x-derivatives at the boundary points) -> G0, G1
     defect: object  # (spec, z, x, u, h) -> residual of (A* - z) u at x[1:-1]
@@ -336,31 +337,32 @@ class _Family:
 
 FAMILY_TABLE = {
     "schrodinger-right": _Family(
-        schrodinger_right, (), "m_schrodinger_halfline", "dm_schrodinger_halfline", 1,
-        lambda s, m: lambda z: [m(z, s.v)],
+        schrodinger_right, (), "m_schrodinger_halfline", "m_schrodinger_halfline_grid",
+        "dm_schrodinger_halfline", 1, lambda s, m: lambda z: [m(z, s.v)],
         partial(_halfline_kernel, 1j, "b", _schrodinger_wave),
         lambda s, f, d: (f[0, :1], d[0, :1]), _constant_v_defect),
     "schrodinger-left": _Family(
-        schrodinger_left, (), "m_schrodinger_halfline", "dm_schrodinger_halfline", 1,
-        lambda s, m: lambda z: [m(z, s.v)],
+        schrodinger_left, (), "m_schrodinger_halfline", "m_schrodinger_halfline_grid",
+        "dm_schrodinger_halfline", 1, lambda s, m: lambda z: [m(z, s.v)],
         partial(_halfline_kernel, -1j, "a", _schrodinger_wave),
         lambda s, f, d: (f[0, :1], -d[0, :1]), _constant_v_defect),
     "schrodinger-interval": _Family(
-        schrodinger_interval, (_check_endpoints,), "m_interval", "dm_interval", 2,
-        lambda s, m: partial(m, v=s.v, d=s.half_length), _schrodinger_interval_kernel,
+        schrodinger_interval, (_check_endpoints,), "m_interval", "m_interval_grid", "dm_interval",
+        2, lambda s, m: partial(m, v=s.v, d=s.half_length), _schrodinger_interval_kernel,
         lambda s, f, d: _symmetrized(f[:, 0], [d[0, 0], -d[1, 0]]), _constant_v_defect),
     "dirac-right": _Family(
-        dirac_right, (_check_speed,), "m_dirac", None, 1,
+        dirac_right, (_check_speed,), "m_dirac", None, None, 1,
         lambda s, m: lambda z: [m(z, s.c)], partial(_halfline_kernel, 1j, "b", _dirac_wave),
         lambda s, f, d: (f[0, :1], (1j * s.c) * f[0, 1:]), _dirac_defect, value_dim=2),
     "dirac-interval": _Family(
-        dirac_interval, (_check_endpoints, _check_speed), "m_dirac_interval", None, 2,
+        dirac_interval, (_check_endpoints, _check_speed), "m_dirac_interval", None, None, 2,
         lambda s, m: partial(m, c=s.c, d=s.half_length), _dirac_interval_kernel,
         lambda s, f, d: _symmetrized(f[:, 0], [1j * s.c * f[0, 1], -1j * s.c * f[1, 1]]),
         _dirac_defect, value_dim=2),
     "full-line-contact": _Family(
-        full_line_contact, (), "m_schrodinger_halfline", "dm_schrodinger_halfline", 2,
-        lambda s, m: lambda z: [m(z, s.v_l), m(z, s.v_r)], _contact_kernel,
+        full_line_contact, (), "m_schrodinger_halfline", "m_schrodinger_halfline_grid",
+        "dm_schrodinger_halfline", 2, lambda s, m: lambda z: [m(z, s.v_l), m(z, s.v_r)],
+        _contact_kernel,
         # one-sided traces at the contact: the kernel holds the left column's
         # -0 limit and the right column's +0 limit at x = 0
         lambda s, f, d: (np.diag(f[0, 0]), np.diag([-d[0, 0, 0], d[0, 0, 1]])),
@@ -374,9 +376,10 @@ FAMILIES = tuple(FAMILY_TABLE)
 def _weyl_matrix(spec):
     fam = FAMILY_TABLE[spec.family]
 
-    def diag(name):  # z -> the family's scalars, one per boundary coordinate
+    def diag(name):  # z (or zs) -> the family's scalars, one per boundary coordinate
         return name and fam.diagonal(spec, getattr(hg, name))
-    return WeylFunction(fam.dim, diag(fam.m), diag(fam.dm), diagonal=True)
+    return WeylFunction(fam.dim, diag(fam.m), diag(fam.dm), diagonal=True,
+                        eval_grid=diag(fam.m_grid))
 
 
 def _gamma_kernel(spec, z):

@@ -94,6 +94,9 @@ class WeylFunction:
     eval: object  # callable z -> (dim, dim) array, or its diagonal's dim scalars
     derivative: object = None  # optional callable, same form as eval
     diagonal: bool = False
+    # optional array form of a diagonal eval, for grid: complex array zs -> the
+    # dim scalars over zs, bit for bit eval's where finite (non-finite: left to eval)
+    eval_grid: object = None
 
     def __call__(self, z):
         out = np.asarray(self.eval(z), dtype=complex)
@@ -107,11 +110,18 @@ class WeylFunction:
 
     def grid(self, zs):
         """M(z) at each z of ``zs``, shape (len(zs), dim, dim), bit for bit the
-        stacked self(z); a diagonal one costs its scalar calls and one scatter."""
+        stacked self(z); a diagonal one costs its scalar calls (or its array form
+        and one per point left, in grid order) and one scatter."""
         n, d = len(zs), self.dim
         if not self.diagonal:
             return np.array([self(z) for z in zs], dtype=complex).reshape(n, d, d)
-        vals = np.array([self.eval(z) for z in zs], dtype=complex).reshape(n, d)
+        if self.eval_grid is None:
+            vals = np.array([self.eval(z) for z in zs], dtype=complex).reshape(n, d)
+        else:
+            zs = np.asarray(zs, dtype=complex).reshape(n)
+            vals = np.stack(self.eval_grid(zs), axis=-1).reshape(n, d)
+            for i in np.flatnonzero(~np.isfinite(vals).all(axis=1)):
+                vals[i] = self.eval(zs[i])
         out = np.zeros((n, d, d), dtype=complex)
         out.reshape(n, d * d)[:, :: d + 1] = vals
         return out

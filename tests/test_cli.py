@@ -1115,6 +1115,28 @@ def test_grid_sweep_frozen_bytes(tmp_path, capsys, op, fmt):
     assert hashlib.sha256(blob).hexdigest() == _GRID_SWEEP_SHA256[op, fmt]
 
 
+# every task that renders a table, on the configs above, and jc-weyl's 3,530
+# column names at N = 20
+_HEAD_OPS = {op: (task, text) for op, (task, _, text) in _GRID_SWEEP_OPS.items()
+             if task != "validate"}
+_HEAD_OPS["spectrum"] = ("spectrum", "jc.alpha = 0\njc.beta = 1\njc.tau = 0.5\njc.N = 2\n")
+_HEAD_OPS["jc-weyl-N20"] = ("weyl-sample", "jc.alpha = 0\njc.beta = 1\njc.tau = 0.5\n"
+                                           "jc.N = 20\ngrid.z_list = 1j\n")
+
+
+@pytest.mark.parametrize("op", list(_HEAD_OPS))
+def test_table_json_head_is_render_jsons(tmp_path, capsys, op):
+    # the JSON table's head comes from json.dumps(header, indent=4): the bytes
+    # of _render_json's list at depth 1 for any non-empty header
+    task, text = _HEAD_OPS[op]
+    rc, out, _ = run(capsys, [task, "--config", write(tmp_path, "h.cfg", text),
+                              "--format", "json"])
+    assert rc == 0
+    header = json.loads(out)["columns"]
+    assert len(header) == (3530 if op == "jc-weyl-N20" else len(header)) > 0
+    assert out.startswith('{\n  "columns": %s,\n  "rows": [\n' % cli._render_json(header, 1))
+
+
 def test_validate_all_checks_pass(tmp_path, capsys):
     cfg = write(tmp_path, "v.cfg", "\n")
     rc, out, _ = run(capsys, ["validate", "--config", cfg])
