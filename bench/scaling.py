@@ -1,6 +1,6 @@
 """How the JC dot's correction and kernel-check stages scale in N and the grid,
-what one jc-run rung costs on a fresh model, and what Weyl-matrix evaluation
-costs per z.
+what one jc-run rung costs on a fresh model, what Weyl-matrix evaluation
+costs per z, and what validate's Gram quadrature costs.
 
     python3 bench/scaling.py [--size {full,tiny}] [--parent DIR] [--out FILE]
 
@@ -41,6 +41,13 @@ renderer's 2**14 cells holding that shape's share of zero cells and of
 distinct values (measured on the seed-0 tables), with magnitudes
 log-uniform over [1e-4, 10] and random signs.  Reported per shape and
 format: median and quartiles, and the median in ns per cell.
+
+The Gram-quadrature stage times ``AnalyticKernel.gram`` on the 8 Gram pairs
+of ``validate``'s two quadrature rows (``GRAM_PAIRS``): the Schrodinger
+half-line at (z, zeta) = (i, 2 + i) and (-1 + 0.5i, 0.5 + 2i), and the six
+atom images of its tensor triplet over levels 0..5 at (-1 + 0.5i, 0.5 + 2i),
+after one untimed pass.  A sample is the 8 calls in turn.  Reported: median
+and quartiles, and the median in ms per call.
 
 With ``--parent DIR`` the checkout at DIR (its ``src/``) is measured too,
 in child processes alternating with this one (parent, change, change,
@@ -94,6 +101,13 @@ RENDER = "render_s"
 RENDER_SHAPES = {"jc-weyl": (3530, 0.976, 0.024), "model-weyl": (10, 0.40, 0.41),
                  "krein-kernel": (4, 0.0, 0.40), "gamma-sample": (5, 0.0, 1.0)}
 RENDER_SAMPLES = 3
+# the Gram-quadrature stage: validate's half-line (z, zeta) pairs, the tensor's
+# pair and its levels, and samples per repeat
+GRAM = "gram_s"
+GRAM_PAIRS = {"halfline": ((1j, 2.0 + 1.0j), (-1.0 + 0.5j, 0.5 + 2.0j)),
+              "tensor": ((-1.0 + 0.5j, 0.5 + 2.0j),)}
+GRAM_LEVELS = 6
+GRAM_SAMPLES = 3
 
 
 def jc_model(jd, N):
@@ -134,12 +148,14 @@ def points(size):
 
 
 def measure(src, size):
-    """Samples of both stages at every point, with the library under ``src``."""
+    """Samples of every stage, with the library under ``src``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from worker import environment
     from weyltriplets import cli
     from weyltriplets import jcdot as jd
     from weyltriplets import models1d as m1
+    from weyltriplets.spectral import SpectralMeasurePP
+    from weyltriplets.tensor import tensor_normalized
     from weyltriplets.triplets import BoundaryCondition, krein_correction
 
     solves = count_solves(jd)
@@ -171,6 +187,14 @@ def measure(src, size):
             cli._table_text(header, table, fmt)
             renders.append({"table": name, "format": fmt, "cells": table.size,
                             "header": header, "data": table, RENDER: []})
+    right = m1.build_triplet(m1.schrodinger_right())
+    tt = tensor_normalized(right, SpectralMeasurePP.from_levels(range(GRAM_LEVELS))).assembled
+    grams = [(right.gamma(zeta), right.gamma(z)) for z, zeta in GRAM_PAIRS["halfline"]]
+    grams += [pair for z, zeta in GRAM_PAIRS["tensor"]
+              for pair in zip(tt.gamma(zeta).images, tt.gamma(z).images)]
+    for A, B in grams:
+        A.gram(B)
+    gram = {"calls": len(grams), GRAM: []}
     for _ in range(SIZES[size]["repeats"]):
         for case in cases:
             before = solves[0]
@@ -206,12 +230,18 @@ def measure(src, size):
             t0 = perf_counter()
             cli._table_text(r["header"], r["data"], r["format"])
             r[RENDER].append(perf_counter() - t0)
+        for _ in range(GRAM_SAMPLES):
+            t0 = perf_counter()
+            for A, B in grams:
+                A.gram(B)
+            gram[GRAM].append(perf_counter() - t0)
     return {"environment": environment(),
             "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases],
             "checks": [{k: c[k] for k in ("N", CHECK)} for c in checks],
             "weyl": [{k: ev[k] for k in ("weyl", "n_z", WEYL)} for ev in evals],
             "rungs": rungs,
-            "renders": [{k: r[k] for k in ("table", "format", "cells", RENDER)} for r in renders]}
+            "renders": [{k: r[k] for k in ("table", "format", "cells", RENDER)} for r in renders],
+            "gram": gram}
 
 
 def count_solves(module):
@@ -254,6 +284,8 @@ def fit_slopes(rows, stage):
 def side_report(runs, size):
     """Pool the samples of one side's child runs; summaries and slopes."""
     pooled, pooled_checks, pooled_weyl, pooled_rungs, pooled_renders = {}, {}, {}, {}, {}
+    pooled_gram = [s for run in runs for s in run["gram"][GRAM]]
+    calls = runs[0]["gram"]["calls"]
     for run in runs:
         for p in run["points"]:
             slot = pooled.setdefault((p["N"], p["nx"]), {s: [] for s in STAGES})
@@ -286,7 +318,9 @@ def side_report(runs, size):
     slopes[CHECK] = fit_slopes(checks, CHECK)
     return {"environments": [r["environment"] for r in runs], "points": table,
             "checks": checks, "slopes": slopes, "weyl": weyl, "rungs": rungs,
-            "renders": renders}
+            "renders": renders,
+            "gram": {"calls": calls, GRAM: summary(pooled_gram),
+                     "ms_per_call": 1e3 * statistics.median(pooled_gram) / calls}}
 
 
 def main(argv=None):
@@ -313,8 +347,8 @@ def main(argv=None):
         "what": "dot_resolvent_correction and its KreinCorrection.kernel step, "
                 "z = %r, kernel_equivalence, WeylFunction.grid per z-grid, and one "
                 "jc-run rung (decoupling_report, weyl_S, dot_resolvent_correction) "
-                "on fresh models, and cli._table_text on the grid-sweep table shapes, "
-                "one BLAS thread" % Z,
+                "on fresh models, cli._table_text on the grid-sweep table shapes, and "
+                "AnalyticKernel.gram on validate's 8 Gram pairs, one BLAS thread" % Z,
         # the parent checkout's path is a local detail, left out
         "command": "python3 bench/scaling.py --size %s%s"
                    % (args.size, " --parent PARENT" if args.parent else ""),
@@ -322,6 +356,7 @@ def main(argv=None):
         "repeats_per_child": SIZES[args.size]["repeats"],
         "rung_samples_per_repeat": RUNG_SAMPLES,
         "render_samples_per_repeat": RENDER_SAMPLES,
+        "gram_samples_per_repeat": GRAM_SAMPLES,
         "order": order,
         "sides": {name: side_report(runs[name], args.size) for name in sides},
     }
@@ -347,6 +382,10 @@ def main(argv=None):
             print("%-7s render %-12s %-4s %8d cells %.4g s [%.4g, %.4g]  %.1f ns/cell"
                   % (name, r["table"], r["format"], r["cells"], r[RENDER]["median"],
                      r[RENDER]["q1"], r[RENDER]["q3"], r["ns_per_cell"]))
+        g = rep["gram"]
+        print("%-7s gram quadrature, validate's %d calls %.4g s [%.4g, %.4g]  %.3g ms/call"
+              % (name, g["calls"], g[GRAM]["median"], g[GRAM]["q1"], g[GRAM]["q3"],
+                 g["ms_per_call"]))
     print(json.dumps(doc))
     return 0
 
