@@ -1,6 +1,7 @@
 """How the JC dot's correction and kernel-check stages scale in N and the grid,
 what one jc-run rung costs on a fresh model, what Weyl-matrix evaluation
-costs per z, and what validate's Gram quadrature costs.
+costs per z, what rendering a table to a file costs, and what validate's Gram
+quadrature and two of its oracles cost.
 
     python3 bench/scaling.py [--size {full,tiny}] [--parent DIR] [--out FILE]
 
@@ -33,11 +34,12 @@ Im z in [0.3, 2.3], as one complex array in ``weyl-sample``'s order.
 Reported per function and grid: median and quartiles, and the median in
 microseconds per z.
 
-The rendering stage times ``cli._table_text``, csv and JSON, on seeded
+The rendering stage times ``cli._table_text`` written to a file by
+``cli._write_out``, as the CLI writes ``--out``, csv and JSON, on seeded
 synthetic tables of the four ``grid-sweep`` table shapes (``RENDER_SHAPES``):
 jc-weyl's 256 x 3530 of mostly zeros, model-weyl's 16900 x 10,
-krein-kernel's 67600 x 4 and gamma-sample's 20000 x 5, each block of the
-renderer's 2**14 cells holding that shape's share of zero cells and of
+krein-kernel's 67600 x 4 and gamma-sample's 20000 x 5, each block of
+2**14 cells holding that shape's share of zero cells and of
 distinct values (measured on the seed-0 tables), with magnitudes
 log-uniform over [1e-4, 10] and random signs.  Reported per shape and
 format: median and quartiles, and the median in ns per cell.
@@ -49,6 +51,11 @@ atom images of its tensor triplet over levels 0..5 at (-1 + 0.5i, 0.5 + 2i),
 after one untimed pass.  A sample is the 8 calls in turn.  Reported: median
 and quartiles, and the median in ms per call.
 
+The oracle stage times, after one untimed pass, ``oracle.fd_m_function`` on
+``validate``'s two grids (``FD_GRIDS``: h = 2e-3 and 1e-3, L = 40, z = -1) and
+``cli._dense_toy_residuals(0)``, ``validate``'s three dense toys.  Reported per
+part: median and quartiles.
+
 With ``--parent DIR`` the checkout at DIR (its ``src/``) is measured too,
 in child processes alternating with this one (parent, change, change,
 parent), and the samples of each side are pooled.  ``--out`` writes the
@@ -59,9 +66,11 @@ process; the last line on stdout is always the whole document.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -108,6 +117,11 @@ GRAM_PAIRS = {"halfline": ((1j, 2.0 + 1.0j), (-1.0 + 0.5j, 0.5 + 2.0j)),
               "tensor": ((-1.0 + 0.5j, 0.5 + 2.0j),)}
 GRAM_LEVELS = 6
 GRAM_SAMPLES = 3
+# the oracle stage: validate's FD m-function grids (h, L) at z = -1, its dense-toy
+# residuals at seed 0, and samples per repeat
+ORACLE_PARTS = ("fd_m_s", "dense_toy_s")
+FD_GRIDS = ((2e-3, 40.0), (1e-3, 40.0))
+ORACLE_SAMPLES = 3
 
 
 def jc_model(jd, N):
@@ -116,8 +130,7 @@ def jc_model(jd, N):
 
 
 def render_table(rows, cols, zeros, share, seed):
-    """A seeded table in which each block of 2**14 cells in row order (as the
-    renderer takes it) has ``zeros`` of its cells 0.0 and ``share`` of them
+    """A seeded table in which each block of 2**14 cells in row order has ``zeros`` of its cells 0.0 and ``share`` of them
     distinct values."""
     rng = np.random.default_rng(seed)
     blocks = []
@@ -154,6 +167,7 @@ def measure(src, size):
     from weyltriplets import cli
     from weyltriplets import jcdot as jd
     from weyltriplets import models1d as m1
+    from weyltriplets.oracle import FDGrid, fd_m_function
     from weyltriplets.spectral import SpectralMeasurePP
     from weyltriplets.tensor import tensor_normalized
     from weyltriplets.triplets import BoundaryCondition, krein_correction
@@ -178,13 +192,13 @@ def measure(src, size):
     for ev in evals:
         ev["fn"](ev["zs"])
     rungs = [{"N": N, RUNG: [], "solves": []} for N in SIZES[size]["rung_N"]]
-    renders = []
+    renders, render_out = [], Path(tempfile.mkdtemp(prefix="render-")) / "table.out"
     for i, (name, rows) in enumerate(SIZES[size]["render_rows"].items()):
         cols, zeros, share = RENDER_SHAPES[name]
         table = render_table(rows, cols, zeros, share, seed=i)
         header = ["c%d" % j for j in range(cols)]
         for fmt in ("csv", "json"):
-            cli._table_text(header, table, fmt)
+            cli._write_out(cli._table_text(header, table, fmt), str(render_out))
             renders.append({"table": name, "format": fmt, "cells": table.size,
                             "header": header, "data": table, RENDER: []})
     right = m1.build_triplet(m1.schrodinger_right())
@@ -195,6 +209,13 @@ def measure(src, size):
     for A, B in grams:
         A.gram(B)
     gram = {"calls": len(grams), GRAM: []}
+    oracle_parts = (
+        lambda: [fd_m_function(FDGrid(h, L), -1.0) for h, L in FD_GRIDS],
+        lambda: cli._dense_toy_residuals(0),
+    )
+    for part in oracle_parts:
+        part()
+    oracle = {name: [] for name in ORACLE_PARTS}
     for _ in range(SIZES[size]["repeats"]):
         for case in cases:
             before = solves[0]
@@ -228,20 +249,26 @@ def measure(src, size):
             ev[WEYL].append(perf_counter() - t0)
         for r in renders * RENDER_SAMPLES:
             t0 = perf_counter()
-            cli._table_text(r["header"], r["data"], r["format"])
+            cli._write_out(cli._table_text(r["header"], r["data"], r["format"]), str(render_out))
             r[RENDER].append(perf_counter() - t0)
         for _ in range(GRAM_SAMPLES):
             t0 = perf_counter()
             for A, B in grams:
                 A.gram(B)
             gram[GRAM].append(perf_counter() - t0)
+        for _ in range(ORACLE_SAMPLES):
+            for name, part in zip(ORACLE_PARTS, oracle_parts):
+                t0 = perf_counter()
+                part()
+                oracle[name].append(perf_counter() - t0)
+    shutil.rmtree(render_out.parent)
     return {"environment": environment(),
             "points": [{k: c[k] for k in ("N", "nx") + STAGES} for c in cases],
             "checks": [{k: c[k] for k in ("N", CHECK)} for c in checks],
             "weyl": [{k: ev[k] for k in ("weyl", "n_z", WEYL)} for ev in evals],
             "rungs": rungs,
             "renders": [{k: r[k] for k in ("table", "format", "cells", RENDER)} for r in renders],
-            "gram": gram}
+            "gram": gram, "oracle": oracle}
 
 
 def count_solves(module):
@@ -285,6 +312,8 @@ def side_report(runs, size):
     """Pool the samples of one side's child runs; summaries and slopes."""
     pooled, pooled_checks, pooled_weyl, pooled_rungs, pooled_renders = {}, {}, {}, {}, {}
     pooled_gram = [s for run in runs for s in run["gram"][GRAM]]
+    pooled_oracle = {name: [s for run in runs for s in run["oracle"][name]]
+                     for name in ORACLE_PARTS}
     calls = runs[0]["gram"]["calls"]
     for run in runs:
         for p in run["points"]:
@@ -320,7 +349,8 @@ def side_report(runs, size):
             "checks": checks, "slopes": slopes, "weyl": weyl, "rungs": rungs,
             "renders": renders,
             "gram": {"calls": calls, GRAM: summary(pooled_gram),
-                     "ms_per_call": 1e3 * statistics.median(pooled_gram) / calls}}
+                     "ms_per_call": 1e3 * statistics.median(pooled_gram) / calls},
+            "oracle": {name: summary(v) for name, v in pooled_oracle.items()}}
 
 
 def main(argv=None):
@@ -347,8 +377,10 @@ def main(argv=None):
         "what": "dot_resolvent_correction and its KreinCorrection.kernel step, "
                 "z = %r, kernel_equivalence, WeylFunction.grid per z-grid, and one "
                 "jc-run rung (decoupling_report, weyl_S, dot_resolvent_correction) "
-                "on fresh models, cli._table_text on the grid-sweep table shapes, and "
-                "AnalyticKernel.gram on validate's 8 Gram pairs, one BLAS thread" % Z,
+                "on fresh models, cli._table_text written to a file by cli._write_out on "
+                "the grid-sweep table shapes, AnalyticKernel.gram on validate's 8 Gram "
+                "pairs, and fd_m_function on validate's two grids and "
+                "cli._dense_toy_residuals(0), one BLAS thread" % Z,
         # the parent checkout's path is a local detail, left out
         "command": "python3 bench/scaling.py --size %s%s"
                    % (args.size, " --parent PARENT" if args.parent else ""),
@@ -357,6 +389,7 @@ def main(argv=None):
         "rung_samples_per_repeat": RUNG_SAMPLES,
         "render_samples_per_repeat": RENDER_SAMPLES,
         "gram_samples_per_repeat": GRAM_SAMPLES,
+        "oracle_samples_per_repeat": ORACLE_SAMPLES,
         "order": order,
         "sides": {name: side_report(runs[name], args.size) for name in sides},
     }
@@ -386,6 +419,9 @@ def main(argv=None):
         print("%-7s gram quadrature, validate's %d calls %.4g s [%.4g, %.4g]  %.3g ms/call"
               % (name, g["calls"], g[GRAM]["median"], g[GRAM]["q1"], g[GRAM]["q3"],
                  g["ms_per_call"]))
+        for part, v in rep["oracle"].items():
+            print("%-7s oracle %-11s %.4g s [%.4g, %.4g]"
+                  % (name, part, v["median"], v["q1"], v["q3"]))
     print(json.dumps(doc))
     return 0
 

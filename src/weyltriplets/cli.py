@@ -624,7 +624,7 @@ def _dense_toy_residuals(seed):
     rng = np.random.default_rng(seed)
     for k in range(3):
         toy = make_dense_toy(6, 2, seed + k)
-        worst_green = max(worst_green, toy.green_identity_residual())
+        worst_green = max(worst_green, toy.green_residual)
         B = toy.Q0 + np.eye(2)
         trip = toy.as_triplet()
         for z in (1j, -2.0 + 0.5j, 1.5 + 2.0j):
@@ -915,15 +915,15 @@ def _g17(vals):
 
 
 def _table_text(header, table, fmt):
-    """Render a 2-D float64 array as csv or JSON, every cell as ``%.17g``.
+    """Render a 2-D float64 array as csv or JSON byte blocks, every cell as ``%.17g``.
 
-    Finiteness is checked once; the error names the first non-finite value in row
-    order.  The cells, in row order, are rendered by blocks of 2**14 (larger blocks
-    raise the peak memory) into one uint8 buffer: a 24-byte slot per cell and a slot for
-    the separator after it (within a row, after a row or after the table), both padded
-    with NUL, which ``buf[buf != 0]`` drops.  A cell whose bits are 0 is written as "0";
-    each other distinct bit pattern of the block (-0.0 is not 0.0) is formatted once by
-    ``_g17``."""
+    Finiteness is checked before the first block; the error names the first non-finite
+    value in row order.  The cells, in row order, are taken in spans of 2**16: each
+    distinct bit pattern of a span (-0.0 is not 0.0) is formatted once, by ``_g17`` in
+    batches of at most 2**14, and a cell whose bits are 0 is written as "0".  A block of
+    2**14 cells is laid out in one uint8 buffer (larger blocks raise the peak memory): a
+    24-byte slot per cell and a slot for the separator after it (within a row, after a
+    row or after the table), both padded with NUL, which ``buf[buf != 0]`` drops."""
     finite = np.isfinite(table)
     if not finite.all():
         raise ArithmeticError("non-finite result %r" % float(table[~finite][0]))
@@ -936,34 +936,50 @@ def _table_text(header, table, fmt):
     else:
         head, tail, row_open, seps = ",".join(header) + "\n", "\n", "", [",", "\n", "\n"]
     if not len(table):
-        return head + tail
+        yield (head + tail).encode()
+        return
+    yield (head + row_open).encode()
     w = max(map(len, seps))
     seps = np.frombuffer("".join(s.ljust(w, "\0") for s in seps).encode(), np.uint8).reshape(3, w)
-    ncols, parts = table.shape[1], [head + row_open]
+    ncols = table.shape[1]
     flat = np.ascontiguousarray(table).reshape(-1).view(np.uint64)
-    for s in range(0, len(flat), 16384):
-        bits = flat[s:s + 16384]
+    for s in range(0, len(flat), 65536):
+        bits = flat[s:s + 65536]
         nz = np.flatnonzero(bits)
         u, inv = np.unique(bits[nz], return_inverse=True)
         # a row per distinct text, then "0", each followed by the separator within a row
         texts = np.zeros((len(u) + 1, 24 + w), np.uint8)
-        texts[:-1, :24], texts[-1, 0], texts[:, 24:] = _g17(u.view(float)), 48, seps[0]
+        for t in range(0, len(u), 16384):
+            texts[:-1, :24][t:t + 16384] = _g17(u[t:t + 16384].view(float))
+        texts[-1, 0], texts[:, 24:] = 48, seps[0]
         at = np.full(len(bits), len(u))
         at[nz] = inv
-        buf = texts.take(at, axis=0)
-        buf[(ncols - 1 - s) % ncols::ncols, 24:] = seps[1]
-        buf[len(flat) - 1 - s:, 24:] = seps[2]  # empty unless the table ends in this block
-        parts.append(buf[buf != 0].tobytes().decode("ascii"))
-    return "".join(parts)
+        for b in range(s, s + len(bits), 16384):
+            buf = texts.take(at[b - s:b - s + 16384], axis=0)
+            buf[(ncols - 1 - b) % ncols::ncols, 24:] = seps[1]
+            buf[len(flat) - 1 - b:, 24:] = seps[2]  # empty unless the table ends in this block
+            yield buf[buf != 0].tobytes()
 
 
-def _write_out(text, out_path):
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
+def _write_out(blocks, out_path):
+    """Write byte blocks to ``out_path``, or to stdout for None or "-", as they come.
+
+    The first block is formed before the file is opened, so a table that fails its
+    finiteness check leaves no file.  A stdout with no binary ``buffer`` (such as an
+    ``io.StringIO``) is given each block decoded."""
+    blocks = iter(blocks)
+    first = next(blocks, b"")
+    if out_path not in (None, "-"):
+        with open(out_path, "wb") as fh:
+            fh.write(first)
+            fh.writelines(blocks)
         return
-    # newline='' keeps the emitted bytes platform-independent
-    with open(out_path, "w", newline="") as fh:
-        fh.write(text)
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    write = out.write if out is not None else lambda block: sys.stdout.write(block.decode())
+    write(first)
+    for block in blocks:
+        write(block)
 
 
 # -- entry point --------------------------------------------------------------
@@ -996,13 +1012,13 @@ def main(argv=None):
             if args.format == "json":
                 raise ConfigError("validate emits a table; json is not available")
             text, n_fail = _validate_text(_validate_checks(args.seed), args.format)
-            _write_out(text, args.out)
+            _write_out([text.encode()], args.out)
             return EXIT_OK if n_fail == 0 else EXIT_VALIDATION
         if args.task == "jc-run":
             if args.format == "csv":
                 raise ConfigError("jc-run emits a JSON document; csv is not available")
             doc = _task_jc_run(cfg, args)
-            _write_out(_render_json(doc) + "\n", args.out)
+            _write_out([(_render_json(doc) + "\n").encode()], args.out)
             return EXIT_OK
         task_fn = {
             "weyl-sample": _task_weyl_sample,

@@ -174,13 +174,16 @@ def test_table_text_matches_per_cell_renderer(header, fmt):
     for col, name in enumerate(header):
         if name in ("index", "multiplicity"):
             table[:, col] = np.arange(len(table)) * (1 + col)
-    assert cli._table_text(header, table, fmt) == _per_cell_table_text(header, table, fmt)
+    assert b"".join(cli._table_text(header, table, fmt)) == (
+        _per_cell_table_text(header, table, fmt).encode())
 
 
-def _assert_renders_per_cell(header, table, fmt):
-    """The renderer's text equals the oracle's; a mismatch reports its first
+def _assert_renders_per_cell(header, table, fmt, got=None):
+    """The renderer's bytes (or ``got``) equal the oracle's; a mismatch reports its first
     difference (a full diff of megabytes of text would take minutes)."""
-    got, want = cli._table_text(header, table, fmt), _per_cell_table_text(header, table, fmt)
+    if got is None:
+        got = b"".join(cli._table_text(header, table, fmt))
+    want = _per_cell_table_text(header, table, fmt).encode()
     if got != want:
         k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
                  min(len(got), len(want)))
@@ -249,9 +252,9 @@ def test_table_text_matches_per_cell_renderer_on_a_zero_heavy_table(fmt):
 def test_table_text_zero_rows():
     # the bytes the renderer always gave, not those of _render_json's "[]"
     empty = np.empty((0, 2))
-    assert cli._table_text(["a", "b"], empty, "csv") == "a,b\n\n"
-    assert cli._table_text(["a", "b"], empty, "json") == (
-        '{\n  "columns": [\n    "a",\n    "b"\n  ],\n  "rows": [\n\n  ]\n}\n')
+    assert b"".join(cli._table_text(["a", "b"], empty, "csv")) == b"a,b\n\n"
+    assert b"".join(cli._table_text(["a", "b"], empty, "json")) == (
+        b'{\n  "columns": [\n    "a",\n    "b"\n  ],\n  "rows": [\n\n  ]\n}\n')
 
 
 def test_table_text_names_first_non_finite_value_in_row_order():
@@ -260,8 +263,78 @@ def test_table_text_names_first_non_finite_value_in_row_order():
     table[0, 3] = np.inf
     for fmt in ("csv", "json"):
         with pytest.raises(ArithmeticError) as exc:
-            cli._table_text(["a", "b", "c", "d"], table, fmt)
+            next(cli._table_text(["a", "b", "c", "d"], table, fmt))
         assert str(exc.value) == "non-finite result inf"
+
+
+# The writer: the blocks of cli._table_text written to --out as they come
+
+
+def _span_table(rng, rows, cols, zeros):
+    """Distinct random cells, ``zeros`` of them 0.0, in row order; the zero cells of
+    the renderer's spans of 2**16 cells are, in turn, both signs, only -0.0 and only 0.0,
+    and each span edge has signed zeros, a subnormal and a huge value beside it."""
+    n = rows * cols
+    flat = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    zero = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    span = np.arange(n) // 65536 % 3
+    zero[span == 1], zero[span == 2] = -0.0, 0.0
+    is_zero = rng.random(n) < zeros
+    flat[is_zero] = zero[is_zero]
+    for edge in range(65536, n, 65536):
+        flat[edge - 3:edge + 3] = [-0.0, 0.0, 5e-324, -0.0, 1e300, 2.5][:n - edge + 3]
+    return flat.reshape(rows, cols)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("zeros", [0.97, 0.0], ids=["zero-heavy", "dense"])
+@pytest.mark.parametrize("rows, cols", [(13107, 5), (16384, 4), (1, 65537), (196613, 1)],
+                         ids=["span-minus-1", "span", "span-plus-1", "3-spans-plus-5"])
+def test_table_text_written_to_out_matches_per_cell_renderer(tmp_path, fmt, zeros, rows, cols):
+    # 2**16 - 1, 2**16, 2**16 + 1 and 3 * 2**16 + 5 cells; a dense span has more distinct
+    # values than one _g17 batch of 2**14
+    table = _span_table(np.random.default_rng(rows + cols), rows, cols, zeros)
+    header = ["c%d" % j for j in range(cols)]
+    out = tmp_path / "table.out"
+    cli._write_out(cli._table_text(header, table, fmt), str(out))
+    _assert_renders_per_cell(header, table, fmt, got=out.read_bytes())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_text_written_to_out_for_the_empty_table(tmp_path, fmt):
+    out = tmp_path / "empty.out"
+    cli._write_out(cli._table_text(["a", "b"], np.empty((0, 2)), fmt), str(out))
+    assert out.read_bytes() == b"".join(cli._table_text(["a", "b"], np.empty((0, 2)), fmt))
+    assert out.read_bytes().startswith(b"a,b\n" if fmt == "csv" else b'{\n  "columns"')
+
+
+def test_table_text_non_finite_fails_before_out_is_opened(tmp_path):
+    table = np.ones((70000, 2))
+    table[69999, 1] = np.nan  # in the second span
+    missing, kept = tmp_path / "missing.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier output\n")
+    for path in (missing, kept):
+        with pytest.raises(ArithmeticError, match="non-finite result nan"):
+            cli._write_out(cli._table_text(["a", "b"], table, "csv"), str(path))
+    assert not missing.exists() and kept.read_bytes() == b"earlier output\n"
+    # through the CLI: exit 3, and no file
+    task, keys, fmt = _XI_OVERFLOW
+    cfg = write(tmp_path, "xi.cfg", "".join("%s = %s\n" % kv for kv in keys.items()))
+    assert cli.main([task, "--config", cfg, "--format", fmt, "--out", str(missing)]) == 3
+    assert not missing.exists()
+
+
+def test_table_text_to_stdout_text_or_bytes_matches_the_file(tmp_path, capsys):
+    # a stdout with a binary buffer gets the blocks; an io.StringIO gets them decoded
+    table = _span_table(np.random.default_rng(7), 30000, 3, 0.5)
+    out = tmp_path / "t.json"
+    cli._write_out(cli._table_text(["a", "b", "c"], table, "json"), str(out))
+    cli._write_out(cli._table_text(["a", "b", "c"], table, "json"), "-")
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli._write_out(cli._table_text(["a", "b", "c"], table, "json"), None)
+    assert text.getvalue().encode() == out.read_bytes()
 
 
 # The renderer's 17 digits against CPython's dtoa, which shares no code with the
@@ -336,14 +409,15 @@ def test_g17_widest_texts_fill_the_slot():
     # sign, 17 digits, a point and a three-digit exponent: 24 bytes, no padding
     for x in (-2.2250738585072014e-308, -1.7976931348623157e308):
         assert cli._g17(np.array([x]))[0].tobytes() == ("%.17g" % x).encode()
-        assert cli._table_text(["x"], np.array([[x, x]]), "csv") == "x\n%.17g,%.17g\n" % (x, x)
+        assert b"".join(cli._table_text(["x"], np.array([[x, x]]), "csv")) == (
+            b"x\n%.17g,%.17g\n" % (x, x))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_table_text_one_cell_matches_percent(x):
     table = np.array([[x]])
-    assert cli._table_text(["x"], table, "csv") == "x\n%s\n" % ("%.17g" % x)
+    assert b"".join(cli._table_text(["x"], table, "csv")) == b"x\n%.17g\n" % x
 
 
 def test_spectrum_resonant_pair(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Independent oracles: finite-difference half line and dense toys."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,40 @@ def test_fd_m_function_is_second_order():
     e_h = abs(orc.fd_m_function(orc.FDGrid(4e-3, 40.0), 1j) - exact)
     e_h2 = abs(orc.fd_m_function(orc.FDGrid(2e-3, 40.0), 1j) - exact)
     assert 3.5 < e_h / e_h2 < 4.5
+
+
+def _fd_m_per_step(grid, z):
+    """``fd_m_function``'s recursion with the rescale test on every step, as it was
+    before it ran in chunks; returns (m, number of rescales)."""
+    z = complex(z)
+    h, v, n = grid.h, grid.v, grid.n
+    a = 2.0 + h * h * (v - z)
+    u_next = 0.0 + 0.0j  # u_N
+    u = 1.0 + 0.0j  # u_{N-1}
+    rescales = 0
+    for j in range(n - 1, 0, -1):
+        u_prev = a * u - u_next
+        u_next, u = u, u_prev
+        if abs(u.real) > orc._RESCALE or abs(u.imag) > orc._RESCALE:
+            scale = 1.0 / max(abs(u.real), abs(u.imag))
+            u *= scale
+            u_next *= scale
+            rescales += 1
+    u0, u1 = u, u_next
+    u2 = a * u1 - u0
+    return (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h * u0), rescales
+
+
+@pytest.mark.parametrize("h, L, z, rescaled", [
+    (2e-3, 40.0, -1.0, False), (1e-3, 40.0, -1.0, False),  # validate's two grids
+    (1e-3, 400.0, -5.0, True), (5e-3, 2000.0, -4.0 + 1.0j, True),
+], ids=["validate-2e-3", "validate-1e-3", "rescaled-real", "rescaled-complex"])
+def test_fd_m_function_matches_the_per_step_recursion(h, L, z, rescaled):
+    # the chunked recursion gives the same bits, rescaling at the same steps; the
+    # two long grids overflow without rescaling
+    want, rescales = _fd_m_per_step(orc.FDGrid(h, L), z)
+    assert (rescales > 0) == rescaled
+    assert repr(orc.fd_m_function(orc.FDGrid(h, L), z)) == repr(want)
 
 
 def test_decay_budget_guard():
@@ -79,6 +115,16 @@ def test_dense_toy_construction_and_determinism():
     assert np.array_equal(toy.A0, again.A0)
     other = orc.make_dense_toy(6, 2, seed=2)
     assert not np.array_equal(toy.A0, other.A0)
+
+
+def test_dense_toy_holds_its_green_residual():
+    # validate's toys at seeds 0 and 3; a copy made field by field forms X, Y afresh
+    for seed in range(6):
+        toy = orc.make_dense_toy(6, 2, seed)
+        fresh = dataclasses.replace(toy)
+        assert toy.green_residual == fresh.green_identity_residual()
+        assert np.array_equal(toy.X, fresh.G.conj().T @ (fresh.A0 + 1j * np.eye(6)))
+        assert np.array_equal(toy.Y, fresh.G.conj().T @ fresh.A0 @ fresh.G - fresh.Q0)
 
 
 def test_dense_toy_weyl_is_herglotz():
