@@ -45,10 +45,12 @@ Every numeric is emitted with 17 significant digits so that a written
 value round-trips to the same double.  Outputs are byte-identical for
 the same config, seed, BLAS build and BLAS thread count (the thread
 count can change the rounding of dense solves and SVDs).  Exit codes:
-0 ok, 1 validation failure, 2 config error, 3 numeric failure (including
-a non-finite number in the output of a data task: each table is checked
-once before anything is written, and the message names its first
-non-finite value in row order).
+0 ok, 1 validation failure, 2 config error (a config that cannot be read
+or parsed included) or output error (an ``--out`` path or a stdout that
+cannot take the output), 3 numeric failure (including a non-finite
+number in the output of a data task: each table is checked once before
+anything is written, and the message names its first non-finite value
+in row order).
 """
 
 import argparse
@@ -56,6 +58,7 @@ import cmath
 import functools
 import inspect
 import json
+import os
 import sys
 from math import isfinite
 
@@ -63,11 +66,7 @@ import numpy as np
 
 from . import herglotz as hg
 from . import jcdot as jd
-from ._linalg import (
-    NotPositiveDefiniteError,
-    SingularMatrixError,
-    hermitian_funcm,
-)
+from ._linalg import hermitian_funcm
 from .models1d import (
     FACTORIES,
     FAMILIES,
@@ -82,7 +81,6 @@ from .models1d import (
 )
 from .oracle import FDGrid, fd_m_function, fd_resolvent_difference, make_dense_toy
 from .spectral import (
-    MomentDivergenceError,
     OperatorFunctionOnR,
     RefinementError,
     SpectralMeasurePP,
@@ -116,10 +114,7 @@ EXIT_NUMERIC = 3
 _NUMERIC_ERRORS = (
     hg.BranchCutError,
     hg.PoleError,
-    NotPositiveDefiniteError,
-    SingularMatrixError,
     GapViolationError,
-    MomentDivergenceError,
     RefinementError,
     QuadratureError,
     ArithmeticError,
@@ -129,6 +124,10 @@ _NUMERIC_ERRORS = (
 
 class ConfigError(ValueError):
     """Config parse or compatibility failure (CLI exit code 2)."""
+
+
+class _OutputError(Exception):
+    """An ``--out`` path or a stdout that cannot take the output (CLI exit code 2)."""
 
 
 # The most memory a task may be estimated to need; the estimate is made
@@ -176,10 +175,13 @@ class _Config:
         try:
             with open(path, "r") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read config %r: %s" % (path, exc))
         parse = cls._from_json if path.endswith(".json") else cls._from_text
-        cfg = cls(*parse(text, path), path, task)
+        try:
+            cfg = cls(*parse(text, path), path, task)
+        except RecursionError:
+            raise ConfigError("%s: objects nested too deeply" % path) from None
         for key in cfg.values:
             if key not in _TASK_KEYS[task]:
                 raise ConfigError("%s: key %r is not read by task %r"
@@ -966,20 +968,31 @@ def _write_out(blocks, out_path):
 
     The first block is formed before the file is opened, so a table that fails its
     finiteness check leaves no file.  A stdout with no binary ``buffer`` (such as an
-    ``io.StringIO``) is given each block decoded."""
+    ``io.StringIO``) is given each block decoded.  An ``OSError`` of the file or of
+    stdout (a directory, a missing parent, a reader that has gone) is an ``_OutputError``."""
     blocks = iter(blocks)
     first = next(blocks, b"")
     if out_path not in (None, "-"):
-        with open(out_path, "wb") as fh:
-            fh.write(first)
-            fh.writelines(blocks)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(first)
+                fh.writelines(blocks)
+        except OSError as exc:
+            raise _OutputError("cannot write --out %r: %s" % (out_path, exc.strerror or exc))
         return
-    sys.stdout.flush()
-    out = getattr(sys.stdout, "buffer", None)
-    write = out.write if out is not None else lambda block: sys.stdout.write(block.decode())
-    write(first)
-    for block in blocks:
-        write(block)
+    try:
+        sys.stdout.flush()
+        out = getattr(sys.stdout, "buffer", None)
+        write = out.write if out is not None else lambda block: sys.stdout.write(block.decode())
+        write(first)
+        for block in blocks:
+            write(block)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout again at exit: let that flush go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _OutputError("cannot write to stdout: %s" % (exc.strerror or exc))
 
 
 # -- entry point --------------------------------------------------------------
@@ -1031,6 +1044,9 @@ def main(argv=None):
         return EXIT_OK
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except _OutputError as exc:
+        print("output error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:
         print("numeric failure: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -92,10 +92,6 @@ class FockTruncation:
         return np.diag(np.sqrt(np.arange(1, self.dim)), 1)
 
     @property
-    def bdag(self):
-        return self.b.T.copy()
-
-    @property
     def T(self):
         return np.diag(np.arange(self.dim, dtype=float))
 
@@ -187,23 +183,27 @@ class JCModel:
     @cached_property
     def CJC(self):
         """C_JC in the dot-eigenbasis-outer, Fock-inner ordering."""
-        lam0, lam1, _ = self.dot.eigen()
-        f, d = self.fock, self.dot
-        ladder = np.kron(d.sigma_plus, f.b) + np.kron(d.sigma_minus, f.bdag)
-        # an overflow here is reported by the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            C = (np.kron(np.diag([lam0, lam1]), np.eye(f.dim))
-                 + np.kron(np.eye(2), f.T) + self.tau * ladder)
-        if not np.isfinite(C).all():
-            raise ArithmeticError("C_JC is not finite (overflow in the dot energies or tau)")
-        return _read_only(C)
+        return self._kron_sum(lambda A: A)
 
     @cached_property
     def site_CJC(self):
-        """C_JC expressed in the site (lead) basis of the dot."""
-        _, _, U = self.dot.eigen()
-        W = np.kron(U, np.eye(self.fock.dim))
-        return _read_only(W @ self.CJC @ W.conj().T)
+        """C_JC in the site (lead) basis: the same sum from U D U* and U S U*."""
+        U = self.dot.eigen()[2]
+        return self._kron_sum(lambda A: U @ A @ U.conj().T)
+
+    def _kron_sum(self, basis):
+        """D (x) I + I (x) T + tau (S (x) b + S* (x) b^T) with D = diag(lam0, lam1)
+        and S = sigma+ taken through ``basis``.  Each entry is one sum of 2x2 data
+        whatever N is, so the matrix at N is a block of the one at N + Delta."""
+        f = self.fock
+        # an overflow here is reported by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            D, S = basis(np.diag(self.dot.eigen()[:2])), basis(self.dot.sigma_plus)
+            C = (np.kron(D, np.eye(f.dim)) + np.kron(np.eye(2), f.T)
+                 + self.tau * (np.kron(S, f.b) + np.kron(S.conj().T, f.b.T)))
+        if not np.isfinite(C).all():
+            raise ArithmeticError("C_JC is not finite (overflow in the dot energies or tau)")
+        return _read_only(C)
 
     @cached_property
     def anchors(self):

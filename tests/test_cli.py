@@ -542,9 +542,11 @@ _KREIN_OP = "model.family = full-line-contact\nkrein.z = -1+0.5j\nkrein.variant 
      "{cfg}:4: key 'krein.entries': boundary operator payload must be Hermitian"),
     ("weyl-sample", "u.json", '{"model": {"family": "schrodinger-right", "bogus": 1}, '
      '"grid": {"z_list": ["1j"]}}', "{cfg}: unknown key 'model.bogus'"),
+    ("weyl-sample", "deep.json", '{"a": ' * 100000 + "1" + "}" * 100000,
+     "{cfg}: objects nested too deeply"),
 ], ids=["missing-key", "bad-choice", "empty-key", "json-not-object", "unreadable",
         "empty-z-list", "no-z-grid", "operator-without-payload", "non-hermitian-entries",
-        "json-unknown-key"])
+        "json-unknown-key", "json-nested-too-deeply"])
 def test_config_errors_name_their_cause(tmp_path, capsys, task, name, text, msg):
     cfg = write(tmp_path, name, text) if text is not None else str(tmp_path / name)
     rc, out, err = run(capsys, [task, "--config", cfg])
@@ -832,6 +834,62 @@ def test_invalid_json_reports_position(tmp_path, capsys):
     assert "bad.json:1:" in err
 
 
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"model.family = schr\xff\xfeodinger-right\ngrid.z_list = 1j\n")
+    rc, out, err = run(capsys, ["weyl-sample", "--config", str(cfg)])
+    assert rc == 2 and out == ""
+    assert err.startswith("config error: cannot read config %r: 'utf-8' codec" % str(cfg))
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_config(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "o.csv"
+    cfg = write(tmp_path, "ws.cfg", WS_CFG)
+    rc, stdout, err = run(capsys, ["weyl-sample", "--config", cfg, "--out", str(out)])
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    assert rc == 2 and stdout == ""
+    assert err == "output error: cannot write --out %r: %s\n" % (str(out), reason)
+    assert not (tmp_path / "missing").exists()
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self):
+        self.buffer = self
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_broken_stdout_exits_config(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "ws.cfg", WS_CFG)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc, _, err = run(capsys, ["weyl-sample", "--config", cfg])
+    assert rc == 2
+    assert err == "output error: cannot write to stdout: Broken pipe\n"
+
+
+def test_stdout_closed_early_exits_config_without_traceback(tmp_path):
+    # a real pipe whose reader closes before the first write: the exit-time
+    # flush of stdout must not report the broken pipe again
+    cfg = write(tmp_path, "ws.cfg", WS_CFG)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "weyltriplets.cli", "weyl-sample", "--config", cfg],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == "output error: cannot write to stdout: Broken pipe\n"
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # z on a Weyl-branch pole of the interval model
     cfg = write(tmp_path, "pole.cfg", (
@@ -937,7 +995,7 @@ def test_jc_run_frozen_bytes(tmp_path, capsys):
     rc, out, _ = run(capsys, ["jc-run", "--config", cfg])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "73daeb86e1e56902ecc3bcfa4dcdd1f99f237a07e1894f7f16da1b0f4108b4e9")
+        "e75f758ea883b886002cdcd514908d15b33be8edcd4e560429441d70492c84c9")
 
 
 @pytest.mark.parametrize("N", [0, 3])

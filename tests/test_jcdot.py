@@ -71,7 +71,7 @@ def test_fock_primitives():
     expect = np.zeros((5, 5))
     expect[4, 4] = -5.0
     assert np.abs(defect - expect).max() < 1e-14
-    assert np.abs(f.bdag @ f.b - f.T).max() < 1e-14
+    assert np.abs(f.b.T @ f.b - f.T).max() < 1e-14
 
 
 def test_z_value():
@@ -131,6 +131,37 @@ def test_cjc_spectrum_closed_form(model):
     numeric = np.linalg.eigvalsh(model.CJC)
     assert np.abs(closed - numeric).max() <= 1e-13 * np.abs(numeric).max()
     assert jd.jacobi_reorder(model.CJC, model)["chain_block_diagonal"]
+
+
+@pytest.mark.parametrize("dot", [jd.TwoLevelDot(1.3, -0.4), jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j)],
+                         ids=["diagonal", "complex-gamma"])
+def test_cjc_matches_index_loop(dot):
+    # the eigenbasis bytes that spectrum and jacobi_reorder's chain check read:
+    # lam_i + k on the diagonal, tau sqrt(k) between |0, k> and |1, k - 1>
+    m = jd.JCModel(0.5, 0.25, dot, 0.7, jd.FockTruncation(20))
+    lam, n = dot.eigen()[:2], m.fock.dim
+    C = np.zeros((2 * n, 2 * n), complex)
+    for i in range(2):
+        for k in range(n):
+            C[i * n + k, i * n + k] = lam[i] + k
+    for k in range(1, n):
+        C[n + k - 1, k] = C[k, n + k - 1] = m.tau * np.sqrt(k)
+    assert m.CJC.tobytes() == C.tobytes()
+
+
+@pytest.mark.parametrize("dot", [jd.TwoLevelDot(0.7, 0.7), jd.TwoLevelDot(0.1, 0.9, 0.2 - 0.15j)],
+                         ids=["degenerate", "complex-gamma"])
+@pytest.mark.parametrize("N", [0, 3, 20, 60])
+def test_site_and_tilde_cjc_nest_across_truncations(dot, N):
+    # C_JC, C~_JC and M^S(z) at N are the (side, level <= N) block of the
+    # same model at N + delta, bit for bit
+    small = jd.JCModel(0.5, 0.25, dot, 0.7, jd.FockTruncation(N))
+    weyl = lambda m: m.lead_weyl(-1 + 0.5j)
+    for delta in (1, 2, 4):
+        big = jd.JCModel(0.5, 0.25, dot, 0.7, jd.FockTruncation(N + delta))
+        keep = np.r_[0:N + 1, N + delta + 1:2 * N + delta + 2]
+        for get in (lambda m: m.CJC, lambda m: m.site_CJC, lambda m: m.tilde_CJC, weyl):
+            assert get(big)[np.ix_(keep, keep)].tobytes() == get(small).tobytes(), delta
 
 
 def test_rq_closed_form_matches_generic(models):
